@@ -6,9 +6,12 @@ Running ``backward(tape, root)`` replays the tape in reverse and accumulates
 Repeated ``backward`` calls without clearing grads accumulate on top of the
 previous pass.  There is no broadcasting beyond scalars: shapes must match
 exactly or one operand must have a single element.
+
+A few ops also take (B, d) row batches, one independent row per batch entry,
+for decoding many hypotheses in one step.  Row forms are forward only: they
+raise ContractError instead of recording a backward rule.
 """
 
-import math
 import threading
 
 import numpy as np
@@ -19,7 +22,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul", "dot", "concat", "tensor_sum",
     "tensor_mean", "tanh", "sigmoid", "exp", "softmax", "log_softmax",
     "max_elementwise", "vec_max", "pick", "row", "affine", "affine_rows",
-    "squared_l2",
+    "squared_l2", "transpose", "check_index", "forward_only",
 ]
 
 
@@ -174,6 +177,25 @@ def _tracing(*inputs):
     if active_tape() is None:
         return False
     return any(t.requires_grad for t in inputs)
+
+
+def forward_only(opname, *inputs):
+    """Refuse a row-batched op that would record: it has no backward rule."""
+    if _tracing(*inputs):
+        raise ContractError(
+            f"{opname}: row-batched input is forward only; run it under no_grad")
+
+
+def check_index(index, n, what):
+    """Raise ContractError unless index, an int or a 1-D integer array of
+    row ids, lies in [0, n)."""
+    if isinstance(index, np.ndarray):
+        ok = (index.ndim == 1 and index.size > 0 and index.dtype.kind in "iu"
+              and 0 <= index.min() and index.max() < n)
+    else:
+        ok = 0 <= index < n
+    if not ok:
+        raise ContractError(f"{what} {index} out of range [0, {n})")
 
 
 def defer_flush(fn):
@@ -353,13 +375,32 @@ def dot(a, b):
 
 
 def concat(parts):
-    """Concatenate scalars and 1-D tensors into one vector."""
+    """Concatenate scalars and 1-D tensors into one vector.
+
+    If some parts are (B, d) row batches, every scalar or 1-D part is
+    repeated on each row and the result is (B, total), forward only.
+    """
     parts = [_as_tensor(p) for p in parts]
-    for p in parts:
-        if p.data.ndim > 1:
-            raise DimensionError(f"concat: expected scalar or 1-D parts, got shape {p.data.shape}")
     if not parts:
         raise DimensionError("concat: no parts given")
+    batch = set()
+    for p in parts:
+        if p.data.ndim == 2:
+            batch.add(p.data.shape[0])
+        elif p.data.ndim > 2:
+            raise DimensionError(
+                f"concat: expected scalar, 1-D or (B, d) parts, got shape {p.data.shape}")
+    if batch:
+        if len(batch) > 1:
+            raise DimensionError(f"concat: row batches of sizes {sorted(batch)} differ")
+        forward_only("concat", *parts)
+        widths = [p.data.shape[-1] if p.data.ndim else 1 for p in parts]
+        out = np.empty((batch.pop(), sum(widths)))
+        off = 0
+        for p, n in zip(parts, widths):
+            out[:, off:off + n] = p.data  # repeats a 1-D part on every row
+            off += n
+        return Tensor(out)
     out = Tensor(np.concatenate([np.atleast_1d(p.data) for p in parts]))
     if _tracing(*parts):
         sizes = [p.data.size for p in parts]
@@ -429,16 +470,25 @@ def exp(a):
     return out
 
 
-def softmax(a):
-    """Stable softmax over a 1-D tensor (max subtraction before exp)."""
+def _last_axis_prep(a, opname):
+    """Validate a vector or (B, n) row batch for a reduction over its last axis."""
     a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise DimensionError(f"softmax: expected a vector, got shape {a.data.shape}")
-    if a.data.size == 0:
-        raise DimensionError("softmax: empty axis")
-    z = a.data - a.data.max()
+    if a.data.ndim not in (1, 2):
+        raise DimensionError(
+            f"{opname}: expected a vector or (B, n) rows, got shape {a.data.shape}")
+    if a.data.shape[-1] == 0:
+        raise DimensionError(f"{opname}: empty axis")
+    if a.data.ndim == 2:
+        forward_only(opname, a)
+    return a
+
+
+def softmax(a):
+    """Stable softmax over the last axis (max subtraction before exp)."""
+    a = _last_axis_prep(a, "softmax")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
     e = np.exp(z)
-    y = e / e.sum()
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y)
     if _tracing(a):
         def bwd():
@@ -449,15 +499,10 @@ def softmax(a):
 
 
 def log_softmax(a):
-    a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise DimensionError(f"log_softmax: expected a vector, got shape {a.data.shape}")
-    if a.data.size == 0:
-        raise DimensionError("log_softmax: empty axis")
-    m = a.data.max()
-    z = a.data - m
-    lse = math.log(np.exp(z).sum())
-    y = z - lse
+    """Stable log-softmax over the last axis."""
+    a = _last_axis_prep(a, "log_softmax")
+    z = a.data - a.data.max(axis=-1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
     out = Tensor(y)
     if _tracing(a):
         sm = np.exp(y)
@@ -516,12 +561,14 @@ def pick(a, index):
 
 
 def row(m, index):
-    """Select one row of a matrix (embedding lookup)."""
+    """Select one row of a matrix (embedding lookup).  An index array selects
+    a (B, d) row batch, forward only."""
     m = _as_tensor(m)
     if m.data.ndim != 2:
         raise DimensionError(f"row: expected a matrix, got shape {m.data.shape}")
-    if not 0 <= index < m.data.shape[0]:
-        raise ContractError(f"row: index {index} out of range for {m.data.shape[0]} rows")
+    check_index(index, m.data.shape[0], "row: index")
+    if isinstance(index, np.ndarray):
+        forward_only("row", m)
     out = Tensor(m.data[index].copy())
     if _tracing(m):
         def bwd():
@@ -533,10 +580,13 @@ def row(m, index):
 
 
 def affine(w, x, b):
-    """Fused w @ x + b for a vector x."""
+    """Fused w @ x + b for a vector x; a (B, d) row batch x goes row-wise
+    through affine_rows."""
     w = _as_tensor(w)
     x = _as_tensor(x)
     b = _as_tensor(b)
+    if x.data.ndim == 2:
+        return affine_rows(w, x, b)
     if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
         raise DimensionError(
             f"affine: shapes {w.data.shape} and {x.data.shape} do not match")
@@ -565,6 +615,9 @@ def affine_rows(w, m, b):
     if m.data.ndim != 2 or w.data.ndim != 2 or m.data.shape[1] != w.data.shape[1]:
         raise DimensionError(
             f"affine_rows: shapes {m.data.shape} and {w.data.shape} do not match")
+    if b.data.shape != (w.data.shape[0],):
+        raise DimensionError(
+            f"affine_rows: bias shape {b.data.shape} does not match output {w.data.shape[0]}")
     out = Tensor(m.data @ w.data.T + b.data)
     if _tracing(w, m, b):
         wd, md = w.data, m.data
@@ -575,6 +628,19 @@ def affine_rows(w, m, b):
             if m.requires_grad:
                 accumulate(m, g @ wd)
             accumulate(b, g.sum(axis=0))
+        record(bwd, out)
+    return out
+
+
+def transpose(a):
+    """Transpose of a matrix."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2:
+        raise DimensionError(f"transpose: expected a matrix, got shape {a.data.shape}")
+    out = Tensor(a.data.T)
+    if _tracing(a):
+        def bwd():
+            accumulate(a, out.grad.T)
         record(bwd, out)
     return out
 

@@ -7,6 +7,7 @@ wrong token map.
 """
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -15,6 +16,10 @@ __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint",
            "load_checkpoint", "restore_params"]
 
 FORMAT_VERSION = 1
+
+# required top-level keys beside "version", with their JSON types
+_KEYS = {"kind": str, "family": str, "feature_dim": int, "vocab_hash": str,
+         "config": dict, "params": dict}
 
 
 class CheckpointError(ValueError):
@@ -26,13 +31,21 @@ def _encode_array(arr):
     return struct.pack(f"<{flat.size}d", *flat).hex()
 
 
-def _decode_array(text, shape):
-    n = 1
-    for d in shape:
-        n *= d
-    if len(text) != 16 * n:
-        raise CheckpointError(f"parameter payload has wrong length for shape {shape}")
-    return np.array(struct.unpack(f"<{n}d", bytes.fromhex(text))).reshape(shape)
+def _decode_array(name, entry):
+    if not isinstance(entry, dict) or not {"shape", "data"} <= entry.keys():
+        raise CheckpointError(f"parameter {name}: expected an object with shape and data")
+    shape, text = entry["shape"], entry["data"]
+    if not isinstance(shape, list) or not all(
+            type(d) is int and d >= 0 for d in shape):
+        raise CheckpointError(f"parameter {name}: shape {shape!r} is not a list of sizes")
+    n = math.prod(shape)
+    if not isinstance(text, str) or len(text) != 16 * n:
+        raise CheckpointError(f"parameter {name}: payload has wrong length for shape {shape}")
+    try:
+        raw = bytes.fromhex(text)
+    except ValueError as err:
+        raise CheckpointError(f"parameter {name}: payload is not hex ({err})") from err
+    return np.array(struct.unpack(f"<{n}d", raw)).reshape(shape)
 
 
 def save_checkpoint(path, kind, family, feature_dim, named_params, config,
@@ -56,22 +69,30 @@ def save_checkpoint(path, kind, family, feature_dim, named_params, config,
 
 
 def load_checkpoint(path, expect_vocab_hash=None):
-    with open(path) as fh:
+    """Read a checkpoint; every malformed file raises CheckpointError."""
+    with open(path, "rb") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise CheckpointError(f"{path}: not a checkpoint file ({err})") from err
+    if not isinstance(obj, dict):
+        raise CheckpointError(f"{path}: not a checkpoint file (not a JSON object)")
     version = obj.get("version")
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"{path}: format version {version} does not match {FORMAT_VERSION}")
+    missing = [key for key in _KEYS if key not in obj]
+    if missing:
+        raise CheckpointError(f"{path}: checkpoint lacks {missing}")
+    for key, kind in _KEYS.items():
+        if not isinstance(obj[key], kind) or isinstance(obj[key], bool):
+            raise CheckpointError(f"{path}: {key} has the wrong type")
     if expect_vocab_hash is not None and obj["vocab_hash"] != expect_vocab_hash:
         raise CheckpointError(
             f"{path}: checkpoint vocabulary hash {obj['vocab_hash'][:12]}... does "
             f"not match the loaded vocabulary {expect_vocab_hash[:12]}...")
-    params = {name: _decode_array(entry["data"], entry["shape"])
-              for name, entry in obj["params"].items()}
-    obj["params"] = params
+    obj["params"] = {name: _decode_array(name, entry)
+                     for name, entry in obj["params"].items()}
     return obj
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward, grad_check, no_grad
-from .layers import AttentionHead, Embedding, Linear, LstmCell, attend
+from .layers import AttentionHead, Embedding, Linear, LstmCell
 from .metrics import build_doc_freq, cider
 from .student import (FcDecoder, StateTransformNet, UpDownDecoder,
                       greedy_decode, replay_decode)
@@ -68,6 +68,8 @@ def _op_cases(seed):
     yield "row", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, 1))), (_rand(rng, (4, 3)),)
     yield ("affine", lambda w, x, b: ad.tensor_sum(ad.tanh(ad.affine(w, x, b))),
            (_rand(rng, (3, 4)), _rand(rng, 4), _rand(rng, 3)))
+    yield ("transpose", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.transpose(a), b))),
+           (_rand(rng, (3, 4)), _rand(rng, (3, 2))))
     yield ("affine_rows", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine_rows(w, m, b))),
            (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
     yield "squared_l2", ad.squared_l2, (_rand(rng, 8), _rand(rng, 8))
@@ -87,14 +89,14 @@ def _composite_cases(seed):
 
     head = AttentionHead(4, 3, rng)
     q = _rand(rng, 3)
-    feats = [_rand(rng, 4) for _ in range(3)]
+    feats = _rand(rng, (3, 4))
 
-    def attend_f(*_):
-        return ad.tensor_sum(ad.mul(attend(head, q, feats), q))
+    def attention_f(*_):
+        return ad.tensor_sum(ad.mul(head.weights(q, head.project(feats)), q))
 
     # proj.b is excluded: it shifts all scores equally, so the weights are
     # exactly invariant to it (its gradient here is identically zero)
-    yield "attend", attend_f, (q, head.proj.w, *feats)
+    yield "attention_weights", attention_f, (q, head.proj.w, feats)
 
     logits = _rand(rng, 6)
     yield ("softmax_cross_entropy",

@@ -17,7 +17,7 @@ from .autodiff import ContractError, DimensionError
 from .checkpoint import (CheckpointError, load_checkpoint, restore_params,
                          save_checkpoint)
 from .checks import enum_check, grad_check_suite
-from .config import ConfigError, load_config, parse_override
+from .config import FAMILIES, ConfigError, load_config, parse_override
 from .corpus import (CorpusFormatError, Vocabulary, generate_corpus,
                      load_records, save_records)
 from .metrics import DocFreq
@@ -113,10 +113,23 @@ def cmd_train_teacher(cfg):
     return 0
 
 
-def load_teacher(path, vocab, feature_dim=None):
+def _load_model_checkpoint(path, vocab, kind):
+    """Load a checkpoint of the given kind and check the fields that size the model."""
     ckpt = load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
-    if ckpt["kind"] != "teacher":
-        raise CheckpointError(f"{path}: expected a teacher checkpoint, got {ckpt['kind']}")
+    if ckpt["kind"] != kind:
+        raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {ckpt['kind']}")
+    if ckpt["family"] not in FAMILIES:
+        raise CheckpointError(
+            f"{path}: family {ckpt['family']!r} is not one of {FAMILIES}")
+    dims = [ckpt["feature_dim"]] + [ckpt["config"].get(k) for k in ("embed_dim", "hidden_dim")]
+    if not all(type(d) is int and d >= 1 for d in dims):
+        raise CheckpointError(
+            f"{path}: feature_dim, embed_dim and hidden_dim must be positive integers")
+    return ckpt
+
+
+def load_teacher(path, vocab, feature_dim=None):
+    ckpt = _load_model_checkpoint(path, vocab, "teacher")
     cfgd = ckpt["config"]
     teacher = build_teacher(len(vocab), ckpt["family"], cfgd["embed_dim"],
                             cfgd["hidden_dim"], ckpt["feature_dim"], seed=0,
@@ -131,9 +144,7 @@ def load_teacher(path, vocab, feature_dim=None):
 
 
 def load_student(path, vocab):
-    ckpt = load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
-    if ckpt["kind"] != "student":
-        raise CheckpointError(f"{path}: expected a student checkpoint, got {ckpt['kind']}")
+    ckpt = _load_model_checkpoint(path, vocab, "student")
     cfgd = ckpt["config"]
     rng = np.random.default_rng(0)
     cls = FcDecoder if ckpt["family"] == "fc" else UpDownDecoder

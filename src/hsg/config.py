@@ -64,8 +64,10 @@ class RunConfig:
             raise ConfigError("t_max must be >= 1")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("corpus split sizes must be >= 1")
-        if self.captions_per_scene < 1 or self.k_objects < 1:
-            raise ConfigError("captions_per_scene and k_objects must be >= 1")
+        if self.captions_per_scene < 1:
+            raise ConfigError("captions_per_scene must be >= 1")
+        if self.k_objects < 2:
+            raise ConfigError("k_objects must be >= 2: captions name objects 0 and 1")
         if not 0.0 <= self.discount <= 1.0:
             raise ConfigError("discount must be in [0, 1]")
         return self

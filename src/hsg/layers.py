@@ -8,13 +8,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (
-    Tensor, DimensionError, ContractError, accumulate, record, softmax,
-    affine, affine_rows, matmul, dot, concat,
+    Tensor, DimensionError, accumulate, record, softmax, affine, affine_rows,
+    matmul, transpose,
 )
 
 __all__ = [
     "uniform_init", "init_params", "LstmCell", "lstm_step",
-    "Embedding", "Linear", "AttentionHead", "attend",
+    "Embedding", "Linear", "AttentionHead",
 ]
 
 
@@ -76,21 +76,33 @@ class LstmCell:
 
 
 def lstm_step(cell, x, h, c):
-    """One LSTM step; returns (h', c').  Fused into a single tape node."""
+    """One LSTM step; returns (h', c').  Fused into a single tape node.
+
+    x, h and c may also be (B, d) row batches, one independent step per row;
+    the row form is forward only.
+    """
     hd = cell.hidden_dim
-    if x.data.shape != (cell.input_dim,):
+    rows = x.data.shape[:-1]
+    if len(rows) > 1 or x.data.shape[-1:] != (cell.input_dim,):
         raise DimensionError(
             f"lstm_step: input shape {x.data.shape} does not match ({cell.input_dim},)")
-    if h.data.shape != (hd,) or c.data.shape != (hd,):
+    want = rows + (hd,)
+    if h.data.shape != want or c.data.shape != want:
         raise DimensionError(
-            f"lstm_step: state shapes {h.data.shape}, {c.data.shape} do not match ({hd},)")
+            f"lstm_step: state shapes {h.data.shape}, {c.data.shape} do not match {want}")
 
     w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
-    z = w_ih.data @ x.data + w_hh.data @ h.data + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:hd]))
-    f = 1.0 / (1.0 + np.exp(-z[hd:2 * hd]))
-    g = np.tanh(z[2 * hd:3 * hd])
-    o = 1.0 / (1.0 + np.exp(-z[3 * hd:]))
+    if rows:
+        ad.forward_only("lstm_step", x, h, c, w_ih, w_hh, b)
+        # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows
+        z = (w_ih.data @ np.ascontiguousarray(x.data.T)
+             + w_hh.data @ np.ascontiguousarray(h.data.T)).T + b.data
+    else:
+        z = w_ih.data @ x.data + w_hh.data @ h.data + b.data
+    i = 1.0 / (1.0 + np.exp(-z[..., :hd]))
+    f = 1.0 / (1.0 + np.exp(-z[..., hd:2 * hd]))
+    g = np.tanh(z[..., 2 * hd:3 * hd])
+    o = 1.0 / (1.0 + np.exp(-z[..., 3 * hd:]))
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -134,9 +146,8 @@ class Embedding:
         self.w = ad.parameter(uniform_init(rng, (vocab_size, embed_dim), embed_dim))
 
     def lookup(self, token_id):
-        if not 0 <= token_id < self.vocab_size:
-            raise ContractError(
-                f"embedding lookup: token id {token_id} out of range [0, {self.vocab_size})")
+        """Embedding of one token id, or (B, E) rows for an id array."""
+        ad.check_index(token_id, self.vocab_size, "embedding lookup: token id")
         return ad.row(self.w, token_id)
 
     def named_parameters(self, prefix):
@@ -179,15 +190,12 @@ class AttentionHead:
         return self.proj.apply_rows(feats)
 
     def weights(self, h, projected):
+        """Softmax over the K scores projected · h; for a (B, H) row batch h,
+        one softmax per row over h · projectedᵀ."""
+        if h.data.ndim == 2:
+            return softmax(matmul(h, transpose(projected)))
         return softmax(matmul(projected, h))
 
     def named_parameters(self, prefix):
         return self.proj.named_parameters(prefix + ".proj")
 
-
-def attend(head, h, feats):
-    """Attention weights over a list of K feature vectors for query h."""
-    if len(feats) == 0:
-        raise ContractError("attend: need at least one object feature")
-    scores = concat([dot(h, head.proj(v)) for v in feats])
-    return softmax(scores)

@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import (Tensor, ContractError, DimensionError, concat,
-                       log_softmax, matmul, no_grad, pick, tanh)
+from .autodiff import (Tensor, ContractError, DimensionError, check_index,
+                       concat, log_softmax, matmul, no_grad, pick, tanh)
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 
 __all__ = [
@@ -119,14 +119,24 @@ class UpDownDecoder:
 
 
 def decode_step(decoder, ctx, state, prev_token):
-    """One autoregressive step: (logits over vocab, next state)."""
-    if not 0 <= prev_token < decoder.vocab_size:
-        raise ContractError(
-            f"decode_step: token id {prev_token} out of range [0, {decoder.vocab_size})")
+    """One autoregressive step: (logits over vocab, next state).
+
+    prev_token may also be an array of B token ids whose state layers are
+    (B, H) row batches; the step then runs forward only and returns (B, V)
+    logits.
+    """
+    check_index(prev_token, decoder.vocab_size, "decode_step: token id")
     if len(state) != len(decoder.layer_dims):
         raise ContractError(
             f"decode_step: state has {len(state)} layers, decoder expects "
             f"{len(decoder.layer_dims)}")
+    rows = prev_token.shape if isinstance(prev_token, np.ndarray) else ()
+    for (h, c), dim in zip(state, decoder.layer_dims):
+        want = rows + (dim,)
+        if h.data.shape != want or c.data.shape != want:
+            raise DimensionError(
+                f"decode_step: state shapes {h.data.shape}, {c.data.shape} do not "
+                f"match {want}")
     return decoder.step(ctx, state, prev_token)
 
 
@@ -295,35 +305,48 @@ def beam_search(decoder, ctx, init_state, t_max, width=5, bos_id=None,
                 return_pool=False):
     """Length-unnormalized log-prob beam search.
 
-    Completed hypotheses (eos) retire into a pool and the best pool entry
-    wins.  Candidate ranking breaks score ties lexicographically on the
-    token sequence, so width 1 reproduces greedy decoding exactly.
+    The alive beams are the rows of one decode step per timestep.  Their
+    W x V candidates rank by score, then lexicographically on the token
+    sequence, so width 1 reproduces greedy decoding exactly.  Completed
+    hypotheses (eos) retire into a pool and the best pool entry wins.
     """
     if width < 1:
         raise ContractError("beam_search: width must be >= 1")
     bos = _bos_id(decoder) if bos_id is None else bos_id
+    vocab_size = decoder.vocab_size
+    token_ids = np.arange(vocab_size)
     pool = []
     with no_grad():
-        alive = [((), 0.0, init_state, bos)]
+        emitted = [()]
+        scores = np.zeros(1)
+        tokens = np.array([bos])
+        state = [(Tensor(h.data[None]), Tensor(c.data[None])) for h, c in init_state]
         for _ in range(t_max):
-            candidates = []
-            for emitted, score, state, prev in alive:
-                logits, nstate = decode_step(decoder, ctx, state, prev)
-                lp = log_softmax(logits).data
-                for tok in range(decoder.vocab_size):
-                    candidates.append(
-                        (emitted + (tok,), score + float(lp[tok]), nstate))
-            candidates.sort(key=lambda cand: (-cand[1], cand[0]))
-            alive = []
-            for emitted, score, state in candidates[:width]:
-                if emitted[-1] == decoder.eos_id:
-                    pool.append(BeamHypothesis(emitted[:-1], score, True, emitted))
+            logits, state = decode_step(decoder, ctx, state, tokens)
+            cand = scores[:, None] + log_softmax(logits).data
+            # alive prefixes are distinct and of equal length, so ranking ties
+            # by (prefix rank, token) orders the extended sequences
+            # lexicographically
+            prefix_rank = np.empty(len(emitted), dtype=np.intp)
+            prefix_rank[sorted(range(len(emitted)), key=emitted.__getitem__)] = (
+                np.arange(len(emitted)))
+            tie = prefix_rank[:, None] * vocab_size + token_ids
+            best = np.lexsort((tie.ravel(), -cand.ravel()))[:width]
+            keep = []
+            for r, t in zip(*(a.tolist() for a in np.divmod(best, vocab_size))):
+                if t == decoder.eos_id:
+                    pool.append(BeamHypothesis(emitted[r], float(cand[r, t]), True,
+                                               emitted[r] + (t,)))
                 else:
-                    alive.append((emitted, score, state, emitted[-1]))
-            if not alive:
+                    keep.append((r, t))
+            emitted = [emitted[r] + (t,) for r, t in keep]
+            if not keep:
                 break
-        for emitted, score, _state, _prev in alive:
-            pool.append(BeamHypothesis(emitted, score, False, emitted))
+            r_keep, tokens = np.array(keep).T
+            scores = cand[r_keep, tokens]
+            state = [(Tensor(h.data[r_keep]), Tensor(c.data[r_keep])) for h, c in state]
+        for seq, score in zip(emitted, scores.tolist()):
+            pool.append(BeamHypothesis(seq, score, False, seq))
     pool.sort(key=lambda h: (-h.score, h.emissions))
     if return_pool:
         return pool

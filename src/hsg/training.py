@@ -177,12 +177,18 @@ def make_reward_fn(metric, vocab, doc_freq, smooth_bleu=True):
 
 
 def clip_gradients(params, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
+    """Scale all gradients so their global L2 norm is at most max_norm.
+
+    Raises TrainingDiverged when the norm is not finite, so that no step
+    applies NaN or infinite gradients.
+    """
     total = 0.0
     for p in params:
         if p.grad is not None:
             total += float(np.dot(p.grad.reshape(-1), p.grad.reshape(-1)))
     norm = math.sqrt(total)
+    if not math.isfinite(norm):
+        raise TrainingDiverged(f"global gradient norm became {norm}")
     if norm > max_norm > 0:
         scale = max_norm / norm
         for p in params:

@@ -1,11 +1,16 @@
-"""Brute-force metric implementations used as independent test oracles.
+"""Brute-force implementations used as independent test oracles.
 
-Deliberately written from the definitions with different machinery
+The metric oracles are written from the definitions with different machinery
 (Counter, dict vectors, recursive LCS) than the package implementations.
+The beam-search oracle is the one-beam-at-a-time loop that sorts every
+candidate tuple, against which the row-batched search is checked.
 """
 
 import math
 from collections import Counter
+
+from hsg.autodiff import log_softmax, no_grad
+from hsg.student import BeamHypothesis, decode_step
 
 
 def count_ngrams(seq, n):
@@ -128,3 +133,32 @@ def handcrafted_pairs(n_pairs=50):
                          for i in range(rlen)])
         pairs.append((cand, refs))
     return pairs[:n_pairs]
+
+
+def beam_search_oracle(decoder, ctx, init_state, t_max, width, bos_id):
+    """Beam search with one decode step per alive beam and a sort of all
+    W·V candidate tuples by (-score, emitted); returns the sorted pool."""
+    pool = []
+    with no_grad():
+        alive = [((), 0.0, init_state, bos_id)]
+        for _ in range(t_max):
+            candidates = []
+            for emitted, score, state, prev in alive:
+                logits, nstate = decode_step(decoder, ctx, state, prev)
+                lp = log_softmax(logits).data
+                for tok in range(decoder.vocab_size):
+                    candidates.append(
+                        (emitted + (tok,), score + float(lp[tok]), nstate))
+            candidates.sort(key=lambda cand: (-cand[1], cand[0]))
+            alive = []
+            for emitted, score, state in candidates[:width]:
+                if emitted[-1] == decoder.eos_id:
+                    pool.append(BeamHypothesis(emitted[:-1], score, True, emitted))
+                else:
+                    alive.append((emitted, score, state, emitted[-1]))
+            if not alive:
+                break
+        for emitted, score, _state, _prev in alive:
+            pool.append(BeamHypothesis(emitted, score, False, emitted))
+    pool.sort(key=lambda h: (-h.score, h.emissions))
+    return pool

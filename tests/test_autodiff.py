@@ -103,6 +103,10 @@ def test_incompatible_shapes_rejected():
         ad.add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
     with pytest.raises(DimensionError):
         ad.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
+    # a (1,) bias would broadcast over the 3 outputs and get a (3,) gradient
+    for x in (np.zeros(4), np.zeros((5, 4))):
+        with pytest.raises(DimensionError, match="bias"):
+            ad.affine(Tensor(np.zeros((3, 4))), Tensor(x), Tensor(np.zeros(1)))
 
 
 def test_squared_l2_basics():

@@ -3,12 +3,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsg import cli
 from hsg.checkpoint import (CheckpointError, load_checkpoint, restore_params,
                             save_checkpoint)
-from hsg.config import ConfigError, load_config
-from hsg.corpus import generate_corpus
+from hsg.config import ConfigError, RunConfig, load_config
+from hsg.corpus import Vocabulary, generate_corpus
 from hsg.layers import Linear
 
 
@@ -87,6 +89,108 @@ def test_checkpoint_version_and_vocab_mismatch(tmp_path):
     path.write_text(json.dumps(obj))
     with pytest.raises(CheckpointError, match="version"):
         load_checkpoint(str(path))
+
+
+def test_config_requires_two_objects():
+    # the caption template names objects 0 and 1
+    with pytest.raises(ConfigError, match="k_objects"):
+        RunConfig(k_objects=1).validate()
+    RunConfig(k_objects=2).validate()
+    train = generate_corpus(0, 1, 1, 1, k_objects=2)[0]
+    assert train[0].features.shape[0] == 2
+
+
+def valid_checkpoint():
+    lin = Linear(2, 2, np.random.default_rng(0))
+    return {"version": 1, "kind": "student", "family": "fc", "feature_dim": 2,
+            "corpus_seed": 0, "vocab_hash": "h", "config": {},
+            "params": {name: {"shape": list(p.data.shape),
+                              "data": p.data.astype("<f8").tobytes().hex()}
+                       for name, p in lin.named_parameters("m").items()}}
+
+
+def drop(*keys):
+    def mutate(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        del obj[keys[-1]]
+    return mutate
+
+
+def put(value, *keys):
+    def mutate(obj):
+        for key in keys[:-1]:
+            obj = obj[key]
+        obj[keys[-1]] = value
+    return mutate
+
+
+MALFORMED = {
+    "non-hex payload": put("zz" * 32, "params", "m.w", "data"),
+    "missing vocab_hash": drop("vocab_hash"),
+    "missing params": drop("params"),
+    "missing shape": drop("params", "m.w", "shape"),
+    "missing data": drop("params", "m.w", "data"),
+    "missing kind": drop("kind"),
+    "missing family": drop("family"),
+    "missing feature_dim": drop("feature_dim"),
+    "missing config": drop("config"),
+    "negative shape": put([-2, -2], "params", "m.w", "shape"),
+    "string shape": put("2x2", "params", "m.w", "shape"),
+    "list params": put([], "params"),
+    "string feature_dim": put("2", "feature_dim"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_checkpoint_malformed_raises_checkpoint_error(tmp_path, case):
+    obj = valid_checkpoint()
+    MALFORMED[case](obj)
+    path = tmp_path / "ckpt.json"
+    path.write_text(json.dumps(obj))
+    for expect in (None, "h"):
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path), expect_vocab_hash=expect)
+
+
+def test_checkpoint_not_an_object_or_not_text(tmp_path):
+    path = tmp_path / "ckpt.json"
+    for payload in (b"[1, 2]", b"\xff\xfe\x00{", b"[" * 100000):
+        path.write_bytes(payload)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-5, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=6) | st.sampled_from(["0" * 64, "zz" * 32, "fc", "student"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+
+KEY_PATHS = [("version",), ("kind",), ("family",), ("feature_dim",),
+             ("vocab_hash",), ("config",), ("params",), ("params", "m.w"),
+             ("params", "m.w", "shape"), ("params", "m.w", "data"),
+             ("params", "m.w", "shape", 0), ("params", "m.b", "shape")]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.sampled_from(KEY_PATHS), value=st.none() | JSON_VALUES,
+       delete=st.booleans(), cut=st.integers(0, 2000))
+def test_checkpoint_fuzz_only_checkpoint_errors(tmp_path, keys, value, delete, cut):
+    obj = valid_checkpoint()
+    mutate = drop(*keys) if delete else put(value, *keys)
+    mutate(obj)
+    text = json.dumps(obj)
+    path = tmp_path / "fuzz.json"
+    for payload in (text, text[:cut]):
+        path.write_text(payload)
+        try:
+            loaded = load_checkpoint(str(path), expect_vocab_hash="h")
+        except CheckpointError:
+            continue
+        assert all(isinstance(a, np.ndarray) for a in loaded["params"].values())
 
 
 def test_checkpoint_shape_mismatch(tmp_path):
@@ -192,6 +296,18 @@ def test_student_checkpoint_rejects_foreign_vocab(pipeline_dir, tmp_path):
     other = generate_corpus(99, 2, 1, 1)[3]
     with pytest.raises(CheckpointError):
         cli.load_student(str(src / "out" / "student.json"), other)
+
+
+def test_checkpoint_unknown_family_rejected(pipeline_dir, tmp_path):
+    src, _cfg_path = pipeline_dir
+    vocab = Vocabulary.from_json((src / "corpus" / "vocab.json").read_text())
+    for name, load in (("student", cli.load_student), ("teacher", cli.load_teacher)):
+        obj = json.loads((src / "out" / f"{name}.json").read_text())
+        obj["family"] = "lstm"
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(CheckpointError, match="family"):
+            load(str(path), vocab)
 
 
 def test_grad_check_command_exits_zero(capsys):

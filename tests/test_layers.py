@@ -3,7 +3,7 @@ import pytest
 
 from hsg import autodiff as ad
 from hsg.autodiff import Tape, Tensor, backward, grad_check
-from hsg.layers import (AttentionHead, Embedding, Linear, LstmCell, attend,
+from hsg.layers import (AttentionHead, Embedding, Linear, LstmCell,
                         init_params, uniform_init)
 
 
@@ -60,12 +60,16 @@ def test_lstm_cell_state_bounded_growth():
         c = c_new
 
 
+def attention_weights(head, h, feats):
+    """Weights of the K feature rows feats for query h."""
+    return head.weights(h, head.project(feats))
+
+
 def test_attend_single_object_and_symmetry():
     head = AttentionHead(4, 3, np.random.default_rng(7))
     h = Tensor(np.random.default_rng(8).normal(size=3))
-    v = Tensor(np.ones(4))
-    assert attend(head, h, [v]).data.tolist() == [1.0]
-    two = attend(head, h, [v, Tensor(np.ones(4))])
+    assert attention_weights(head, h, Tensor(np.ones((1, 4)))).data.tolist() == [1.0]
+    two = attention_weights(head, h, Tensor(np.ones((2, 4))))
     assert np.allclose(two.data, [0.5, 0.5], atol=1e-15)
 
 
@@ -73,23 +77,24 @@ def test_attend_matches_dot_softmax_oracle():
     rng = np.random.default_rng(9)
     head = AttentionHead(4, 3, rng)
     h = Tensor(rng.normal(size=3))
-    feats = [Tensor(rng.normal(size=4)) for _ in range(3)]
-    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v.data + head.proj.b.data))
+    feats = rng.normal(size=(3, 4))
+    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v + head.proj.b.data))
                        for v in feats])
     e = np.exp(scores - scores.max())
-    assert np.allclose(attend(head, h, feats).data, e / e.sum(), atol=1e-12)
+    assert np.allclose(attention_weights(head, h, Tensor(feats)).data, e / e.sum(),
+                       atol=1e-12)
 
 
 def test_attend_shift_invariance():
     rng = np.random.default_rng(10)
     head = AttentionHead(4, 3, rng)
     h = ad.Tensor(rng.normal(size=3))
-    feats = [Tensor(rng.normal(size=4)) for _ in range(4)]
-    base = attend(head, h, feats).data.copy()
+    feats = rng.normal(size=(4, 4))
+    base = attention_weights(head, h, Tensor(feats)).data.copy()
     # shifting every score by a constant must not move the weights; a bias
     # change along h's direction shifts all K scores equally when the
     # features share the same projection offset
-    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v.data + head.proj.b.data))
+    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v + head.proj.b.data))
                        for v in feats])
     shifted = np.exp(scores + 11.5 - (scores + 11.5).max())
     assert np.allclose(base, shifted / shifted.sum(), atol=1e-12)
@@ -99,17 +104,17 @@ def test_attend_gradient_and_empty_contract():
     rng = np.random.default_rng(11)
     head = AttentionHead(3, 2, rng)
     h = ad.parameter(rng.normal(size=2))
-    feats = [ad.parameter(rng.normal(size=3)) for _ in range(3)]
+    feats = ad.parameter(rng.normal(size=(3, 3)))
     # the projection bias shifts every score equally, so the weights do not
     # depend on it; check it separately as an exact-zero gradient
-    assert grad_check(lambda *a: ad.pick(attend(head, h, feats), 0),
-                      [h, head.proj.w, *feats]) <= 1e-5
+    assert grad_check(lambda *a: ad.pick(attention_weights(head, h, feats), 0),
+                      [h, head.proj.w, feats]) <= 1e-5
     head.proj.b.zero_grad()
     with Tape() as tape:
-        backward(tape, ad.pick(attend(head, h, feats), 0))
+        backward(tape, ad.pick(attention_weights(head, h, feats), 0))
     assert np.all(np.abs(head.proj.b.grad) < 1e-12)
-    with pytest.raises(ad.ContractError):
-        attend(head, h, [])
+    with pytest.raises(ad.DimensionError):
+        attention_weights(head, h, Tensor(np.zeros((0, 3))))
 
 
 def test_embedding_lookup_equals_one_hot_matmul():

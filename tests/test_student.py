@@ -8,6 +8,8 @@ from hsg.student import (FcDecoder, StateTransformNet, UpDownDecoder,
                          replay_decode, sample_decode, sample_categorical,
                          teacher_forced)
 
+from oracles import beam_search_oracle
+
 EOS = 0
 BOS = 1
 
@@ -240,3 +242,76 @@ def test_beam_width_contract():
     ctx, state = fresh(decoder, net, features)
     with pytest.raises(ContractError):
         beam_search(decoder, ctx, state, t_max=3, width=0, bos_id=BOS)
+
+
+def all_ties(decoder):
+    """Zero output layer: every log-prob is exactly -log V, so only the
+    lexicographic tie-break orders the candidates."""
+    decoder.out.w.data[...] = 0.0
+    decoder.out.b.data[...] = 0.0
+    return decoder
+
+
+def test_beam_rows_match_scalar_oracle():
+    for family in ("fc", "updown"):
+        for seed, ties in ((16, False), (17, False), (18, True)):
+            decoder, net, features = make_world(family, vocab=6, seed=seed)
+            if ties:
+                all_ties(decoder)
+            for width in (1, 2, 5, 64):
+                for t_max in (1, 6):
+                    ctx, state = fresh(decoder, net, features)
+                    pool = beam_search(decoder, ctx, state, t_max, width=width,
+                                       bos_id=BOS, return_pool=True)
+                    expected = beam_search_oracle(
+                        decoder, ctx, net.initial_state(ctx.vbar), t_max, width, BOS)
+                    assert [h.emissions for h in pool] == [h.emissions for h in expected]
+                    assert [(h.tokens, h.ended) for h in pool] == [
+                        (h.tokens, h.ended) for h in expected]
+                    for got, want in zip(pool, expected):
+                        assert abs(got.score - want.score) <= 1e-12
+
+
+def test_decode_step_rows_match_single_rows():
+    for family in ("fc", "updown"):
+        decoder, net, features = make_world(family, seed=19)
+        ctx, state = fresh(decoder, net, features)
+        tokens = np.array([BOS, 3, 2, 3])
+        rows = [(Tensor(np.stack([h.data * (1 + 0.1 * b) for b in range(4)])),
+                 Tensor(np.stack([c.data - 0.2 * b for b in range(4)])))
+                for h, c in state]
+        with no_grad():
+            logits, new_rows = decode_step(decoder, ctx, rows, tokens)
+            for b, tok in enumerate(tokens.tolist()):
+                single = [(Tensor(h.data[b]), Tensor(c.data[b])) for h, c in rows]
+                want, want_state = decode_step(decoder, ctx, single, tok)
+                assert np.allclose(logits.data[b], want.data, rtol=0, atol=1e-12)
+                for (h, c), (wh, wc) in zip(new_rows, want_state):
+                    assert np.allclose(h.data[b], wh.data, rtol=0, atol=1e-12)
+                    assert np.allclose(c.data[b], wc.data, rtol=0, atol=1e-12)
+        with pytest.raises(ContractError):
+            decode_step(decoder, ctx, rows, np.array([BOS, 3, 2, 99]))
+        with pytest.raises(ad.DimensionError):
+            decode_step(decoder, ctx, rows, tokens[:3])
+
+
+def test_row_input_on_active_tape_raises():
+    decoder, net, features = make_world("updown", seed=20)
+    ctx, state = fresh(decoder, net, features)
+    rows = [(Tensor(h.data[None]), Tensor(c.data[None])) for h, c in state]
+    m = ad.parameter(np.ones((2, 3)))
+    refused = [
+        lambda: decode_step(decoder, ctx, rows, np.array([BOS])),
+        lambda: decoder.embedding.lookup(np.array([BOS, 2])),
+        lambda: ad.row(m, np.array([0, 0])),
+        lambda: ad.concat([m, ad.parameter(np.ones(2))]),
+        lambda: ad.softmax(m),
+        lambda: ad.log_softmax(m),
+        lambda: decoder.lang_lstm.step(Tensor(np.ones((1, decoder.lang_lstm.input_dim))),
+                                       *rows[1]),
+    ]
+    with Tape() as tape:
+        for op in refused:
+            with pytest.raises(ContractError, match="forward only"):
+                op()
+    assert len(tape) == 0

@@ -9,8 +9,8 @@ from hsg.checks import _TinyWorld, enum_check, enumerate_rollouts
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
 from hsg.student import greedy_decode, replay_decode, sample_decode
-from hsg.teacher import pretrain_teacher
-from hsg.training import (build_student, collect_gradients,
+from hsg.teacher import TrainingDiverged, pretrain_teacher
+from hsg.training import (build_student, clip_gradients, collect_gradients,
                           hsg_gradients, joint_mle_loss, loss_ll,
                           pretrain_state_net, scst_gradients,
                           state_loss_trace, train_student, zero_gradients)
@@ -419,3 +419,35 @@ def test_train_student_requires_teacher(tiny_pipeline):
     with pytest.raises(ContractError):
         train_student(train, val, None, statenet, vocab, df, cfg,
                       log=lambda *a: None)
+
+
+def test_clip_gradients_rejects_non_finite_norm():
+    p = ad.parameter(np.zeros(3))
+    for bad in (np.nan, np.inf):
+        p.grad = np.array([1.0, bad, 2.0])
+        with pytest.raises(TrainingDiverged, match="gradient norm"):
+            clip_gradients([p], 5.0)
+    p.grad = np.array([3.0, 4.0, 0.0])
+    assert clip_gradients([p], 1.0) == 5.0
+    assert np.allclose(p.grad, [0.6, 0.8, 0.0], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("path", ["teacher", "state_net", "mle", "rl"])
+def test_training_path_diverges_on_non_finite_gradients(path, tiny_pipeline,
+                                                        monkeypatch):
+    train, val, _, vocab, df, cfg, teacher, statenet = tiny_pipeline
+    # every backward rule emits NaN while forward values and losses stay finite
+    real = ad.accumulate
+    monkeypatch.setattr(ad, "accumulate", lambda t, g: real(t, np.asarray(g) * np.nan))
+    with pytest.raises(TrainingDiverged, match="gradient norm"):
+        if path == "teacher":
+            pretrain_teacher(train, vocab, cfg, log=lambda *a: None)
+        elif path == "state_net":
+            pretrain_state_net(train, teacher, vocab, cfg, log=lambda *a: None)
+        else:
+            # scst with no warm-up makes the first step an RL step
+            mode = {"mle": "mle", "rl": "scst"}[path]
+            run_cfg = RunConfig(**{**cfg.to_dict(), "mode": mode, "epochs": 1,
+                                   "mle_warmup_epochs": 0})
+            train_student(train, val, teacher, statenet, vocab, df, run_cfg,
+                          log=lambda *a: None)
