@@ -14,7 +14,7 @@ from .metrics import DocFreq, bleu4, build_doc_freq, cider, rouge_l
 from .student import (FcDecoder, RolloutResult, StateTransformNet,
                       UpDownDecoder, beam_search, greedy_decode, sample_decode)
 from .teacher import (TeacherAutoencoder, build_teacher, pool_captions,
-                      pretrain_teacher, teacher_forward)
+                      pretrain_teacher)
 from .training import (RewardTrace, hsg_gradients, joint_mle_loss, loss_ll,
                        pretrain_state_net, scst_gradients, state_loss_trace,
                        train_student)

@@ -18,11 +18,11 @@ import numpy as np
 
 __all__ = [
     "Tensor", "Tape", "DimensionError", "ContractError",
-    "tensor", "constant", "parameter", "no_grad", "backward", "grad_check",
-    "add", "sub", "mul", "neg", "matmul", "dot", "concat", "tensor_sum",
-    "tensor_mean", "tanh", "sigmoid", "exp", "softmax", "log_softmax",
+    "parameter", "no_grad", "backward", "grad_check",
+    "add", "sub", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
+    "tanh", "exp", "softmax", "log_softmax",
     "max_elementwise", "vec_max", "pick", "row", "affine", "affine_rows",
-    "squared_l2", "transpose", "check_index", "forward_only",
+    "squared_l2", "transpose", "check_index", "forward_only", "defer",
 ]
 
 
@@ -111,35 +111,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def detach(self):
-        return Tensor(self.data.copy())
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, data={self.data!r})"
 
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return neg(self)
-
-
-def tensor(data, requires_grad=False):
-    return Tensor(data, requires_grad=requires_grad)
-
-
-def constant(data):
-    return Tensor(data)
 
 
 def parameter(data):
@@ -198,13 +177,19 @@ def check_index(index, n, what):
         raise ContractError(f"{what} {index} out of range [0, {n})")
 
 
-def defer_flush(fn):
-    """Schedule fn to run once after the current backward sweep finishes.
+def defer(key, flush, item):
+    """Buffer item under key until the current backward sweep finishes.
 
-    Backward rules use this to batch repeated weight-gradient contributions
-    (one GEMM at the end instead of one outer product per time step).
+    After the sweep, flush(items) runs once per key, in the order the keys
+    first appeared.  Backward rules use this to batch repeated
+    weight-gradient contributions (one GEMM at the end instead of one outer
+    product per time step).  The buffers belong to the sweep: an interrupted
+    sweep drops them, so nothing carries over into the next pass.
     """
-    getattr(_STATE, "flush", None).append(fn)
+    deferred = _STATE.deferred
+    if key not in deferred:
+        deferred[key] = (flush, [])
+    deferred[key][1].append(item)
 
 
 def backward(tape, root):
@@ -221,7 +206,7 @@ def backward(tape, root):
         root.grad = np.ones_like(root.data)
     else:
         root.grad = root.grad + np.ones_like(root.data)
-    _STATE.flush = flush = []
+    _STATE.deferred = deferred = {}
     try:
         for fn, outs in reversed(tape.nodes):
             tape.backward_visits += 1
@@ -234,10 +219,10 @@ def backward(tape, root):
                 fn()
                 for o in outs:
                     o.grad = None
-        for fn in flush:
-            fn()
+        for flush, items in deferred.values():
+            flush(items)
     finally:
-        _STATE.flush = None
+        _STATE.deferred = None
 
 
 def _check_same_shape(a, b, opname):
@@ -344,32 +329,12 @@ def matmul(a, b):
                 else:
                     accumulate(a, g * bd)
             if b.requires_grad:
-                if ad.ndim == 2 and bd.ndim == 2:
-                    accumulate(b, ad.T @ g)
-                elif ad.ndim == 2 and bd.ndim == 1:
+                if ad.ndim == 2:
                     accumulate(b, ad.T @ g)
                 elif ad.ndim == 1 and bd.ndim == 2:
                     accumulate(b, ad[:, None] * g)
                 else:
                     accumulate(b, g * ad)
-        record(bwd, out)
-    return out
-
-
-def dot(a, b):
-    """Inner product of two equal-length vectors, returns a scalar tensor."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.data.shape != b.data.shape:
-        raise DimensionError(
-            f"dot: expected matching vectors, got {a.data.shape} and {b.data.shape}")
-    out = Tensor(np.dot(a.data, b.data))
-    if _tracing(a, b):
-        ad, bd = a.data, b.data
-        def bwd():
-            g = out.grad
-            accumulate(a, g * bd)
-            accumulate(b, g * ad)
         record(bwd, out)
     return out
 
@@ -424,15 +389,27 @@ def tensor_sum(a):
     return out
 
 
-def tensor_mean(a):
-    a = _as_tensor(a)
-    n = a.data.size
-    if n == 0:
-        raise DimensionError("mean: empty tensor")
-    out = Tensor(a.data.mean())
-    if _tracing(a):
+def sum_terms(terms):
+    """Sum equal-shape tensors left to right as one tape node.
+
+    The value is bit-identical to chaining add over the terms in order, and
+    each term receives the output gradient; a single term is returned as is.
+    """
+    terms = [_as_tensor(t) for t in terms]
+    if not terms:
+        raise ContractError("sum_terms: no terms given")
+    if len(terms) == 1:
+        return terms[0]
+    total = terms[0].data
+    for t in terms[1:]:
+        _check_same_shape(terms[0], t, "sum_terms")
+        total = total + t.data
+    out = Tensor(total)
+    if _tracing(*terms):
         def bwd():
-            accumulate(a, np.full(a.data.shape, float(out.grad) / n))
+            g = out.grad
+            for t in terms:
+                accumulate(t, g)
         record(bwd, out)
     return out
 
@@ -444,17 +421,6 @@ def tanh(a):
     if _tracing(a):
         def bwd():
             accumulate(a, out.grad * (1.0 - y * y))
-        record(bwd, out)
-    return out
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    y = 1.0 / (1.0 + np.exp(-a.data))
-    out = Tensor(y)
-    if _tracing(a):
-        def bwd():
-            accumulate(a, out.grad * y * (1.0 - y))
         record(bwd, out)
     return out
 

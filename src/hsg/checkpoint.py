@@ -6,14 +6,16 @@ the vocabulary hash so a checkpoint can never silently run against the
 wrong token map.
 """
 
+import contextlib
 import json
 import math
+import os
 import struct
 
 import numpy as np
 
 __all__ = ["CheckpointError", "FORMAT_VERSION", "save_checkpoint",
-           "load_checkpoint", "restore_params"]
+           "load_checkpoint", "restore_params", "atomic_open"]
 
 FORMAT_VERSION = 1
 
@@ -24,6 +26,25 @@ _KEYS = {"kind": str, "family": str, "feature_dim": int, "vocab_hash": str,
 
 class CheckpointError(ValueError):
     pass
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open path for writing through a temp file in the same directory.
+
+    The temp file replaces path only when the block finishes, so readers see
+    the previous file or the complete new one; on an exception the previous
+    file stays as it was and the temp file is removed.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
 
 
 def _encode_array(arr):
@@ -63,7 +84,7 @@ def save_checkpoint(path, kind, family, feature_dim, named_params, config,
             for name, p in named_params.items()
         },
     }
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(obj, fh, sort_keys=True)
         fh.write("\n")
 

@@ -13,7 +13,7 @@ from .autodiff import Tensor, Tape, backward, grad_check, no_grad
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 from .metrics import build_doc_freq, cider
 from .student import (FcDecoder, StateTransformNet, UpDownDecoder,
-                      greedy_decode, replay_decode)
+                      greedy_decode, teacher_forced)
 from .teacher import build_teacher
 from .training import (
     collect_gradients, hsg_gradients, joint_mle_loss, loss_ll,
@@ -48,13 +48,13 @@ def _op_cases(seed):
            (_rand(rng, (3, 4)), _rand(rng, 4)))
     yield ("vecmat", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
            (_rand(rng, 3), _rand(rng, (3, 4))))
-    yield "dot", ad.dot, (_rand(rng, 7), _rand(rng, 7))
     yield ("concat", lambda a, b, c: ad.tensor_sum(
         ad.tanh(ad.concat([a, b, c]))), (_rand(rng, 3), _rand(rng, ()), _rand(rng, 4)))
     yield "sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
-    yield "mean", ad.tensor_mean, (_rand(rng, (2, 4)),)
+    # a repeated term must receive its gradient once per occurrence
+    yield ("sum_terms", lambda a, b, c: ad.tensor_sum(ad.tanh(ad.sum_terms([a, b, a, c]))),
+           (_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)))
     yield "tanh", lambda a: ad.tensor_sum(ad.tanh(a)), (_rand(rng, 6),)
-    yield "sigmoid", lambda a: ad.tensor_sum(ad.sigmoid(a)), (_rand(rng, 6),)
     yield "exp", lambda a: ad.tensor_sum(ad.exp(a)), (_rand(rng, 6),)
     yield "softmax", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)), (_rand(rng, 6),)
     yield ("log_softmax", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
@@ -150,20 +150,18 @@ def _hsg_pathway_case(seed):
                        feature_dim=2, k=2, embed=2)
 
     def f(*_):
-        total = None
+        terms = []
         # two rollouts with per-step weights keep every parameter's gradient
         # well away from zero, where finite differences are pure noise
         for tokens in ([1, 2], [3, 1, 2]):
             with no_grad():
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
             ctx = world.decoder.begin(world.features)
-            replay = replay_decode(world.decoder, ctx, world.init(ctx), tokens,
-                                   True, bos_id=world.bos)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx), tokens,
+                                    True, world.bos)
             losses = state_loss_trace(replay.trace, t_trace)
-            for t, term in enumerate(losses):
-                weighted = term * (1.0 + 0.37 * t)
-                total = weighted if total is None else total + weighted
-        return total * 0.5
+            terms += [term * (1.0 + 0.37 * t) for t, term in enumerate(losses)]
+        return ad.sum_terms(terms) * 0.5
 
     # the output projection only feeds the emission logits, which the state
     # losses never touch; its gradient through this pathway is exactly zero
@@ -234,10 +232,6 @@ class _TinyWorld:
         return self.statenet.initial_state(ctx.vbar)
 
 
-def _tiny_world(family, seed):
-    return _TinyWorld(family, seed)
-
-
 def enumerate_rollouts(vocab_size, eos_id, t_max):
     """All (tokens, ended) leaves of the sampling tree: sequences stop at the
     first eos or after t_max emissions."""
@@ -266,8 +260,8 @@ def _expected_estimator_grads(world, leaves, greedy, lam):
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
-            replay = replay_decode(world.decoder, ctx, world.init(ctx),
-                                   tokens, ended, bos_id=world.bos)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx),
+                                    tokens, ended, world.bos)
             prob = float(np.exp(replay.total_log_prob()))
             if lam == 0:
                 scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
@@ -288,28 +282,21 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
     zero_gradients(params)
     r_base = world.reward_fn(greedy.tokens, world.refs)
     with Tape() as tape:
-        total = None
+        terms = []
         for tokens, ended in leaves:
             ctx = world.make_ctx()
-            replay = replay_decode(world.decoder, ctx, world.init(ctx),
-                                   tokens, ended, bos_id=world.bos)
-            logp = replay.log_probs[0]
-            for lp in replay.log_probs[1:]:
-                logp = logp + lp
-            prob = ad.exp(logp)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx),
+                                    tokens, ended, world.bos)
+            prob = ad.exp(ad.sum_terms(replay.log_probs))
             adv = world.reward_fn(tokens, world.refs) - r_base
             if lam == 0:
                 obj = Tensor(-adv)
             else:
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
                 losses = state_loss_trace(replay.trace, t_trace)
-                sum_l = losses[0]
-                for term in losses[1:]:
-                    sum_l = sum_l + term
-                obj = sum_l * lam + (-adv)
-            term = ad.mul(prob, obj)
-            total = term if total is None else total + term
-        backward(tape, total)
+                obj = ad.sum_terms(losses) * lam + (-adv)
+            terms.append(ad.mul(prob, obj))
+        backward(tape, ad.sum_terms(terms))
     grads = collect_gradients(world.student_params)
     zero_gradients(params)
     return grads
@@ -317,7 +304,7 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
 
 def enum_check(family="fc", seed=0, lam=0.8, tol=ENUM_TOL):
     """Compare both estimators against the enumerated-objective gradient."""
-    world = _tiny_world(family, seed)
+    world = _TinyWorld(family, seed)
     leaves = enumerate_rollouts(world.vocab_size, world.eos, world.t_max)
     with no_grad():
         ctx = world.make_ctx()

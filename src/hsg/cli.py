@@ -14,8 +14,8 @@ import sys
 import numpy as np
 
 from .autodiff import ContractError, DimensionError
-from .checkpoint import (CheckpointError, load_checkpoint, restore_params,
-                         save_checkpoint)
+from .checkpoint import (CheckpointError, atomic_open, load_checkpoint,
+                         restore_params, save_checkpoint)
 from .checks import enum_check, grad_check_suite
 from .config import FAMILIES, ConfigError, load_config, parse_override
 from .corpus import (CorpusFormatError, Vocabulary, generate_corpus,
@@ -49,7 +49,7 @@ def _write_manifest(out_dir, command, cfg, inputs, outputs):
     }
     # per-command name so runs sharing an output directory keep all manifests
     path = os.path.join(out_dir, f"manifest_{command.replace('-', '_')}.json")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return path
@@ -83,9 +83,9 @@ def cmd_gen_corpus(cfg):
     save_records(paths["train"], train)
     save_records(paths["val"], val)
     save_records(paths["test"], test)
-    with open(paths["vocab"], "w") as fh:
+    with atomic_open(paths["vocab"]) as fh:
         fh.write(vocab.to_json() + "\n")
-    with open(paths["docfreq"], "w") as fh:
+    with atomic_open(paths["docfreq"]) as fh:
         fh.write(doc_freq.to_json() + "\n")
     _write_manifest(cfg.corpus_dir, "gen-corpus", cfg, [], sorted(paths.values()))
     print(json.dumps({"corpus_dir": cfg.corpus_dir, "vocab_size": len(vocab),
@@ -103,7 +103,7 @@ def cmd_train_teacher(cfg):
                     teacher.named_parameters(), cfg.to_dict(),
                     cfg.corpus_seed, vocab.content_hash())
     hist_path = os.path.join(cfg.output_dir, "teacher_history.jsonl")
-    with open(hist_path, "w") as fh:
+    with atomic_open(hist_path) as fh:
         for line in history:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
     _write_manifest(cfg.output_dir, "train-teacher", cfg,
@@ -171,7 +171,7 @@ def cmd_train_student(cfg):
                     student.named_parameters(), cfg.to_dict(),
                     cfg.corpus_seed, vocab.content_hash())
     hist_path = os.path.join(cfg.output_dir, "history.jsonl")
-    with open(hist_path, "w") as fh:
+    with atomic_open(hist_path) as fh:
         for line in history:
             fh.write(json.dumps(line, sort_keys=True) + "\n")
     _write_manifest(cfg.output_dir, "train-student", cfg,
@@ -190,7 +190,7 @@ def cmd_evaluate(cfg, checkpoint, split):
     result = {"split": split, "n": len(records[split]), **metrics}
     os.makedirs(cfg.output_dir, exist_ok=True)
     out = os.path.join(cfg.output_dir, f"eval_{split}.json")
-    with open(out, "w") as fh:
+    with atomic_open(out) as fh:
         json.dump(result, fh, sort_keys=True)
         fh.write("\n")
     _write_manifest(cfg.output_dir, "evaluate", cfg,

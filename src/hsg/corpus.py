@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import ContractError
+from .checkpoint import atomic_open
 from .metrics import build_doc_freq
 
 __all__ = [
@@ -205,26 +206,48 @@ def record_to_json(rec):
 
 
 def save_records(path, records):
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(record_to_json(rec) + "\n")
 
 
+def _record_from_json(obj):
+    if not isinstance(obj, dict):
+        raise ValueError("not a JSON object")
+    scene_id, k = obj["scene_id"], obj["K"]
+    if type(scene_id) is not int or type(k) is not int:
+        raise ValueError("scene_id and K must be integers")
+    feats = np.asarray(obj["features"], dtype=np.float64)
+    if feats.ndim != 2 or feats.shape[0] != k or feats.shape[1] == 0:
+        raise ValueError(f"feature block of shape {feats.shape} is not K={k} "
+                         "non-empty rows")
+    if not np.isfinite(feats).all():
+        raise ValueError("features must be finite")
+    captions = obj["captions"]
+    if not isinstance(captions, list) or not captions or not all(
+            isinstance(c, list) and all(isinstance(w, str) for w in c)
+            for c in captions):
+        raise ValueError("captions must be a non-empty list of word lists")
+    return CorpusRecord(scene_id, feats, [list(c) for c in captions])
+
+
 def load_records(path):
+    """Read a JSONL corpus file; a malformed line raises CorpusFormatError
+    naming the line."""
     records = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+    seen = set()
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
             try:
-                obj = json.loads(line)
-                feats = np.asarray(obj["features"], dtype=np.float64)
-                if feats.ndim != 2 or feats.shape[0] != obj["K"]:
-                    raise ValueError(f"feature block does not match K={obj['K']}")
-                rec = CorpusRecord(int(obj["scene_id"]), feats,
-                                   [list(c) for c in obj["captions"]])
-            except (ValueError, KeyError, TypeError) as err:
+                line = raw.decode("utf-8").strip()
+                if not line:
+                    continue
+                rec = _record_from_json(json.loads(line))
+                if rec.scene_id in seen:
+                    raise ValueError(f"duplicate scene_id {rec.scene_id}")
+            except (ValueError, KeyError, TypeError, RecursionError,
+                    OverflowError) as err:
                 raise CorpusFormatError(f"{path}: line {lineno}: {err}") from err
+            seen.add(rec.scene_id)
             records.append(rec)
     return records

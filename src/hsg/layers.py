@@ -13,7 +13,7 @@ from .autodiff import (
 )
 
 __all__ = [
-    "uniform_init", "init_params", "LstmCell", "lstm_step",
+    "uniform_init", "LstmCell", "lstm_step",
     "Embedding", "Linear", "AttentionHead",
 ]
 
@@ -21,19 +21,6 @@ __all__ = [
 def uniform_init(rng, shape, fan_in):
     a = 1.0 / np.sqrt(float(fan_in))
     return rng.uniform(-a, a, size=shape)
-
-
-def init_params(spec, seed):
-    """Build a named parameter set from (name, shape, fan_in) entries.
-
-    Deterministic given the seed: the same spec and seed produce
-    bit-identical values.
-    """
-    rng = np.random.default_rng(seed)
-    params = {}
-    for name, shape, fan_in in spec:
-        params[name] = ad.parameter(uniform_init(rng, shape, fan_in))
-    return params
 
 
 class LstmCell:
@@ -50,21 +37,18 @@ class LstmCell:
         self.w_ih = ad.parameter(uniform_init(rng, (4 * h, input_dim), input_dim))
         self.w_hh = ad.parameter(uniform_init(rng, (4 * h, h), h))
         self.b = ad.parameter(uniform_init(rng, (4 * h,), input_dim))
-        # pending per-step weight-gradient contributions, flushed as one
-        # matrix product at the end of a backward pass; a cell is only ever
-        # trained by one thread at a time (read-only sharing is fine)
-        self._pending = []
 
-    def _flush_weight_grads(self):
-        dzs = np.stack([p[0] for p in self._pending])
+    def _flush_weight_grads(self, pending):
+        """Add the (dz, x, h) contributions one backward sweep buffered for
+        this cell as one matrix product per weight."""
+        dzs = np.stack([p[0] for p in pending])
         if self.w_ih.requires_grad:
-            xs = np.stack([p[1] for p in self._pending])
+            xs = np.stack([p[1] for p in pending])
             accumulate(self.w_ih, dzs.T @ xs)
         if self.w_hh.requires_grad:
-            hs = np.stack([p[2] for p in self._pending])
+            hs = np.stack([p[2] for p in pending])
             accumulate(self.w_hh, dzs.T @ hs)
         accumulate(self.b, dzs.sum(axis=0))
-        self._pending = []
 
     def step(self, x, h, c):
         return lstm_step(self, x, h, c)
@@ -123,9 +107,7 @@ def lstm_step(cell, x, h, c):
             dz[2 * hd:3 * hd] = dc * i * (1.0 - g * g)
             dz[3 * hd:] = gh * tc * o * (1.0 - o)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
-                if not cell._pending:
-                    ad.defer_flush(cell._flush_weight_grads)
-                cell._pending.append((dz, xd, hd_in))
+                ad.defer(cell, cell._flush_weight_grads, (dz, xd, hd_in))
             if x.requires_grad:
                 accumulate(x, w_ih.data.T @ dz)
             if h.requires_grad:

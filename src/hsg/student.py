@@ -16,8 +16,8 @@ from .layers import AttentionHead, Embedding, Linear, LstmCell
 
 __all__ = [
     "FcDecoder", "UpDownDecoder", "StateTransformNet", "RolloutResult",
-    "BeamHypothesis", "DecoderContext", "decode_step", "teacher_forced",
-    "greedy_decode", "sample_decode", "replay_decode", "beam_search",
+    "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
+    "teacher_forced", "greedy_decode", "sample_decode", "beam_search",
     "sample_categorical",
 ]
 
@@ -174,17 +174,17 @@ class StateTransformNet:
 class RolloutResult:
     """A decoded caption plus everything needed for policy gradients.
 
-    tokens holds the content words (no eos); log_probs holds one entry per
-    emission, including the final eos emission when the rollout ended by
-    eos.  states holds every decoder state that was computed; trace trims it
-    to [s_0 .. s_T] with T = len(tokens), the states that the hidden-state
-    losses compare.
+    tokens holds the content words (no eos); logits and log_probs hold one
+    entry per emission, including the final eos emission when the rollout
+    ended by eos.  states holds every decoder state that was computed; trace
+    trims it to [s_0 .. s_T] with T = len(tokens), the states that the
+    hidden-state losses compare.
     """
     tokens: list
+    logits: list
     log_probs: list
     states: list
     ended: bool
-    sampled: bool = False
 
     @property
     def trace(self):
@@ -201,96 +201,60 @@ def sample_categorical(probs, rng):
     return int(np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1))
 
 
-def _bos_id(decoder):
-    # bos shares the reserved layout of Vocabulary; decoders on raw toy
-    # vocabularies fall back to the eos id as the start token.
-    return 1 if decoder.vocab_size > 1 else 0
+def rollout(decoder, ctx, init_state, bos_id, t_max, choose):
+    """The decode loop: up to t_max emissions, starting from bos_id.
+
+    choose(t, log_probs) picks emission t from the step's log-softmax array.
+    Every step records its state, its logits and the chosen token's
+    log-probability on the active tape; the loop stops after eos.
+    """
+    state = init_state
+    states = [state]
+    tokens, logits_seq, log_probs = [], [], []
+    prev = bos_id
+    for t in range(t_max):
+        logits, state = decode_step(decoder, ctx, state, prev)
+        lp = log_softmax(logits)
+        tok = choose(t, lp.data)
+        states.append(state)
+        logits_seq.append(logits)
+        log_probs.append(pick(lp, tok))
+        if tok == decoder.eos_id:
+            return RolloutResult(tokens, logits_seq, log_probs, states, True)
+        tokens.append(tok)
+        prev = tok
+    return RolloutResult(tokens, logits_seq, log_probs, states, False)
 
 
-def greedy_decode(decoder, ctx, init_state, t_max, bos_id=None):
+def greedy_decode(decoder, ctx, init_state, t_max, bos_id):
     """Argmax decoding; ties go to the lowest token id.  Runs untaped."""
     if t_max < 1:
         raise ContractError("greedy_decode: t_max must be >= 1")
-    bos = _bos_id(decoder) if bos_id is None else bos_id
     with no_grad():
-        state = init_state
-        states = [state]
-        tokens, log_probs = [], []
-        ended = False
-        prev = bos
-        for _ in range(t_max):
-            logits, state = decode_step(decoder, ctx, state, prev)
-            lp = log_softmax(logits)
-            tok = int(np.argmax(lp.data))
-            states.append(state)
-            log_probs.append(pick(lp, tok))
-            if tok == decoder.eos_id:
-                ended = True
-                break
-            tokens.append(tok)
-            prev = tok
-    return RolloutResult(tokens, log_probs, states, ended, sampled=False)
+        return rollout(decoder, ctx, init_state, bos_id, t_max,
+                       lambda _t, lp: int(np.argmax(lp)))
 
 
-def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id=None):
+def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
     """Multinomial decoding from the per-step softmax; records exact
     log-probabilities of the realized tokens on the active tape."""
     if t_max < 1:
         raise ContractError("sample_decode: t_max must be >= 1")
-    bos = _bos_id(decoder) if bos_id is None else bos_id
-    state = init_state
-    states = [state]
-    tokens, log_probs = [], []
-    ended = False
-    prev = bos
-    for _ in range(t_max):
-        logits, state = decode_step(decoder, ctx, state, prev)
-        lp = log_softmax(logits)
-        tok = sample_categorical(np.exp(lp.data), rng)
-        states.append(state)
-        log_probs.append(pick(lp, tok))
-        if tok == decoder.eos_id:
-            ended = True
-            break
-        tokens.append(tok)
-        prev = tok
-    return RolloutResult(tokens, log_probs, states, ended, sampled=True)
+    return rollout(decoder, ctx, init_state, bos_id, t_max,
+                   lambda _t, lp: sample_categorical(np.exp(lp), rng))
 
 
-def replay_decode(decoder, ctx, init_state, tokens, ended, bos_id=None):
-    """Teacher-forced replay of a known rollout; same graph as sampling."""
-    bos = _bos_id(decoder) if bos_id is None else bos_id
-    state = init_state
-    states = [state]
-    log_probs = []
-    emissions = list(tokens) + ([decoder.eos_id] if ended else [])
-    prev = bos
-    for tok in emissions:
-        logits, state = decode_step(decoder, ctx, state, prev)
-        lp = log_softmax(logits)
-        states.append(state)
-        log_probs.append(pick(lp, tok))
-        prev = tok
-    return RolloutResult(list(tokens), log_probs, states, ended, sampled=False)
+def teacher_forced(decoder, ctx, init_state, tokens, ended, bos_id):
+    """Run the decoder over known content tokens, then eos if ended.
 
-
-def teacher_forced(decoder, ctx, init_state, targets, bos_id=None):
-    """Run the decoder over gold targets; returns (logits per step, states).
-
-    The k-th logits score the k-th target; states has len(targets)+1 entries
-    starting from the initial state.
+    This is the same graph as the rollout that produced the tokens, so
+    replaying a sampled caption reproduces its log-probabilities and states.
     """
-    bos = _bos_id(decoder) if bos_id is None else bos_id
-    state = init_state
-    states = [state]
-    logits_seq = []
-    prev = bos
-    for tok in targets:
-        logits, state = decode_step(decoder, ctx, state, prev)
-        logits_seq.append(logits)
-        states.append(state)
-        prev = tok
-    return logits_seq, states
+    if decoder.eos_id in tokens:
+        raise ContractError("teacher_forced: content tokens contain eos")
+    emissions = list(tokens) + ([decoder.eos_id] if ended else [])
+    return rollout(decoder, ctx, init_state, bos_id, len(emissions),
+                   lambda t, _lp: emissions[t])
 
 
 @dataclass
@@ -301,7 +265,7 @@ class BeamHypothesis:
     emissions: tuple = field(default=(), repr=False)
 
 
-def beam_search(decoder, ctx, init_state, t_max, width=5, bos_id=None,
+def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
                 return_pool=False):
     """Length-unnormalized log-prob beam search.
 
@@ -312,14 +276,13 @@ def beam_search(decoder, ctx, init_state, t_max, width=5, bos_id=None,
     """
     if width < 1:
         raise ContractError("beam_search: width must be >= 1")
-    bos = _bos_id(decoder) if bos_id is None else bos_id
     vocab_size = decoder.vocab_size
     token_ids = np.arange(vocab_size)
     pool = []
     with no_grad():
         emitted = [()]
         scores = np.zeros(1)
-        tokens = np.array([bos])
+        tokens = np.array([bos_id])
         state = [(Tensor(h.data[None]), Tensor(c.data[None])) for h, c in init_state]
         for _ in range(t_max):
             logits, state = decode_step(decoder, ctx, state, tokens)

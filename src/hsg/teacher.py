@@ -14,14 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor, ContractError, Tape, backward, mul, no_grad, vec_max
+from .autodiff import (Tensor, ContractError, Tape, backward, mul, neg, no_grad,
+                       sum_terms, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
 from .student import FcDecoder, UpDownDecoder, teacher_forced
 
 __all__ = [
     "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
-    "encode_caption_grounded", "pool_captions", "teacher_forward",
-    "pretrain_teacher", "TrainingDiverged",
+    "pool_captions", "pretrain_teacher", "TrainingDiverged",
 ]
 
 
@@ -77,12 +77,6 @@ class CaptionEncoder:
         return params
 
 
-def encode_caption_grounded(encoder, caption_ids, feats):
-    """Final second-layer (h, c) of the grounded caption encoding."""
-    final = encoder.encode(caption_ids, feats)
-    return final.h2, final.c2
-
-
 def pool_captions(finals, family):
     """Elementwise max over per-caption encoder finals -> decoder init states.
 
@@ -132,18 +126,23 @@ class TeacherAutoencoder:
                   for ids in caption_id_lists]
         return pool_captions(finals, self.family)
 
-    def trace_for_tokens(self, tokens, features):
-        """Constant teacher state trace [s_0 .. s_T] for a generated caption.
+    def traces(self, caption_id_lists, features):
+        """Constant teacher state traces [s_0 .. s_T], one per caption.
 
-        The caption is the sole encoder input and the teacher decoder is
-        teacher-forced over it.  Runs untaped: the teacher is frozen.
+        The encoder pools over all the captions and the teacher decoder is
+        teacher-forced over each from that pooled state.  Runs untaped: the
+        teacher is frozen.
         """
         with no_grad():
             ctx = self.decoder.begin(features)
-            init = self.encode_pooled([list(tokens)], ctx.feats)
-            _, states = teacher_forced(self.decoder, ctx, init, list(tokens),
-                                       bos_id=self.bos_id)
-        return states
+            init = self.encode_pooled(caption_id_lists, ctx.feats)
+            return [teacher_forced(self.decoder, ctx, init, ids, False,
+                                   self.bos_id).states
+                    for ids in caption_id_lists]
+
+    def trace_for_tokens(self, tokens, features):
+        """Teacher trace for a generated caption, the sole encoder input."""
+        return self.traces([list(tokens)], features)[0]
 
     def named_parameters(self):
         params = {"embedding.w": self.embedding.w}
@@ -164,23 +163,6 @@ class TeacherAutoencoder:
             digest.update(name.encode())
             digest.update(p.data.tobytes())
         return digest.hexdigest()
-
-
-def teacher_forward(teacher, init_states, caption_ids, features):
-    """Teacher-forced pass over a caption's content ids.
-
-    Returns per-emission logits (content tokens then eos) and the state
-    trace h_0..h_T, whose first entry is the initial state.
-    """
-    if len(init_states) != len(teacher.decoder.layer_dims):
-        raise ContractError(
-            f"teacher_forward: {len(init_states)} init states for a "
-            f"{len(teacher.decoder.layer_dims)}-layer decoder")
-    ctx = teacher.decoder.begin(features)
-    targets = list(caption_ids) + [teacher.decoder.eos_id]
-    logits, states = teacher_forced(teacher.decoder, ctx, init_states, targets,
-                                    bos_id=teacher.bos_id)
-    return logits, states[:-1]
 
 
 def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
@@ -207,7 +189,7 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
     references, each decoded from the shared pooled initial state while the
     encoder consumes all references.  The returned teacher is frozen.
     """
-    from .training import clip_gradients, loss_ll, sgd_update, zero_gradients
+    from .training import clip_gradients, sgd_update, zero_gradients
 
     teacher = build_teacher(len(vocab), cfg.family, cfg.embed_dim, cfg.hidden_dim,
                             train_records[0].features.shape[1], cfg.seed,
@@ -227,17 +209,17 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
                 ctx = teacher.decoder.begin(rec.features)
                 projected = teacher.encoder.attention.project(ctx.feats)
                 init = teacher.encode_pooled(content, ctx.feats, projected)
-                loss = None
+                lls = []
                 for ids in content:
-                    targets = ids + [vocab.EOS]
-                    logits, _ = teacher_forced(teacher.decoder, ctx, init,
-                                               targets, bos_id=vocab.BOS)
-                    ll = loss_ll(logits, targets)
-                    loss = ll if loss is None else loss + ll
-                    for lg, tgt in zip(logits, targets):
+                    forced = teacher_forced(teacher.decoder, ctx, init, ids,
+                                            True, vocab.BOS)
+                    lls.append(neg(sum_terms(forced.log_probs)))
+                    # argmax of the logits, not of the log-probs: subtracting
+                    # the normalizer can round two logits to a tie
+                    for lg, tgt in zip(forced.logits, ids + [vocab.EOS]):
                         correct += int(np.argmax(lg.data)) == tgt
                         emitted += 1
-                loss = loss * (1.0 / len(content))
+                loss = sum_terms(lls) * (1.0 / len(content))
                 if not math.isfinite(loss.item()):
                     raise TrainingDiverged(
                         f"teacher loss became {loss.item()} at epoch {epoch}")

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Tensor, Tape, ContractError, backward, log_softmax, no_grad, pick,
-    squared_l2,
+    Tensor, Tape, ContractError, backward, log_softmax, neg, no_grad, pick,
+    squared_l2, sum_terms,
 )
 from .metrics import bleu4, cider, rouge_l
 from .student import (
@@ -37,11 +37,8 @@ def loss_ll(logits_seq, gold_ids):
     if len(logits_seq) != len(gold_ids):
         raise ContractError(
             f"loss_ll: {len(logits_seq)} logits for {len(gold_ids)} gold ids")
-    total = None
-    for logits, gold in zip(logits_seq, gold_ids):
-        term = pick(log_softmax(logits), gold)
-        total = term if total is None else total + term
-    return -total
+    return neg(sum_terms([pick(log_softmax(logits), gold)
+                          for logits, gold in zip(logits_seq, gold_ids)]))
 
 
 def state_loss_trace(student_trace, teacher_trace, match_cell=False):
@@ -61,13 +58,13 @@ def state_loss_trace(student_trace, teacher_trace, match_cell=False):
             raise ContractError(
                 f"state_loss_trace: layer counts {len(s_state)} and "
                 f"{len(t_state)} differ")
-        loss = None
+        terms = []
         for (sh, sc), (th, tc) in zip(s_state, t_state):
             term = squared_l2(sh, Tensor(th.data))
             if match_cell:
                 term = term + squared_l2(sc, Tensor(tc.data))
-            loss = term if loss is None else loss + term
-        losses.append(loss)
+            terms.append(term)
+        losses.append(sum_terms(terms))
     return losses
 
 
@@ -77,10 +74,7 @@ def joint_mle_loss(ll, state_losses, lam):
         raise ContractError(f"joint_mle_loss: negative weight {lam}")
     if lam == 0 or not state_losses:
         return ll
-    total = state_losses[0]
-    for term in state_losses[1:]:
-        total = total + term
-    return ll + total * lam
+    return ll + sum_terms(state_losses) * lam
 
 
 @dataclass
@@ -95,14 +89,10 @@ class RewardTrace:
 
 def _policy_backward(tape, log_probs, coefficients, extra=None):
     """Backpropagate sum_m coeff_m * log p_m (+ extra differentiable term)."""
-    surrogate = None
-    for lp, coeff in zip(log_probs, coefficients):
-        term = lp * coeff
-        surrogate = term if surrogate is None else surrogate + term
+    terms = [lp * coeff for lp, coeff in zip(log_probs, coefficients)]
     if extra is not None:
-        surrogate = surrogate + extra
-    backward(tape, surrogate)
-    return surrogate
+        terms.append(extra)
+    backward(tape, sum_terms(terms))
 
 
 def scst_gradients(tape, rollout, greedy, refs, reward_fn):
@@ -137,14 +127,11 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
     to scst_gradients.
     """
     _check_teacher_match(teacher, rollout)
+    if lam == 0:
+        return scst_gradients(tape, rollout, greedy, refs, reward_fn)
     r = reward_fn(rollout.tokens, refs)
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
-    if lam == 0:
-        coeffs = [-adv] * len(rollout.log_probs)
-        _policy_backward(tape, rollout.log_probs, coeffs)
-        return RewardTrace(r, b, adv, [], coeffs)
-
     teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
     losses = state_loss_trace(rollout.trace, teacher_trace, match_cell=match_cell)
     vals = [loss.item() for loss in losses]
@@ -153,10 +140,8 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
         suffix[t] = vals[t] + discount * suffix[t + 1]
     coeffs = [lam * suffix[m] - adv for m in range(len(rollout.log_probs))]
 
-    diff_term = losses[0]
-    for term in losses[1:]:
-        diff_term = diff_term + term
-    _policy_backward(tape, rollout.log_probs, coeffs, extra=diff_term * lam)
+    _policy_backward(tape, rollout.log_probs, coeffs,
+                     extra=sum_terms(losses) * lam)
     return RewardTrace(r, b, adv, vals, coeffs)
 
 
@@ -242,10 +227,8 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
         with Tape() as tape:
             vbar = Tensor(rec.features.mean(axis=0))
             hs = net(vbar)
-            loss = None
-            for h, target in zip(hs, targets[idx]):
-                term = squared_l2(h, Tensor(target))
-                loss = term if loss is None else loss + term
+            loss = sum_terms([squared_l2(h, Tensor(target))
+                              for h, target in zip(hs, targets[idx])])
             if not math.isfinite(loss.item()):
                 raise TrainingDiverged(f"state net loss became {loss.item()}")
             backward(tape, loss)
@@ -337,20 +320,6 @@ def _mean_state_loss(student, teacher, records, t_max, vocab, match_cell=False):
     return total / len(records)
 
 
-def _gold_teacher_traces(teacher, rec, content_lists):
-    """Teacher traces for each gold caption, decoded from the pooled init."""
-    with no_grad():
-        ctx = teacher.decoder.begin(rec.features)
-        init = teacher.encode_pooled(content_lists, ctx.feats)
-        traces = []
-        for ids in content_lists:
-            _, states = teacher_forced(teacher.decoder, ctx, init,
-                                       ids + [teacher.decoder.eos_id],
-                                       bos_id=teacher.bos_id)
-            traces.append(states[:-1])
-    return traces
-
-
 def train_student(train_records, val_records, teacher, statenet, vocab,
                   doc_freq, cfg, log=print):
     """Train the student under one of the four modes.
@@ -383,8 +352,8 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     trace_cache = {}
     if cfg.mode == "mle_hsg" and lam > 0:
         for rec in train_records:
-            trace_cache[rec.scene_id] = _gold_teacher_traces(
-                teacher, rec, content_cache[rec.scene_id])
+            trace_cache[rec.scene_id] = teacher.traces(
+                content_cache[rec.scene_id], rec.features)
 
     history = []
     best = (-1.0, None)
@@ -427,20 +396,18 @@ def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
     with Tape() as tape:
         ctx = student.decoder.begin(rec.features)
         init = student.initial_state(ctx)
-        loss = None
+        terms = []
         for i, ids in enumerate(content_lists):
-            targets = ids + [vocab.EOS]
-            logits, states = teacher_forced(student.decoder, ctx, init,
-                                            targets, bos_id=vocab.BOS)
-            ll = loss_ll(logits, targets)
+            forced = teacher_forced(student.decoder, ctx, init, ids, True,
+                                    vocab.BOS)
+            ll = neg(sum_terms(forced.log_probs))
             if lam > 0:
-                losses = state_loss_trace(states[:-1], teacher_traces[i],
+                losses = state_loss_trace(forced.trace, teacher_traces[i],
                                           match_cell=cfg.match_cell_states)
-                term = joint_mle_loss(ll, losses, lam)
+                terms.append(joint_mle_loss(ll, losses, lam))
             else:
-                term = ll
-            loss = term if loss is None else loss + term
-        loss = loss * (1.0 / len(content_lists))
+                terms.append(ll)
+        loss = sum_terms(terms) * (1.0 / len(content_lists))
         if not math.isfinite(loss.item()):
             raise TrainingDiverged(f"student loss became {loss.item()}")
         backward(tape, loss)

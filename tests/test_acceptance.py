@@ -16,8 +16,8 @@ from hsg.checks import enum_check, enumerate_rollouts, grad_check_suite, _TinyWo
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
 from hsg.metrics import bleu4, build_doc_freq, cider, rouge_l
-from hsg.student import (beam_search, greedy_decode, replay_decode,
-                         sample_decode)
+from hsg.student import (beam_search, greedy_decode, sample_decode,
+                         teacher_forced)
 from hsg.teacher import pretrain_teacher
 from hsg.training import (collect_gradients, evaluate_split, hsg_gradients,
                           joint_mle_loss, loss_ll, pretrain_state_net,
@@ -150,8 +150,8 @@ def test_criterion_5_beam_search_exactness():
             with no_grad():
                 for tokens, ended in leaves:
                     ctx = world.make_ctx()
-                    r = replay_decode(world.decoder, ctx, world.init(ctx),
-                                      tokens, ended, bos_id=world.bos)
+                    r = teacher_forced(world.decoder, ctx, world.init(ctx),
+                                       tokens, ended, world.bos)
                     key = (-r.total_log_prob(),
                            tuple(tokens) + ((world.eos,) if ended else ()))
                     if best_key is None or key < best_key:

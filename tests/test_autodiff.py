@@ -80,7 +80,7 @@ def test_max_elementwise_values_and_tie_gradient():
 
 def test_pointwise_values():
     assert ad.tanh(Tensor([0.0])).data.tolist() == [0.0]
-    assert ad.sigmoid(Tensor([0.0])).data.tolist() == [0.5]
+    assert ad.exp(Tensor([0.0])).data.tolist() == [1.0]
 
 
 def test_elementwise_ops_gradients():
@@ -89,8 +89,8 @@ def test_elementwise_ops_gradients():
         (lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), ad.sub(a, b))), 2),
         (lambda a, b: ad.tensor_sum(ad.mul(a, b)), 2),
         (lambda a: ad.tensor_sum(ad.tanh(a)), 1),
-        (lambda a: ad.tensor_sum(ad.sigmoid(a)), 1),
-        (lambda a: ad.tensor_mean(ad.exp(a)), 1),
+        (lambda a: ad.tensor_sum(ad.exp(a)), 1),
+        (lambda a, b: ad.tensor_sum(ad.tanh(ad.sum_terms([a, b, a]))), 2),
         (lambda a, b: ad.tensor_sum(ad.concat([a, b])), 2),
     ]
     for f, arity in cases:
@@ -107,6 +107,27 @@ def test_incompatible_shapes_rejected():
     for x in (np.zeros(4), np.zeros((5, 4))):
         with pytest.raises(DimensionError, match="bias"):
             ad.affine(Tensor(np.zeros((3, 4))), Tensor(x), Tensor(np.zeros(1)))
+
+
+def test_sum_terms_matches_add_chain_in_one_node():
+    rng = np.random.default_rng(5)
+    terms = tensors(*(rng.normal(size=()) * 10.0 ** rng.integers(-8, 8)
+                      for _ in range(9)))
+    chain = terms[0]
+    for t in terms[1:]:
+        chain = chain + t
+    with Tape() as tape:
+        total = ad.sum_terms(terms + [terms[0]])
+        assert len(tape) == 1
+        backward(tape, total)
+    again = ad.sum_terms(terms)
+    assert again.data.tobytes() == chain.data.tobytes()
+    assert terms[0].grad == 2.0 and all(t.grad == 1.0 for t in terms[1:])
+    assert ad.sum_terms([terms[0]]) is terms[0]
+    with pytest.raises(ContractError):
+        ad.sum_terms([])
+    with pytest.raises(DimensionError):
+        ad.sum_terms([Tensor(np.zeros(3)), Tensor(np.zeros(4))])
 
 
 def test_squared_l2_basics():

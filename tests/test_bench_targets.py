@@ -1,0 +1,23 @@
+"""The benchmark's tracer patches hsg functions by the names their callers
+look them up under; a rename in src/hsg must fail here, not only in a traced
+benchmark run."""
+
+import os
+import sys
+
+import hsg
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, ROOT)
+
+from perfbench import tracing  # noqa: E402
+
+
+def test_trace_targets_resolve_on_src_hsg():
+    src = os.path.dirname(os.path.abspath(hsg.__file__))
+    targets = tracing.wrap_targets()
+    assert targets
+    for owner, attr, span, _hook in targets:
+        module = sys.modules[getattr(owner, "__module__", owner.__name__)]
+        assert os.path.dirname(os.path.abspath(module.__file__)) == src, span
+        assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"

@@ -7,10 +7,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hsg import cli
-from hsg.checkpoint import (CheckpointError, load_checkpoint, restore_params,
-                            save_checkpoint)
+from hsg.checkpoint import (CheckpointError, atomic_open, load_checkpoint,
+                            restore_params, save_checkpoint)
 from hsg.config import ConfigError, RunConfig, load_config
-from hsg.corpus import Vocabulary, generate_corpus
+from hsg.corpus import Vocabulary, generate_corpus, save_records
 from hsg.layers import Linear
 
 
@@ -289,6 +289,61 @@ def test_cli_missing_teacher_checkpoint(tmp_path, capsys):
     assert code == 1
     err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert err["error"] == "ConfigError"
+
+
+def test_cli_corpus_errors_are_machine_readable(tmp_path, capsys):
+    cfg_path = write_config(tmp_path)
+    assert cli.main(["gen-corpus", "--config", cfg_path]) == 0
+    train = tmp_path / "corpus" / "train.jsonl"
+    good = train.read_bytes()
+    for bad in (b"[" * 100000, b'{"scene_id": 0, "captions": ["\xff"]}'):
+        train.write_bytes(good + bad + b"\n")
+        capsys.readouterr()
+        assert cli.main(["train-teacher", "--config", cfg_path]) == 1
+        err = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert err["error"] == "CorpusFormatError"
+        assert f"line {BASE['n_train'] + 1}" in err["message"]
+
+
+def test_interrupted_writes_keep_previous_file(tmp_path):
+    class Interrupt(Exception):
+        pass
+
+    def interrupted(write, error=Interrupt):
+        before = sorted(os.listdir(tmp_path))
+        previous = path.read_bytes()
+        with pytest.raises(error):
+            write()
+        assert path.read_bytes() == previous
+        assert sorted(os.listdir(tmp_path)) == before
+
+    def raise_midway(fh):
+        fh.write("partial")
+        fh.flush()
+        raise Interrupt
+
+    path = tmp_path / "file.txt"
+    path.write_text("previous\n")
+
+    def direct():
+        with atomic_open(path) as fh:
+            raise_midway(fh)
+
+    interrupted(direct)
+
+    rng = np.random.default_rng(0)
+    save_checkpoint(str(path), "student", "fc", 2,
+                    Linear(2, 2, rng).named_parameters("m"), {}, 0, "h")
+
+    interrupted(lambda: save_checkpoint(
+        str(path), "student", "fc", 2, Linear(2, 2, rng).named_parameters("m"),
+        {"unserializable": object()}, 0, "h"), TypeError)
+
+    train = generate_corpus(3, 3, 1, 1)[0]
+    save_records(path, train)
+    # the second record fails after the first was written
+    broken = train[:1] + [type(train[1])(1, None, [["a"]])]
+    interrupted(lambda: save_records(path, broken), TypeError)
 
 
 def test_student_checkpoint_rejects_foreign_vocab(pipeline_dir, tmp_path):

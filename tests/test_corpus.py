@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hsg.corpus import (CorpusFormatError, Vocabulary, generate_corpus,
                         load_records, record_to_json, save_records,
@@ -112,6 +114,87 @@ def test_load_rejects_mismatched_k(tmp_path):
     path.write_text(json.dumps(rec) + "\n")
     with pytest.raises(CorpusFormatError, match="line 1"):
         load_records(path)
+
+
+def good_record(scene_id=0):
+    return {"scene_id": scene_id, "K": 2, "features": [[0.5, 1.0], [0.0, -1.0]],
+            "captions": [["a", "cat"], ["a", "feline"]]}
+
+
+def with_value(key, value):
+    return lambda obj: obj.update({key: value})
+
+
+BAD_LINES = {
+    "deep nesting": b"[" * 100000,
+    "not utf-8": b'{"scene_id": 1, "K": 1, "features": [[1.0]], "captions": [["\xff"]]}',
+    "string caption": with_value("captions", ["a cat"]),
+    "string captions": with_value("captions", "a cat"),
+    "no captions": with_value("captions", []),
+    "not an object": b'[1, 2]',
+    "nan feature": with_value("features", [[float("nan"), 1.0], [0.0, 1.0]]),
+    "inf feature": with_value("features", [[float("inf"), 1.0], [0.0, 1.0]]),
+    "huge integer feature": b'{"scene_id": 1, "K": 1, "features": [[1' + b"0" * 400
+                            + b']], "captions": [["a"]]}',
+    "zero-width features": with_value("features", [[], []]),
+    "float K": with_value("K", 2.0),
+    "float scene_id": with_value("scene_id", 1.5),
+    "string scene_id": with_value("scene_id", "1"),
+    "duplicate scene_id": with_value("scene_id", 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LINES))
+def test_load_rejects_malformed_line(tmp_path, case):
+    bad = BAD_LINES[case]
+    if callable(bad):
+        obj = good_record(scene_id=1)
+        bad(obj)
+        bad = json.dumps(obj).encode()
+    path = tmp_path / "bad.jsonl"
+    path.write_bytes(json.dumps(good_record()).encode() + b"\n" + bad + b"\n")
+    with pytest.raises(CorpusFormatError, match="line 2"):
+        load_records(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=6)
+
+KEY_PATHS = [("scene_id",), ("K",), ("features",), ("features", 0),
+             ("features", 1, 0), ("captions",), ("captions", 0),
+             ("captions", 1, 0)]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(keys=st.sampled_from(KEY_PATHS), value=JSON_VALUES, delete=st.booleans(),
+       cut=st.integers(0, 400), noise=st.binary(max_size=3))
+def test_load_fuzz_only_corpus_format_errors(tmp_path, keys, value, delete, cut,
+                                            noise):
+    obj = good_record(scene_id=1)
+    target = obj
+    for key in keys[:-1]:
+        target = target[key]
+    if delete:
+        del target[keys[-1]]
+    else:
+        target[keys[-1]] = value
+    text = (json.dumps(good_record()) + "\n" + json.dumps(obj) + "\n").encode()
+    path = tmp_path / "fuzz.jsonl"
+    for payload in (text, text[:cut], text[:cut] + noise + text[cut:]):
+        path.write_bytes(payload)
+        try:
+            records = load_records(path)
+        except CorpusFormatError:
+            continue
+        for rec in records:
+            assert rec.features.ndim == 2 and rec.features.shape[1] > 0
+            assert np.all(np.isfinite(rec.features))
+            assert all(isinstance(w, str) for cap in rec.captions for w in cap)
 
 
 def test_vocab_json_round_trip_and_hash(small_corpus):

@@ -3,8 +3,7 @@ import pytest
 
 from hsg import autodiff as ad
 from hsg.autodiff import Tape, Tensor, backward, grad_check
-from hsg.layers import (AttentionHead, Embedding, Linear, LstmCell,
-                        init_params, uniform_init)
+from hsg.layers import AttentionHead, Embedding, Linear, LstmCell, uniform_init
 
 
 def make_cell(input_dim=4, hidden_dim=3, seed=0):
@@ -46,6 +45,37 @@ def test_lstm_gradient_check():
         return ad.tensor_sum(hn) + ad.tensor_sum(ad.mul(cn, cn))
 
     assert grad_check(f, [x, h, c, cell.w_ih, cell.w_hh, cell.b]) <= 1e-5
+
+
+def test_interrupted_backward_leaves_no_stale_weight_grads():
+    cell, fresh = make_cell(seed=14), make_cell(seed=14)
+    rng = np.random.default_rng(15)
+    x = ad.parameter(rng.normal(size=4))
+    h, c = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+
+    class Interrupt(Exception):
+        pass
+
+    def raise_interrupt():
+        raise Interrupt
+
+    with Tape() as tape:
+        # the sweep reaches this node after the LSTM step's backward rule
+        x_in = Tensor(x.data.copy())
+        ad.record(raise_interrupt, x_in)
+        h1, _ = cell.step(x_in, h, c)
+        with pytest.raises(Interrupt):
+            backward(tape, ad.tensor_sum(h1))
+    for p in (cell.w_ih, cell.w_hh, cell.b):
+        p.zero_grad()
+
+    for m in (cell, fresh):
+        with Tape() as tape:
+            h1, c1 = m.step(x, h, c)
+            backward(tape, ad.tensor_sum(h1) + ad.tensor_sum(ad.mul(c1, c1)))
+    for name in ("w_ih", "w_hh", "b"):
+        got, want = getattr(cell, name).grad, getattr(fresh, name).grad
+        assert got is not None and np.array_equal(got, want), name
 
 
 def test_lstm_cell_state_bounded_growth():
@@ -134,15 +164,16 @@ def test_linear_is_exact_affine():
     assert np.allclose(lin(x).data, lin.w.data @ x.data + lin.b.data, atol=0)
 
 
-def test_init_params_determinism_and_range():
-    spec = [("w", (10, 100), 100), ("b", (10,), 100)]
-    p1 = init_params(spec, seed=42)
-    p2 = init_params(spec, seed=42)
+def test_layer_init_determinism_and_range():
+    def linear(seed):
+        return Linear(100, 10, np.random.default_rng(seed))
+
+    p1, p2, p3 = linear(42), linear(42), linear(43)
     for name in ("w", "b"):
-        assert np.array_equal(p1[name].data, p2[name].data)
-        assert np.all(np.abs(p1[name].data) < 0.1)  # fan_in 100 -> bound 0.1
-    p3 = init_params(spec, seed=43)
-    assert any(not np.array_equal(p1[n].data, p3[n].data) for n in ("w", "b"))
+        assert np.array_equal(getattr(p1, name).data, getattr(p2, name).data)
+        assert np.all(np.abs(getattr(p1, name).data) < 0.1)  # fan_in 100 -> bound 0.1
+    assert any(not np.array_equal(getattr(p1, n).data, getattr(p3, n).data)
+               for n in ("w", "b"))
 
 
 def test_uniform_init_spans_negative_and_positive():

@@ -5,8 +5,7 @@ from hsg import autodiff as ad
 from hsg.autodiff import ContractError, Tape, Tensor, grad_check, no_grad
 from hsg.student import (FcDecoder, StateTransformNet, UpDownDecoder,
                          beam_search, decode_step, greedy_decode,
-                         replay_decode, sample_decode, sample_categorical,
-                         teacher_forced)
+                         sample_decode, sample_categorical, teacher_forced)
 
 from oracles import beam_search_oracle
 
@@ -166,8 +165,8 @@ def test_sampled_log_probs_match_replay():
                                     t_max=6, rng=rng, bos_id=BOS)
         with no_grad():
             ctx2 = decoder.begin(features)
-            replay = replay_decode(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                   rollout.tokens, rollout.ended, bos_id=BOS)
+            replay = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
+                                    rollout.tokens, rollout.ended, BOS)
         assert abs(rollout.total_log_prob() - replay.total_log_prob()) <= 1e-12
         assert len(rollout.trace) == len(rollout.tokens) + 1
 
@@ -181,12 +180,19 @@ def test_rollout_trace_matches_teacher_forced_states():
                                 t_max=5, rng=rng, bos_id=BOS)
     with no_grad():
         ctx2 = decoder.begin(features)
-        _, states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                   rollout.tokens, bos_id=BOS)
+        states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
+                                rollout.tokens, False, BOS).states
     for s_roll, s_tf in zip(rollout.trace, states):
         for (h1, c1), (h2, c2) in zip(s_roll, s_tf):
             assert np.array_equal(h1.data, h2.data)
             assert np.array_equal(c1.data, c2.data)
+
+
+def test_teacher_forced_rejects_eos_in_content():
+    decoder, net, features = make_world(seed=21)
+    ctx, state = fresh(decoder, net, features)
+    with pytest.raises(ContractError, match="eos"):
+        teacher_forced(decoder, ctx, state, [3, EOS, 2], False, BOS)
 
 
 def test_beam_width_one_equals_greedy():
@@ -206,7 +212,7 @@ def brute_force_best(decoder, ctx, init, t_max):
     best = None
     with no_grad():
         for tokens, ended in enumerate_rollouts(decoder.vocab_size, EOS, t_max):
-            r = replay_decode(decoder, ctx, init, tokens, ended, bos_id=BOS)
+            r = teacher_forced(decoder, ctx, init, tokens, ended, BOS)
             key = (-r.total_log_prob(), tuple(tokens) + ((EOS,) if ended else ()))
             if best is None or key < best[0]:
                 best = (key, tokens)

@@ -5,8 +5,8 @@ from hsg import autodiff as ad
 from hsg.autodiff import ContractError, Tensor, grad_check, no_grad
 from hsg.corpus import generate_corpus
 from hsg.config import RunConfig
-from hsg.teacher import (EncoderFinal, build_teacher, encode_caption_grounded,
-                         pool_captions, pretrain_teacher, teacher_forward)
+from hsg.teacher import (EncoderFinal, build_teacher, pool_captions,
+                         pretrain_teacher)
 from hsg.student import teacher_forced
 
 
@@ -43,15 +43,14 @@ def test_zero_caption_lstm_weights_zero_final():
     for p in (cell.w_ih, cell.w_hh, cell.b):
         p.data[...] = 0.0
     with no_grad():
-        h2, c2 = encode_caption_grounded(teacher.encoder, [1, 4, 5, 2],
-                                         Tensor(feats()))
-    assert np.all(h2.data == 0.0) and np.all(c2.data == 0.0)
+        final = teacher.encoder.encode([1, 4, 5, 2], Tensor(feats()))
+    assert np.all(final.h2.data == 0.0) and np.all(final.c2.data == 0.0)
 
 
 def test_empty_caption_rejected():
     teacher = tiny_teacher()
     with pytest.raises(ContractError):
-        encode_caption_grounded(teacher.encoder, [], Tensor(feats()))
+        teacher.encoder.encode([], Tensor(feats()))
 
 
 def test_encoder_gradient_check():
@@ -120,10 +119,11 @@ def test_teacher_forward_empty_caption_trace_is_init():
     v = feats()
     with no_grad():
         init = teacher.encode_pooled([[4, 5]], Tensor(v))
-        logits, trace = teacher_forward(teacher, init, [], v)
-    assert len(trace) == 1
-    assert trace[0] is init
-    assert len(logits) == 1  # the eos emission
+        forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
+                                [], True, teacher.bos_id)
+    assert len(forced.trace) == 1
+    assert forced.trace[0] is init
+    assert len(forced.logits) == 1  # the eos emission
 
 
 def test_teacher_forward_deterministic_and_loglik_consistent():
@@ -132,26 +132,25 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
     caption = [4, 5, 6]
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v))
-        logits_a, trace_a = teacher_forward(teacher, init, caption, v)
-        logits_b, _ = teacher_forward(teacher, init, caption, v)
-    for la, lb in zip(logits_a, logits_b):
+        a, b = (teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
+                               caption, True, teacher.bos_id) for _ in range(2))
+    for la, lb in zip(a.logits, b.logits):
         assert np.array_equal(la.data, lb.data)
-    assert len(trace_a) == len(caption) + 1
+    assert len(a.trace) == len(caption) + 1
     # log-likelihood equals the sum of per-step log softmax at the gold ids
     targets = caption + [teacher.decoder.eos_id]
     total = 0.0
-    for lg, t in zip(logits_a, targets):
+    for lg, t in zip(a.logits, targets):
         z = lg.data - lg.data.max()
         total += z[t] - np.log(np.exp(z).sum())
-    per_step = [float(ad.pick(ad.log_softmax(lg), t).data)
-                for lg, t in zip(logits_a, targets)]
-    assert abs(total - sum(per_step)) <= 1e-12
+    assert abs(total - a.total_log_prob()) <= 1e-12
 
 
 def test_teacher_forward_rejects_wrong_layer_count():
     teacher = tiny_teacher(seed=13)
     with pytest.raises(ContractError):
-        teacher_forward(teacher, [], [4], feats())
+        teacher_forced(teacher.decoder, teacher.decoder.begin(feats()), [], [4],
+                       True, teacher.bos_id)
 
 
 def test_pretrain_overfits_single_scene():
@@ -183,11 +182,11 @@ def test_architecture_identity_with_student_decoder():
     caption = [4, 5, 6]
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v))
-        _, t_states = teacher_forced(teacher.decoder, teacher.decoder.begin(v),
-                                     init, caption, bos_id=1)
-        _, s_states = teacher_forced(student.decoder, student.decoder.begin(v),
-                                     init, caption, bos_id=1)
-    for ts, ss in zip(t_states, s_states):
+        t_run = teacher_forced(teacher.decoder, teacher.decoder.begin(v),
+                               init, caption, True, 1)
+        s_run = teacher_forced(student.decoder, student.decoder.begin(v),
+                               init, caption, True, 1)
+    for ts, ss in zip(t_run.states, s_run.states):
         for (th, tc), (sh, sc) in zip(ts, ss):
             assert np.array_equal(th.data, sh.data)
             assert np.array_equal(tc.data, sc.data)

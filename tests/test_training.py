@@ -8,7 +8,7 @@ from hsg.autodiff import ContractError, Tape, Tensor, backward, no_grad
 from hsg.checks import _TinyWorld, enum_check, enumerate_rollouts
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
-from hsg.student import greedy_decode, replay_decode, sample_decode
+from hsg.student import greedy_decode, sample_decode, teacher_forced
 from hsg.teacher import TrainingDiverged, pretrain_teacher
 from hsg.training import (build_student, clip_gradients, collect_gradients,
                           hsg_gradients, joint_mle_loss, loss_ll,
@@ -135,8 +135,8 @@ def test_scst_zero_advantage_zero_gradients():
     zero_gradients(params)
     with Tape() as tape:
         ctx = world.make_ctx()
-        replay = replay_decode(world.decoder, ctx, world.init(ctx),
-                               greedy.tokens, greedy.ended, bos_id=world.bos)
+        replay = teacher_forced(world.decoder, ctx, world.init(ctx),
+                                greedy.tokens, greedy.ended, world.bos)
         trace = scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
     assert trace.advantage == 0.0
     grads = collect_gradients(world.student_params)
@@ -224,8 +224,8 @@ def test_hsg_matched_traces_reduce_to_scst():
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
-            replay = replay_decode(world.decoder, ctx, t_init, tokens, True,
-                                   bos_id=world.bos)
+            replay = teacher_forced(world.decoder, ctx, t_init, tokens, True,
+                                    world.bos)
             if fn is hsg_gradients:
                 trace = fn(tape, replay, greedy, world.refs, world.reward_fn,
                            teacher, lam, features=world.features)
@@ -296,8 +296,8 @@ def test_enumeration_covers_probability_space():
     with no_grad():
         for tokens, ended in leaves:
             ctx = world.make_ctx()
-            r = replay_decode(world.decoder, ctx, world.init(ctx), tokens,
-                              ended, bos_id=world.bos)
+            r = teacher_forced(world.decoder, ctx, world.init(ctx), tokens,
+                               ended, world.bos)
             total += math.exp(r.total_log_prob())
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -347,7 +347,6 @@ def test_train_student_memorizes_single_scene():
     student, history = train_student(train, train, teacher, statenet, vocab,
                                      df, cfg, log=lambda *a: None)
     # teacher-forced accuracy on the memorized caption
-    from hsg.student import teacher_forced
     correct = total = 0
     with no_grad():
         for rec in train:
@@ -355,10 +354,9 @@ def test_train_student_memorizes_single_scene():
             init = student.initial_state(ctx)
             for cap in rec.captions:
                 ids = vocab.encode(cap)[1:-1]
-                targets = ids + [vocab.EOS]
-                logits, _ = teacher_forced(student.decoder, ctx, init, targets,
-                                           bos_id=vocab.BOS)
-                for lg, t in zip(logits, targets):
+                forced = teacher_forced(student.decoder, ctx, init, ids, True,
+                                        vocab.BOS)
+                for lg, t in zip(forced.logits, ids + [vocab.EOS]):
                     correct += int(np.argmax(lg.data)) == t
                     total += 1
     assert correct / total >= 0.99
