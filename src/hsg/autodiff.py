@@ -7,9 +7,11 @@ Repeated ``backward`` calls without clearing grads accumulate on top of the
 previous pass.  There is no broadcasting beyond scalars: shapes must match
 exactly or one operand must have a single element.
 
-A few ops also take (B, d) row batches, one independent row per batch entry,
-for decoding many hypotheses in one step.  Row forms are forward only: they
-raise ContractError instead of recording a backward rule.
+Many ops also take (B, d) row batches, one independent row per batch entry,
+so that several hypotheses or captions share one op and one tape node per
+step.  Row forms differentiate like the vector forms, row by row; a 1-D
+operand that an op repeats on every row receives the sum of its row
+gradients.
 """
 
 import threading
@@ -21,8 +23,9 @@ __all__ = [
     "parameter", "no_grad", "backward", "grad_check",
     "add", "sub", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
     "tanh", "exp", "softmax", "log_softmax",
-    "max_elementwise", "vec_max", "pick", "row", "affine", "affine_rows",
-    "squared_l2", "transpose", "check_index", "forward_only", "defer",
+    "vec_max", "max_rows", "pick", "row", "stack_rows", "repeat_rows",
+    "scale_rows", "affine", "affine_rows", "squared_l2", "transpose",
+    "check_index", "defer",
 ]
 
 
@@ -158,19 +161,14 @@ def _tracing(*inputs):
     return any(t.requires_grad for t in inputs)
 
 
-def forward_only(opname, *inputs):
-    """Refuse a row-batched op that would record: it has no backward rule."""
-    if _tracing(*inputs):
-        raise ContractError(
-            f"{opname}: row-batched input is forward only; run it under no_grad")
-
-
 def check_index(index, n, what):
     """Raise ContractError unless index, an int or a 1-D integer array of
     row ids, lies in [0, n)."""
     if isinstance(index, np.ndarray):
-        ok = (index.ndim == 1 and index.size > 0 and index.dtype.kind in "iu"
-              and 0 <= index.min() and index.max() < n)
+        ok = index.ndim == 1 and index.size > 0 and index.dtype.kind in "iu"
+        if ok:
+            ids = index.tolist()  # min/max of a short list beat numpy reductions
+            ok = 0 <= min(ids) and max(ids) < n
     else:
         ok = 0 <= index < n
     if not ok:
@@ -343,7 +341,7 @@ def concat(parts):
     """Concatenate scalars and 1-D tensors into one vector.
 
     If some parts are (B, d) row batches, every scalar or 1-D part is
-    repeated on each row and the result is (B, total), forward only.
+    repeated on each row and the result is (B, total).
     """
     parts = [_as_tensor(p) for p in parts]
     if not parts:
@@ -355,25 +353,29 @@ def concat(parts):
         elif p.data.ndim > 2:
             raise DimensionError(
                 f"concat: expected scalar, 1-D or (B, d) parts, got shape {p.data.shape}")
+    if len(batch) > 1:
+        raise DimensionError(f"concat: row batches of sizes {sorted(batch)} differ")
     if batch:
-        if len(batch) > 1:
-            raise DimensionError(f"concat: row batches of sizes {sorted(batch)} differ")
-        forward_only("concat", *parts)
         widths = [p.data.shape[-1] if p.data.ndim else 1 for p in parts]
-        out = np.empty((batch.pop(), sum(widths)))
+        data = np.empty((batch.pop(), sum(widths)))
         off = 0
         for p, n in zip(parts, widths):
-            out[:, off:off + n] = p.data  # repeats a 1-D part on every row
+            data[:, off:off + n] = p.data  # repeats a 1-D part on every row
             off += n
-        return Tensor(out)
-    out = Tensor(np.concatenate([np.atleast_1d(p.data) for p in parts]))
+        out = Tensor(data)
+    else:
+        widths = [p.data.size for p in parts]
+        out = Tensor(np.concatenate([np.atleast_1d(p.data) for p in parts]))
     if _tracing(*parts):
-        sizes = [p.data.size for p in parts]
         def bwd():
             g = out.grad
             off = 0
-            for p, n in zip(parts, sizes):
-                accumulate(p, g[off:off + n].reshape(p.data.shape))
+            for p, n in zip(parts, widths):
+                if p.requires_grad:
+                    gp = g[..., off:off + n]
+                    if g.ndim == 2 and p.data.ndim < 2:
+                        gp = gp.sum(axis=0)  # the part was repeated on every row
+                    accumulate(p, gp.reshape(p.data.shape))
                 off += n
         record(bwd, out)
     return out
@@ -444,8 +446,6 @@ def _last_axis_prep(a, opname):
             f"{opname}: expected a vector or (B, n) rows, got shape {a.data.shape}")
     if a.data.shape[-1] == 0:
         raise DimensionError(f"{opname}: empty axis")
-    if a.data.ndim == 2:
-        forward_only(opname, a)
     return a
 
 
@@ -459,7 +459,11 @@ def softmax(a):
     if _tracing(a):
         def bwd():
             g = out.grad
-            accumulate(a, (g - np.dot(g, y)) * y)
+            if y.ndim == 1:
+                dot = np.dot(g, y)
+            else:
+                dot = (g * y).sum(axis=1, keepdims=True)
+            accumulate(a, (g - dot) * y)
         record(bwd, out)
     return out
 
@@ -474,73 +478,146 @@ def log_softmax(a):
         sm = np.exp(y)
         def bwd():
             g = out.grad
-            accumulate(a, g - sm * g.sum())
+            accumulate(a, g - sm * g.sum(axis=-1, keepdims=True))
         record(bwd, out)
     return out
 
 
-def max_elementwise(a, b):
-    """Elementwise max; on ties the gradient is routed to the first input."""
-    a, b = _binary_prep(a, b, "max_elementwise")
-    take_a = a.data >= b.data
-    out = Tensor(np.where(take_a, a.data, b.data))
-    if _tracing(a, b):
-        def bwd():
-            g = out.grad
-            accumulate(a, _unbroadcast(np.where(take_a, g, 0.0), a.data.shape))
-            accumulate(b, _unbroadcast(np.where(take_a, 0.0, g), b.data.shape))
-        record(bwd, out)
-    return out
+def _scatter(shape, index, g):
+    """Zeros of shape with g placed at index (an int or a tuple of arrays)."""
+    full = np.zeros(shape)
+    full[index] = g
+    return full
 
 
 def vec_max(a):
-    """Max over a vector as a scalar; ties route gradient to the lowest index."""
+    """Max over a vector as a scalar, or over each row of a (B, n) batch as a
+    (B,) vector; ties route the gradient to the lowest index."""
     a = _as_tensor(a)
-    if a.data.ndim != 1 or a.data.size == 0:
-        raise DimensionError(f"vec_max: expected a non-empty vector, got shape {a.data.shape}")
-    idx = int(np.argmax(a.data))
+    if a.data.ndim not in (1, 2) or a.data.size == 0:
+        raise DimensionError(
+            f"vec_max: expected a non-empty vector or (B, n) rows, got shape {a.data.shape}")
+    if a.data.ndim == 1:
+        idx = int(np.argmax(a.data))
+    else:
+        idx = (np.arange(a.data.shape[0]), np.argmax(a.data, axis=1))
     out = Tensor(a.data[idx])
     if _tracing(a):
         def bwd():
-            g = np.zeros(a.data.shape)
-            g[idx] = float(out.grad)
-            accumulate(a, g)
+            accumulate(a, _scatter(a.data.shape, idx, out.grad))
+        record(bwd, out)
+    return out
+
+
+def max_rows(m):
+    """Elementwise max over the rows of a (B, d) matrix, as a (d,) vector;
+    ties route the gradient to the earliest row."""
+    m = _as_tensor(m)
+    if m.data.ndim != 2 or m.data.shape[0] == 0:
+        raise DimensionError(f"max_rows: expected (B, d) rows, got shape {m.data.shape}")
+    idx = (np.argmax(m.data, axis=0), np.arange(m.data.shape[1]))
+    out = Tensor(m.data[idx])
+    if _tracing(m):
+        def bwd():
+            accumulate(m, _scatter(m.data.shape, idx, out.grad))
         record(bwd, out)
     return out
 
 
 def pick(a, index):
-    """Select one element of a vector as a scalar tensor."""
+    """Select one element of a vector as a scalar tensor.  For (B, n) rows
+    and an array of B indices, select one element per row as a (B,) vector."""
     a = _as_tensor(a)
-    if a.data.ndim != 1:
-        raise DimensionError(f"pick: expected a vector, got shape {a.data.shape}")
-    if not 0 <= index < a.data.shape[0]:
-        raise ContractError(f"pick: index {index} out of range for length {a.data.shape[0]}")
-    out = Tensor(a.data[index])
+    rows = isinstance(index, np.ndarray)
+    if a.data.ndim != 1 + rows or (rows and index.shape != a.data.shape[:1]):
+        raise DimensionError(
+            f"pick: expected a vector with an index or (B, n) rows with B "
+            f"indices, got shape {a.data.shape}")
+    check_index(index, a.data.shape[-1], "pick: index")
+    idx = (np.arange(a.data.shape[0]), index) if rows else index
+    out = Tensor(a.data[idx])
     if _tracing(a):
         def bwd():
-            g = np.zeros(a.data.shape)
-            g[index] = float(out.grad)
-            accumulate(a, g)
+            accumulate(a, _scatter(a.data.shape, idx, out.grad))
         record(bwd, out)
     return out
 
 
 def row(m, index):
-    """Select one row of a matrix (embedding lookup).  An index array selects
-    a (B, d) row batch, forward only."""
+    """Select one row of a matrix (embedding lookup), or a (B, d) row batch
+    for an array of row ids; repeated ids sum their gradients."""
     m = _as_tensor(m)
     if m.data.ndim != 2:
         raise DimensionError(f"row: expected a matrix, got shape {m.data.shape}")
     check_index(index, m.data.shape[0], "row: index")
-    if isinstance(index, np.ndarray):
-        forward_only("row", m)
     out = Tensor(m.data[index].copy())
     if _tracing(m):
         def bwd():
             if m.grad is None:
                 m.grad = np.zeros_like(m.data)
-            m.grad[index] += out.grad
+            if isinstance(index, np.ndarray):
+                np.add.at(m.grad, index, out.grad)
+            else:
+                m.grad[index] += out.grad
+        record(bwd, out)
+    return out
+
+
+def stack_rows(parts):
+    """Stack (n_i, d) row batches of equal width into one (sum n_i, d)
+    batch; a single part is returned as is."""
+    parts = [_as_tensor(p) for p in parts]
+    if not parts:
+        raise DimensionError("stack_rows: no parts given")
+    widths = {p.data.shape[1:] for p in parts}
+    if len(widths) > 1 or any(p.data.ndim != 2 for p in parts):
+        raise DimensionError(
+            f"stack_rows: expected (n, d) rows of one width, got shapes "
+            f"{[p.data.shape for p in parts]}")
+    if len(parts) == 1:
+        return parts[0]
+    out = Tensor(np.concatenate([p.data for p in parts]))
+    if _tracing(*parts):
+        def bwd():
+            g = out.grad
+            off = 0
+            for p in parts:
+                n = p.data.shape[0]
+                accumulate(p, g[off:off + n])
+                off += n
+        record(bwd, out)
+    return out
+
+
+def repeat_rows(v, n):
+    """A 1-D vector repeated as the n rows of an (n, d) batch."""
+    v = _as_tensor(v)
+    if v.data.ndim != 1 or n < 1:
+        raise DimensionError(
+            f"repeat_rows: expected a vector and n >= 1, got shape {v.data.shape}, n={n}")
+    out = Tensor(np.tile(v.data, (n, 1)))
+    if _tracing(v):
+        def bwd():
+            accumulate(v, out.grad.sum(axis=0))
+        record(bwd, out)
+    return out
+
+
+def scale_rows(s, m):
+    """Row b of an (B, d) batch scaled by s[b], for a (B,) vector s."""
+    s = _as_tensor(s)
+    m = _as_tensor(m)
+    if m.data.ndim != 2 or s.data.shape != m.data.shape[:1]:
+        raise DimensionError(
+            f"scale_rows: scales {s.data.shape} do not match rows {m.data.shape}")
+    sd, md = s.data[:, None], m.data
+    out = Tensor(sd * md)
+    if _tracing(s, m):
+        def bwd():
+            g = out.grad
+            if s.requires_grad:
+                accumulate(s, (g * md).sum(axis=1))
+            accumulate(m, g * sd)
         record(bwd, out)
     return out
 

@@ -34,17 +34,26 @@ def atomic_open(path):
 
     The temp file replaces path only when the block finishes, so readers see
     the previous file or the complete new one; on an exception the previous
-    file stays as it was and the temp file is removed.
+    file stays as it was and the temp file is removed.  The temp file is
+    flushed to disk before the replace and the directory after it, so the
+    new file also survives a power loss once this returns.
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(tmp)
         raise
+    fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _encode_array(arr):

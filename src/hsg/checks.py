@@ -50,7 +50,7 @@ def _op_cases(seed):
            (_rand(rng, 3), _rand(rng, (3, 4))))
     yield ("concat", lambda a, b, c: ad.tensor_sum(
         ad.tanh(ad.concat([a, b, c]))), (_rand(rng, 3), _rand(rng, ()), _rand(rng, 4)))
-    yield "sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
+    yield "tensor_sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
     # a repeated term must receive its gradient once per occurrence
     yield ("sum_terms", lambda a, b, c: ad.tensor_sum(ad.tanh(ad.sum_terms([a, b, a, c]))),
            (_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)))
@@ -59,13 +59,11 @@ def _op_cases(seed):
     yield "softmax", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)), (_rand(rng, 6),)
     yield ("log_softmax", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
            (_rand(rng, 6),))
-    # perturbation below eps/2 keeps finite differences away from tie switches
-    m1 = _rand(rng, 5)
-    m2 = ad.parameter(m1.data + rng.uniform(-1, 1, 5) * 0.5)
-    yield "max_elementwise", lambda a, b: ad.tensor_sum(ad.max_elementwise(a, b)), (m1, m2)
     yield "vec_max", lambda a: ad.vec_max(a), (_rand(rng, 6),)
+    yield "max_rows", lambda m: ad.tensor_sum(ad.tanh(ad.max_rows(m))), (_rand(rng, (4, 3)),)
     yield "pick", lambda a: ad.pick(ad.tanh(a), 2), (_rand(rng, 5),)
     yield "row", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, 1))), (_rand(rng, (4, 3)),)
+    yield from _row_cases(rng)
     yield ("affine", lambda w, x, b: ad.tensor_sum(ad.tanh(ad.affine(w, x, b))),
            (_rand(rng, (3, 4)), _rand(rng, 4), _rand(rng, 3)))
     yield ("transpose", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.transpose(a), b))),
@@ -73,6 +71,30 @@ def _op_cases(seed):
     yield ("affine_rows", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine_rows(w, m, b))),
            (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
     yield "squared_l2", ad.squared_l2, (_rand(rng, 8), _rand(rng, 8))
+
+
+def _row_cases(rng):
+    """Row forms: (B, d) batches, with repeated ids and parts repeated on
+    every row, whose gradients sum over the rows."""
+    ids = np.array([1, 3, 1])
+    yield ("concat_rows", lambda m, v, s: ad.tensor_sum(ad.tanh(ad.concat([m, v, s]))),
+           (_rand(rng, (3, 2)), _rand(rng, 4), _rand(rng, ())))
+    yield ("softmax_rows", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)),
+           (_rand(rng, (3, 5)),))
+    yield ("log_softmax_rows", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
+           (_rand(rng, (3, 5)),))
+    yield "vec_max_rows", lambda a: ad.tensor_sum(ad.tanh(ad.vec_max(a))), (_rand(rng, (3, 5)),)
+    yield ("pick_rows", lambda a: ad.tensor_sum(ad.tanh(ad.pick(a, ids))),
+           (_rand(rng, (3, 4)),))
+    yield "row_rows", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, ids))), (_rand(rng, (4, 3)),)
+    yield ("stack_rows", lambda a, b: ad.tensor_sum(ad.tanh(ad.stack_rows([a, b, a]))),
+           (_rand(rng, (2, 3)), _rand(rng, (1, 3))))
+    scale = Tensor(rng.uniform(-1, 1, (3, 4)))
+    yield ("repeat_rows",
+           lambda v: ad.tensor_sum(ad.tanh(ad.mul(ad.repeat_rows(v, 3), scale))),
+           (_rand(rng, 4),))
+    yield ("scale_rows", lambda s, m: ad.tensor_sum(ad.tanh(ad.scale_rows(s, m))),
+           (_rand(rng, 3), _rand(rng, (3, 4))))
 
 
 def _composite_cases(seed):
@@ -86,6 +108,14 @@ def _composite_cases(seed):
         return ad.tensor_sum(ad.mul(hn, hn) + cn)
 
     yield "lstm_step", lstm_f, (x, h, c, cell.w_ih, cell.w_hh, cell.b)
+
+    xs, hs, cs = _rand(rng, (3, 4)), _rand(rng, (3, 3)), _rand(rng, (3, 3))
+
+    def lstm_rows_f(*_):
+        hn, cn = cell.step(xs, hs, cs)
+        return ad.tensor_sum(ad.mul(hn, hn) + cn)
+
+    yield "lstm_step_rows", lstm_rows_f, (xs, hs, cs, cell.w_ih, cell.w_hh, cell.b)
 
     head = AttentionHead(4, 3, rng)
     q = _rand(rng, 3)
@@ -157,8 +187,8 @@ def _hsg_pathway_case(seed):
             with no_grad():
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
             ctx = world.decoder.begin(world.features)
-            replay = teacher_forced(world.decoder, ctx, world.init(ctx), tokens,
-                                    True, world.bos)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
+                                    True, world.bos).rollout(0)
             losses = state_loss_trace(replay.trace, t_trace)
             terms += [term * (1.0 + 0.37 * t) for t, term in enumerate(losses)]
         return ad.sum_terms(terms) * 0.5
@@ -261,7 +291,7 @@ def _expected_estimator_grads(world, leaves, greedy, lam):
         with Tape() as tape:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    tokens, ended, world.bos)
+                                    [tokens], ended, world.bos).rollout(0)
             prob = float(np.exp(replay.total_log_prob()))
             if lam == 0:
                 scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
@@ -286,7 +316,7 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
         for tokens, ended in leaves:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    tokens, ended, world.bos)
+                                    [tokens], ended, world.bos).rollout(0)
             prob = ad.exp(ad.sum_terms(replay.log_probs))
             adv = world.reward_fn(tokens, world.refs) - r_base
             if lam == 0:

@@ -40,13 +40,13 @@ class LstmCell:
 
     def _flush_weight_grads(self, pending):
         """Add the (dz, x, h) contributions one backward sweep buffered for
-        this cell as one matrix product per weight."""
-        dzs = np.stack([p[0] for p in pending])
+        this cell, vectors or row blocks, as one matrix product per weight."""
+        dzs = np.vstack([p[0] for p in pending])
         if self.w_ih.requires_grad:
-            xs = np.stack([p[1] for p in pending])
+            xs = np.vstack([p[1] for p in pending])
             accumulate(self.w_ih, dzs.T @ xs)
         if self.w_hh.requires_grad:
-            hs = np.stack([p[2] for p in pending])
+            hs = np.vstack([p[2] for p in pending])
             accumulate(self.w_hh, dzs.T @ hs)
         accumulate(self.b, dzs.sum(axis=0))
 
@@ -62,8 +62,7 @@ class LstmCell:
 def lstm_step(cell, x, h, c):
     """One LSTM step; returns (h', c').  Fused into a single tape node.
 
-    x, h and c may also be (B, d) row batches, one independent step per row;
-    the row form is forward only.
+    x, h and c may also be (B, d) row batches, one independent step per row.
     """
     hd = cell.hidden_dim
     rows = x.data.shape[:-1]
@@ -77,7 +76,6 @@ def lstm_step(cell, x, h, c):
 
     w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
     if rows:
-        ad.forward_only("lstm_step", x, h, c, w_ih, w_hh, b)
         # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows
         z = (w_ih.data @ np.ascontiguousarray(x.data.T)
              + w_hh.data @ np.ascontiguousarray(h.data.T)).T + b.data
@@ -101,17 +99,17 @@ def lstm_step(cell, x, h, c):
             gh = h_out.grad if h_out.grad is not None else 0.0
             gc = c_out.grad if c_out.grad is not None else 0.0
             dc = gc + gh * o * (1.0 - tc * tc)
-            dz = np.empty_like(z)
-            dz[:hd] = dc * g * i * (1.0 - i)
-            dz[hd:2 * hd] = dc * cd * f * (1.0 - f)
-            dz[2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-            dz[3 * hd:] = gh * tc * o * (1.0 - o)
+            dz = np.empty(z.shape)
+            dz[..., :hd] = dc * g * i * (1.0 - i)
+            dz[..., hd:2 * hd] = dc * cd * f * (1.0 - f)
+            dz[..., 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+            dz[..., 3 * hd:] = gh * tc * o * (1.0 - o)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
                 ad.defer(cell, cell._flush_weight_grads, (dz, xd, hd_in))
             if x.requires_grad:
-                accumulate(x, w_ih.data.T @ dz)
+                accumulate(x, dz @ w_ih.data)
             if h.requires_grad:
-                accumulate(h, w_hh.data.T @ dz)
+                accumulate(h, dz @ w_hh.data)
             if c.requires_grad:
                 accumulate(c, dc * f)
 

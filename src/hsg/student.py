@@ -3,7 +3,8 @@ and the state transformation network.
 
 The same decoder classes serve both the autoencoding teacher and the deployed
 student; only the initial hidden states differ.  Decoder states are lists of
-(h, c) pairs, one per LSTM layer.
+(h, c) pairs, one per LSTM layer: vectors when one caption is decoded, (B, H)
+row batches when beam search or teacher forcing decode several at once.
 """
 
 from dataclasses import dataclass, field
@@ -11,14 +12,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Tensor, ContractError, DimensionError, check_index,
-                       concat, log_softmax, matmul, no_grad, pick, tanh)
+                       concat, log_softmax, matmul, no_grad, pick, repeat_rows,
+                       row, stack_rows, tanh, tensor_sum)
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 
 __all__ = [
     "FcDecoder", "UpDownDecoder", "StateTransformNet", "RolloutResult",
-    "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
-    "teacher_forced", "greedy_decode", "sample_decode", "beam_search",
-    "sample_categorical",
+    "ForcedRows", "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
+    "rows_by_length", "teacher_forced", "greedy_decode", "sample_decode",
+    "beam_search", "sample_categorical",
 ]
 
 
@@ -122,8 +124,7 @@ def decode_step(decoder, ctx, state, prev_token):
     """One autoregressive step: (logits over vocab, next state).
 
     prev_token may also be an array of B token ids whose state layers are
-    (B, H) row batches; the step then runs forward only and returns (B, V)
-    logits.
+    (B, H) row batches; the step then returns (B, V) logits.
     """
     check_index(prev_token, decoder.vocab_size, "decode_step: token id")
     if len(state) != len(decoder.layer_dims):
@@ -244,17 +245,124 @@ def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
                    lambda _t, lp: sample_categorical(np.exp(lp), rng))
 
 
-def teacher_forced(decoder, ctx, init_state, tokens, ended, bos_id):
-    """Run the decoder over known content tokens, then eos if ended.
+def rows_by_length(sequences):
+    """Lay id sequences out as rows, longest first and ties in input order.
 
-    This is the same graph as the rollout that produced the tokens, so
-    replaying a sampled caption reproduces its log-probabilities and states.
+    Returns (order, lengths, ids): row p holds sequences[order[p]], of
+    length lengths[p], left-aligned in the zero-padded id matrix.  The rows
+    still running at position t are then the prefix lengths > t.
     """
-    if decoder.eos_id in tokens:
-        raise ContractError("teacher_forced: content tokens contain eos")
-    emissions = list(tokens) + ([decoder.eos_id] if ended else [])
-    return rollout(decoder, ctx, init_state, bos_id, len(emissions),
-                   lambda t, _lp: emissions[t])
+    order = np.array(sorted(range(len(sequences)), key=lambda i: -len(sequences[i])),
+                     dtype=np.intp)
+    lengths = np.array([len(sequences[i]) for i in order], dtype=np.intp)
+    ids = np.zeros((len(order), lengths.max(initial=0)), dtype=np.intp)
+    for p, i in enumerate(order):
+        ids[p, :lengths[p]] = sequences[i]
+    return order, lengths, ids
+
+
+@dataclass
+class ForcedRows:
+    """C captions teacher-forced as one row batch.
+
+    The captions are sorted by emission count, longest first and ties in
+    caption order, so the rows still emitting at step t are a prefix that
+    only shrinks: row p of every step carries caption order[p].  logits[t]
+    is (counts[t], V) and states[t + 1] the state after step t with the same
+    rows; states[0] is the initial state repeated on all C rows.  targets
+    lists the emitted ids in the order of stack_rows(logits).
+    """
+    emissions: list
+    ended: bool
+    order: np.ndarray
+    counts: list
+    init_state: list
+    logits: list
+    states: list
+    targets: np.ndarray
+
+    def log_prob_rows(self):
+        """Log-probability of every emission as one vector, in the order of
+        targets: one log-softmax over all steps' logits."""
+        return pick(log_softmax(stack_rows(self.logits)), self.targets)
+
+    def log_likelihood(self):
+        """Summed log-probability of all captions' emissions."""
+        return tensor_sum(self.log_prob_rows())
+
+    def trace_rows(self):
+        """The traces [s_0 .. s_T] of all captions as row batches: the state
+        at step t keeps the rows of the captions with at least t content
+        tokens.  Two passes over the same captions have the same rows."""
+        out = []
+        for t, state in enumerate(self.states):
+            m = sum(len(e) - self.ended >= t for e in self.emissions)
+            if m == 0:
+                break
+            if m < state[0][0].data.shape[0]:
+                keep = np.arange(m)
+                state = [(row(h, keep), row(c, keep)) for h, c in state]
+            out.append(state)
+        return out
+
+    def _row_of(self, i):
+        return int(np.flatnonzero(self.order == i)[0])
+
+    def trace(self, i):
+        """Caption i's trace [s_0 .. s_T] as constant 1-D tensors: values
+        for a target trace, with no tape nodes."""
+        p = self._row_of(i)
+        return [self.init_state] + [
+            [(Tensor(h.data[p]), Tensor(c.data[p])) for h, c in state]
+            for state in self.states[1:len(self.emissions[i]) - self.ended + 1]]
+
+    def rollout(self, i):
+        """Caption i as a RolloutResult with 1-D logits and states and one
+        log-probability per emission, as if it had been decoded alone."""
+        emissions = self.emissions[i]
+        p = self._row_of(i)
+        at = np.cumsum([0] + self.counts)[:len(emissions)] + p
+        lp = self.log_prob_rows() if emissions else None
+        tokens = emissions[:-1] if self.ended else emissions
+        states = [self.init_state] + [[(row(h, p), row(c, p)) for h, c in state]
+                                      for state in self.states[1:len(emissions) + 1]]
+        return RolloutResult(list(tokens),
+                             [row(lg, p) for lg in self.logits[:len(emissions)]],
+                             [pick(lp, int(k)) for k in at], states, self.ended)
+
+
+def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
+    """Run the decoder over C known captions (lists of content ids, eos
+    appended when ended) from one shared initial state, as a row batch.
+
+    Each caption's rows compute the same values as decoding it alone, so
+    replaying a sampled caption reproduces its log-probabilities and states.
+    The pass records logits and states only; ForcedRows.log_likelihood adds
+    the log-softmax for the callers that need it.
+    """
+    if not captions:
+        raise ContractError("teacher_forced: no captions given")
+    emissions = []
+    for tokens in captions:
+        if decoder.eos_id in tokens:
+            raise ContractError("teacher_forced: content tokens contain eos")
+        emissions.append(list(tokens) + ([decoder.eos_id] if ended else []))
+    order, lengths, ids = rows_by_length(emissions)
+    emitting = lengths > np.arange(ids.shape[1])[:, None]  # step x row
+    counts = emitting.sum(axis=1).tolist()
+    state = [(repeat_rows(h, len(order)), repeat_rows(c, len(order)))
+             for h, c in init_state]
+    states, logits = [state], []
+    for t, n in enumerate(counts):
+        if n < (counts[t - 1] if t else len(order)):
+            keep = np.arange(n)
+            state = [(row(h, keep), row(c, keep)) for h, c in state]
+        prev = np.full(n, bos_id) if t == 0 else ids[:n, t - 1]
+        step_logits, state = decode_step(decoder, ctx, state, prev)
+        logits.append(step_logits)
+        states.append(state)
+    return ForcedRows(emissions, ended, order, counts, init_state, logits,
+                      states, ids.T[emitting])
 
 
 @dataclass

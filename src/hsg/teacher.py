@@ -5,7 +5,8 @@ head grounds each word against the K object features, the resulting scalar
 gate (the max attention weight) scales the word embedding, and a Caption
 LSTM consumes the gated embeddings.  The decoder is the same class as the
 student decoder; only its initial state differs, coming from max pooling the
-encoder's final states over the C references.
+encoder's final states over the C references.  Both run a scene's C
+captions as one row batch.
 """
 
 import math
@@ -13,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import (Tensor, ContractError, Tape, backward, mul, neg, no_grad,
-                       sum_terms, vec_max)
+from .autodiff import (Tensor, ContractError, Tape, backward, max_rows, neg,
+                       no_grad, row, scale_rows, stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
-from .student import FcDecoder, UpDownDecoder, teacher_forced
+from .student import FcDecoder, UpDownDecoder, rows_by_length, teacher_forced
 
 __all__ = [
     "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
@@ -31,7 +31,7 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class EncoderFinal:
-    """Final (h, c) of both encoder layers for one caption."""
+    """Final (h, c) of both encoder layers, one row per caption."""
     h1: Tensor
     c1: Tensor
     h2: Tensor
@@ -48,26 +48,47 @@ class CaptionEncoder:
         self.attention = AttentionHead(feature_dim, hidden_dim, rng)
         self.caption_lstm = LstmCell(embedding.embed_dim, hidden_dim, rng)
 
-    def encode(self, caption_ids, feats, projected=None, collect_gates=None):
-        """Encode one caption (a non-empty id sequence) grounded in feats."""
-        if len(caption_ids) == 0:
+    def encode(self, captions, feats, collect_gates=None):
+        """Encode C captions (non-empty id sequences) grounded in feats.
+
+        The captions run as rows, longest first, so the rows still reading
+        form a prefix that shrinks; a caption's final state is taken when
+        its row leaves.  Returns (C, H) finals in caption order.  Gate values
+        are appended to collect_gates step by step, in that row order.
+        """
+        if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
-        if projected is None:
-            projected = self.attention.project(feats)
-        h = self.hidden_dim
-        h1 = Tensor(np.zeros(h))
-        c1 = Tensor(np.zeros(h))
-        h2 = Tensor(np.zeros(h))
-        c2 = Tensor(np.zeros(h))
-        for tok in caption_ids:
-            e = self.embedding.lookup(tok)
+        projected = self.attention.project(feats)
+        order, lengths, ids = rows_by_length(captions)
+        zeros = Tensor(np.zeros((len(order), self.hidden_dim)))
+        state = (zeros, zeros, zeros, zeros)
+        # counts[t]: rows still reading at position t
+        counts = np.count_nonzero(lengths > np.arange(ids.shape[1] + 1)[:, None], axis=1)
+        leaving, left = [], []
+        for t in range(ids.shape[1]):
+            n, stay = int(counts[t]), int(counts[t + 1])
+            if n < state[0].data.shape[0]:
+                keep = np.arange(n)
+                state = tuple(row(s, keep) for s in state)
+            h1, c1, h2, c2 = state
+            e = self.embedding.lookup(ids[:n, t])
             h1, c1 = self.word_lstm.step(e, h1, c1)
-            alpha = self.attention.weights(h1, projected)
-            gate = vec_max(alpha)
+            gate = vec_max(self.attention.weights(h1, projected))
             if collect_gates is not None:
-                collect_gates.append(gate.item())
-            h2, c2 = self.caption_lstm.step(mul(gate, e), h2, c2)
-        return EncoderFinal(h1, c1, h2, c2)
+                collect_gates.extend(gate.data.tolist())
+            h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
+            state = (h1, c1, h2, c2)
+            if stay < n:
+                gone = np.arange(stay, n)
+                left.append(gone)
+                leaving.append(state if stay == 0 else
+                               tuple(row(s, gone) for s in state))
+        # the shortest captions leave first: put the finals in caption order
+        finals = [stack_rows(parts) for parts in zip(*leaving)]
+        perm = np.argsort(order[np.concatenate(left)])
+        if np.any(perm != np.arange(perm.size)):
+            finals = [row(f, perm) for f in finals]
+        return EncoderFinal(*finals)
 
     def named_parameters(self, prefix="encoder"):
         params = {}
@@ -77,30 +98,21 @@ class CaptionEncoder:
         return params
 
 
-def pool_captions(finals, family):
-    """Elementwise max over per-caption encoder finals -> decoder init states.
+def pool_captions(final, family):
+    """Elementwise max over the captions' encoder finals -> decoder init
+    states; ties take the earliest caption.
 
     The single-LSTM decoder is initialized from the Caption LSTM finals; the
     two-layer decoder additionally initializes its first layer from the Word
     LSTM finals.
     """
-    if len(finals) == 0:
+    if final.h2.data.shape[0] == 0:
         raise ContractError("pool_captions: no encoder outputs to pool")
-
-    def pooled(tensors):
-        acc = tensors[0]
-        for t in tensors[1:]:
-            acc = ad.max_elementwise(acc, t)
-        return acc
-
-    h2 = pooled([f.h2 for f in finals])
-    c2 = pooled([f.c2 for f in finals])
     if family == "fc":
-        return [(h2, c2)]
+        return [(max_rows(final.h2), max_rows(final.c2))]
     if family == "updown":
-        h1 = pooled([f.h1 for f in finals])
-        c1 = pooled([f.c1 for f in finals])
-        return [(h1, c1), (h2, c2)]
+        return [(max_rows(final.h1), max_rows(final.c1)),
+                (max_rows(final.h2), max_rows(final.c2))]
     raise ContractError(f"pool_captions: unknown decoder family {family!r}")
 
 
@@ -120,29 +132,33 @@ class TeacherAutoencoder:
     def frame(self, content_ids):
         return [self.bos_id] + list(content_ids) + [self.decoder.eos_id]
 
-    def encode_pooled(self, caption_id_lists, feats, projected=None):
+    def encode_pooled(self, caption_id_lists, feats):
         """Encode every caption (content ids) and pool into decoder init states."""
-        finals = [self.encoder.encode(self.frame(ids), feats, projected)
-                  for ids in caption_id_lists]
-        return pool_captions(finals, self.family)
+        final = self.encoder.encode([self.frame(ids) for ids in caption_id_lists],
+                                    feats)
+        return pool_captions(final, self.family)
 
-    def traces(self, caption_id_lists, features):
-        """Constant teacher state traces [s_0 .. s_T], one per caption.
-
-        The encoder pools over all the captions and the teacher decoder is
-        teacher-forced over each from that pooled state.  Runs untaped: the
-        teacher is frozen.
-        """
+    def _forced(self, caption_id_lists, features):
         with no_grad():
             ctx = self.decoder.begin(features)
             init = self.encode_pooled(caption_id_lists, ctx.feats)
-            return [teacher_forced(self.decoder, ctx, init, ids, False,
-                                   self.bos_id).states
-                    for ids in caption_id_lists]
+            return teacher_forced(self.decoder, ctx, init, caption_id_lists,
+                                  False, self.bos_id)
+
+    def traces(self, caption_id_lists, features):
+        """Constant teacher state traces [s_0 .. s_T] of all captions, as the
+        row batches of ForcedRows.trace_rows.
+
+        The encoder pools over all the captions and the teacher decoder is
+        teacher-forced over them from that pooled state.  Runs untaped: the
+        teacher is frozen.
+        """
+        return self._forced(caption_id_lists, features).trace_rows()
 
     def trace_for_tokens(self, tokens, features):
-        """Teacher trace for a generated caption, the sole encoder input."""
-        return self.traces([list(tokens)], features)[0]
+        """Teacher trace for a generated caption, the sole encoder input, as
+        1-D states."""
+        return self._forced([list(tokens)], features).trace(0)
 
     def named_parameters(self):
         params = {"embedding.w": self.embedding.w}
@@ -207,19 +223,16 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
             content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
             with Tape() as tape:
                 ctx = teacher.decoder.begin(rec.features)
-                projected = teacher.encoder.attention.project(ctx.feats)
-                init = teacher.encode_pooled(content, ctx.feats, projected)
-                lls = []
-                for ids in content:
-                    forced = teacher_forced(teacher.decoder, ctx, init, ids,
-                                            True, vocab.BOS)
-                    lls.append(neg(sum_terms(forced.log_probs)))
-                    # argmax of the logits, not of the log-probs: subtracting
-                    # the normalizer can round two logits to a tie
-                    for lg, tgt in zip(forced.logits, ids + [vocab.EOS]):
-                        correct += int(np.argmax(lg.data)) == tgt
-                        emitted += 1
-                loss = sum_terms(lls) * (1.0 / len(content))
+                init = teacher.encode_pooled(content, ctx.feats)
+                forced = teacher_forced(teacher.decoder, ctx, init, content,
+                                        True, vocab.BOS)
+                loss = neg(forced.log_likelihood()) * (1.0 / len(content))
+                # argmax of the logits, not of the log-probs: subtracting the
+                # normalizer can round two logits to a tie
+                predicted = np.concatenate([np.argmax(lg.data, axis=1)
+                                            for lg in forced.logits])
+                correct += int(np.count_nonzero(predicted == forced.targets))
+                emitted += predicted.size
                 if not math.isfinite(loss.item()):
                     raise TrainingDiverged(
                         f"teacher loss became {loss.item()} at epoch {epoch}")

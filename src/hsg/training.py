@@ -44,9 +44,11 @@ def loss_ll(logits_seq, gold_ids):
 def state_loss_trace(student_trace, teacher_trace, match_cell=False):
     """Per-step squared L2 between student and teacher hidden states.
 
-    Both traces are lists (over t) of per-layer (h, c) pairs.  The teacher
-    side must be constant tensors; gradients flow only into the student
-    states.  Layer losses are summed.
+    Both traces are lists (over t) of per-layer (h, c) pairs, vectors for one
+    caption or row batches for several (ForcedRows.trace_rows), where a
+    step's loss sums over the rows.  The teacher side must be constant
+    tensors; gradients flow only into the student states.  Layer losses are
+    summed.
     """
     if len(student_trace) != len(teacher_trace):
         raise ContractError(
@@ -396,18 +398,14 @@ def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
     with Tape() as tape:
         ctx = student.decoder.begin(rec.features)
         init = student.initial_state(ctx)
-        terms = []
-        for i, ids in enumerate(content_lists):
-            forced = teacher_forced(student.decoder, ctx, init, ids, True,
-                                    vocab.BOS)
-            ll = neg(sum_terms(forced.log_probs))
-            if lam > 0:
-                losses = state_loss_trace(forced.trace, teacher_traces[i],
-                                          match_cell=cfg.match_cell_states)
-                terms.append(joint_mle_loss(ll, losses, lam))
-            else:
-                terms.append(ll)
-        loss = sum_terms(terms) * (1.0 / len(content_lists))
+        forced = teacher_forced(student.decoder, ctx, init, content_lists, True,
+                                vocab.BOS)
+        loss = neg(forced.log_likelihood())
+        if lam > 0:
+            losses = state_loss_trace(forced.trace_rows(), teacher_traces,
+                                      match_cell=cfg.match_cell_states)
+            loss = joint_mle_loss(loss, losses, lam)
+        loss = loss * (1.0 / len(content_lists))
         if not math.isfinite(loss.item()):
             raise TrainingDiverged(f"student loss became {loss.item()}")
         backward(tape, loss)

@@ -3,14 +3,22 @@
 The metric oracles are written from the definitions with different machinery
 (Counter, dict vectors, recursive LCS) than the package implementations.
 The beam-search oracle is the one-beam-at-a-time loop that sorts every
-candidate tuple, against which the row-batched search is checked.
+candidate tuple, against which the row-batched search is checked.  The
+teacher-forcing oracles run a scene's captions one at a time through the
+vector forms of the ops (encoder, pooling chain, decoder replay and the
+per-caption losses), against which the row-batched passes are checked.
 """
 
 import math
 from collections import Counter
 
-from hsg.autodiff import log_softmax, no_grad
-from hsg.student import BeamHypothesis, decode_step
+import numpy as np
+
+from hsg.autodiff import (Tensor, accumulate, log_softmax, mul, neg, no_grad,
+                          record, sum_terms, vec_max, _binary_prep, _tracing,
+                          _unbroadcast)
+from hsg.student import BeamHypothesis, decode_step, rollout
+from hsg.training import joint_mle_loss, state_loss_trace
 
 
 def count_ngrams(seq, n):
@@ -162,3 +170,73 @@ def beam_search_oracle(decoder, ctx, init_state, t_max, width, bos_id):
             pool.append(BeamHypothesis(emitted, score, False, emitted))
     pool.sort(key=lambda h: (-h.score, h.emissions))
     return pool
+
+
+def max_elementwise(a, b):
+    """Elementwise max; on ties the gradient is routed to the first input."""
+    a, b = _binary_prep(a, b, "max_elementwise")
+    take_a = a.data >= b.data
+    out = Tensor(np.where(take_a, a.data, b.data))
+    if _tracing(a, b):
+        def bwd():
+            g = out.grad
+            accumulate(a, _unbroadcast(np.where(take_a, g, 0.0), a.data.shape))
+            accumulate(b, _unbroadcast(np.where(take_a, 0.0, g), b.data.shape))
+        record(bwd, out)
+    return out
+
+
+def encode_oracle(encoder, caption_ids, feats):
+    """One caption through the encoder, one vector step per token:
+    (h1, c1, h2, c2) finals."""
+    projected = encoder.attention.project(feats)
+    h = encoder.hidden_dim
+    h1, c1, h2, c2 = (Tensor(np.zeros(h)) for _ in range(4))
+    for tok in caption_ids:
+        e = encoder.embedding.lookup(tok)
+        h1, c1 = encoder.word_lstm.step(e, h1, c1)
+        gate = vec_max(encoder.attention.weights(h1, projected))
+        h2, c2 = encoder.caption_lstm.step(mul(gate, e), h2, c2)
+    return h1, c1, h2, c2
+
+
+def encode_pooled_oracle(teacher, caption_id_lists, feats):
+    """Per-caption encodes pooled by a chain of elementwise maxima, earlier
+    captions winning ties."""
+    finals = [encode_oracle(teacher.encoder, teacher.frame(ids), feats)
+              for ids in caption_id_lists]
+
+    def pooled(k):
+        acc = finals[0][k]
+        for f in finals[1:]:
+            acc = max_elementwise(acc, f[k])
+        return acc
+
+    if teacher.family == "fc":
+        return [(pooled(2), pooled(3))]
+    return [(pooled(0), pooled(1)), (pooled(2), pooled(3))]
+
+
+def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
+    """One caption replayed through the scalar rollout loop."""
+    emissions = list(tokens) + ([decoder.eos_id] if ended else [])
+    return rollout(decoder, ctx, init_state, bos_id, len(emissions),
+                   lambda t, _lp: emissions[t])
+
+
+def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=None,
+                    lam=0.0, match_cell=False):
+    """Mean over captions of the negative log-likelihood, plus lam times the
+    state losses against each caption's 1-D teacher trace; also returns the
+    per-caption replays."""
+    replays, terms = [], []
+    for i, ids in enumerate(captions):
+        forced = forced_oracle(decoder, ctx, init_state, ids, True, bos_id)
+        replays.append(forced)
+        ll = neg(sum_terms(forced.log_probs))
+        if lam > 0:
+            losses = state_loss_trace(forced.trace, teacher_traces[i],
+                                      match_cell=match_cell)
+            ll = joint_mle_loss(ll, losses, lam)
+        terms.append(ll)
+    return sum_terms(terms) * (1.0 / len(captions)), replays

@@ -151,7 +151,7 @@ def test_criterion_5_beam_search_exactness():
                 for tokens, ended in leaves:
                     ctx = world.make_ctx()
                     r = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                       tokens, ended, world.bos)
+                                       [tokens], ended, world.bos).rollout(0)
                     key = (-r.total_log_prob(),
                            tuple(tokens) + ((world.eos,) if ended else ()))
                     if best_key is None or key < best_key:

@@ -66,16 +66,15 @@ def test_softmax_empty_rejected():
         ad.softmax(Tensor(np.zeros(0)))
 
 
-def test_max_elementwise_values_and_tie_gradient():
-    a, b = tensors([1.0, 5.0], [3.0, 2.0])
-    assert ad.max_elementwise(a, b).data.tolist() == [3.0, 5.0]
-    # ties route the gradient to the first argument
-    a, b = tensors([2.0, 2.0], [2.0, 1.0])
+def test_max_rows_values_and_tie_gradient():
+    (m,) = tensors([[1.0, 5.0], [3.0, 2.0]])
+    assert ad.max_rows(m).data.tolist() == [3.0, 5.0]
+    # ties route the gradient to the earliest row
+    (m,) = tensors([[2.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
     with Tape() as tape:
-        out = ad.tensor_sum(ad.max_elementwise(a, b))
+        out = ad.tensor_sum(ad.max_rows(m))
         backward(tape, out)
-    assert a.grad.tolist() == [1.0, 1.0]
-    assert b.grad is None or b.grad.tolist() == [0.0, 0.0]
+    assert m.grad.tolist() == [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]]
 
 
 def test_pointwise_values():
@@ -222,3 +221,23 @@ def test_no_grad_suppresses_recording():
             y = ad.tanh(x)
         assert len(tape) == 0
         assert not y.requires_grad
+
+
+# exports of hsg.autodiff that are not differentiable operations
+NON_OPS = {"Tensor", "Tape", "DimensionError", "ContractError", "parameter",
+           "no_grad", "backward", "grad_check", "check_index", "defer"}
+# ops whose (B, d) row form has its own backward rule
+ROW_FORMS = {"concat", "softmax", "log_softmax", "vec_max", "pick", "row"}
+
+
+def test_every_op_has_a_grad_check_case():
+    from hsg.checks import _composite_cases, _op_cases
+    cases = {name for name, _f, _inputs in _op_cases(0)}
+    cases |= {name for name, _f, _inputs in _composite_cases(0)}
+    ops = set(ad.__all__) - NON_OPS
+    assert NON_OPS <= set(ad.__all__)
+    assert sorted(ops - cases) == []
+    assert sorted(f"{op}_rows" for op in ROW_FORMS) == sorted(
+        name for name in cases if name.endswith("_rows") and name[:-5] in ROW_FORMS)
+    # the LSTM step is a layer op with a row form too
+    assert {"lstm_step", "lstm_step_rows"} <= cases

@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -344,6 +345,33 @@ def test_interrupted_writes_keep_previous_file(tmp_path):
     # the second record fails after the first was written
     broken = train[:1] + [type(train[1])(1, None, [["a"]])]
     interrupted(lambda: save_records(path, broken), TypeError)
+
+
+def test_atomic_write_syncs_file_then_replaces_then_syncs_directory(
+        tmp_path, monkeypatch):
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        info = os.fstat(fd)
+        events.append(("fsync", "dir" if stat.S_ISDIR(info.st_mode) else "file",
+                       info.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = tmp_path / "file.txt"
+    with atomic_open(path) as fh:
+        fh.write("complete\n")
+    assert path.read_text() == "complete\n"
+    assert [e[:2] for e in events] == [("fsync", "file"), ("replace",),
+                                       ("fsync", "dir")]
+    # the file was synced with everything written to it
+    assert events[0][2] == len("complete\n")
 
 
 def test_student_checkpoint_rejects_foreign_vocab(pipeline_dir, tmp_path):

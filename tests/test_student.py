@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hsg import autodiff as ad
-from hsg.autodiff import ContractError, Tape, Tensor, grad_check, no_grad
+from hsg.autodiff import (ContractError, Tape, Tensor, backward, grad_check,
+                          no_grad)
 from hsg.student import (FcDecoder, StateTransformNet, UpDownDecoder,
                          beam_search, decode_step, greedy_decode,
                          sample_decode, sample_categorical, teacher_forced)
@@ -166,7 +167,7 @@ def test_sampled_log_probs_match_replay():
         with no_grad():
             ctx2 = decoder.begin(features)
             replay = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                    rollout.tokens, rollout.ended, BOS)
+                                    [rollout.tokens], rollout.ended, BOS).rollout(0)
         assert abs(rollout.total_log_prob() - replay.total_log_prob()) <= 1e-12
         assert len(rollout.trace) == len(rollout.tokens) + 1
 
@@ -181,7 +182,7 @@ def test_rollout_trace_matches_teacher_forced_states():
     with no_grad():
         ctx2 = decoder.begin(features)
         states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                rollout.tokens, False, BOS).states
+                                [rollout.tokens], False, BOS).rollout(0).states
     for s_roll, s_tf in zip(rollout.trace, states):
         for (h1, c1), (h2, c2) in zip(s_roll, s_tf):
             assert np.array_equal(h1.data, h2.data)
@@ -192,7 +193,7 @@ def test_teacher_forced_rejects_eos_in_content():
     decoder, net, features = make_world(seed=21)
     ctx, state = fresh(decoder, net, features)
     with pytest.raises(ContractError, match="eos"):
-        teacher_forced(decoder, ctx, state, [3, EOS, 2], False, BOS)
+        teacher_forced(decoder, ctx, state, [[3, 2], [3, EOS, 2]], False, BOS)
 
 
 def test_beam_width_one_equals_greedy():
@@ -212,7 +213,7 @@ def brute_force_best(decoder, ctx, init, t_max):
     best = None
     with no_grad():
         for tokens, ended in enumerate_rollouts(decoder.vocab_size, EOS, t_max):
-            r = teacher_forced(decoder, ctx, init, tokens, ended, BOS)
+            r = teacher_forced(decoder, ctx, init, [tokens], ended, BOS).rollout(0)
             key = (-r.total_log_prob(), tuple(tokens) + ((EOS,) if ended else ()))
             if best is None or key < best[0]:
                 best = (key, tokens)
@@ -301,23 +302,41 @@ def test_decode_step_rows_match_single_rows():
             decode_step(decoder, ctx, rows, tokens[:3])
 
 
-def test_row_input_on_active_tape_raises():
-    decoder, net, features = make_world("updown", seed=20)
-    ctx, state = fresh(decoder, net, features)
-    rows = [(Tensor(h.data[None]), Tensor(c.data[None])) for h, c in state]
-    m = ad.parameter(np.ones((2, 3)))
-    refused = [
-        lambda: decode_step(decoder, ctx, rows, np.array([BOS])),
-        lambda: decoder.embedding.lookup(np.array([BOS, 2])),
-        lambda: ad.row(m, np.array([0, 0])),
-        lambda: ad.concat([m, ad.parameter(np.ones(2))]),
-        lambda: ad.softmax(m),
-        lambda: ad.log_softmax(m),
-        lambda: decoder.lang_lstm.step(Tensor(np.ones((1, decoder.lang_lstm.input_dim))),
-                                       *rows[1]),
-    ]
-    with Tape() as tape:
-        for op in refused:
-            with pytest.raises(ContractError, match="forward only"):
-                op()
-    assert len(tape) == 0
+def test_decode_step_rows_gradients_match_single_rows():
+    # a row batch on a recording tape gets the gradients of its rows run one
+    # by one: repeated token ids and the shared context sum over the rows
+    for family in ("fc", "updown"):
+        decoder, net, features = make_world(family, seed=20)
+        _ctx, state = fresh(decoder, net, features)
+        tokens = np.array([BOS, 3, 3, 2])
+        weights = np.random.default_rng(1).normal(size=(4, decoder.vocab_size))
+        data = [(np.stack([h.data * (1 + 0.1 * b) for b in range(4)]),
+                 np.stack([c.data - 0.2 * b for b in range(4)])) for h, c in state]
+        params = decoder.named_parameters()
+
+        def grads(batches):
+            for p in params.values():
+                p.zero_grad()
+            leaves = []
+            with Tape() as tape:
+                ctx = decoder.begin(features)
+                terms = []
+                for b, tok in batches:
+                    rows = [(ad.parameter(h[b]), ad.parameter(c[b])) for h, c in data]
+                    leaves.append(rows)
+                    logits, new = decode_step(decoder, ctx, rows, tok)
+                    terms.append(ad.tensor_sum(ad.mul(logits, Tensor(weights[b])))
+                                 + ad.tensor_sum(ad.mul(new[-1][0], new[-1][1])))
+                backward(tape, ad.sum_terms(terms))
+            out = {n: p.grad.copy() for n, p in params.items()}
+            out["states"] = np.concatenate([np.ravel(t.grad) for rows in leaves
+                                            for h, c in rows for t in (h, c)])
+            return out
+
+        batched = grads([(slice(None), tokens)])
+        single = grads([(b, int(tok)) for b, tok in enumerate(tokens)])
+        single["states"] = np.concatenate(
+            [single["states"].reshape(4, len(data), 2, -1)[:, l, k].ravel()
+             for l in range(len(data)) for k in range(2)])
+        for name, g in batched.items():
+            assert np.allclose(g, single[name], rtol=0, atol=1e-12), (family, name)

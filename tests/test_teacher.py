@@ -23,7 +23,7 @@ def test_single_object_gate_is_one():
     teacher = tiny_teacher()
     gates = []
     with no_grad():
-        teacher.encoder.encode([1, 4, 5, 2], Tensor(feats(k=1)),
+        teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats(k=1)),
                                collect_gates=gates)
     assert gates == [1.0] * 4
 
@@ -32,7 +32,7 @@ def test_gate_in_unit_interval():
     teacher = tiny_teacher(seed=5)
     gates = []
     with no_grad():
-        teacher.encoder.encode([1, 4, 5, 6, 2], Tensor(feats(k=4, seed=2)),
+        teacher.encoder.encode([[1, 4, 5, 6, 2]], Tensor(feats(k=4, seed=2)),
                                collect_gates=gates)
     assert all(0.0 < g <= 1.0 for g in gates)
 
@@ -43,12 +43,14 @@ def test_zero_caption_lstm_weights_zero_final():
     for p in (cell.w_ih, cell.w_hh, cell.b):
         p.data[...] = 0.0
     with no_grad():
-        final = teacher.encoder.encode([1, 4, 5, 2], Tensor(feats()))
+        final = teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats()))
     assert np.all(final.h2.data == 0.0) and np.all(final.c2.data == 0.0)
 
 
 def test_empty_caption_rejected():
     teacher = tiny_teacher()
+    with pytest.raises(ContractError):
+        teacher.encoder.encode([[1, 4, 2], []], Tensor(feats()))
     with pytest.raises(ContractError):
         teacher.encoder.encode([], Tensor(feats()))
 
@@ -58,7 +60,7 @@ def test_encoder_gradient_check():
     v = ad.parameter(np.random.default_rng(8).normal(size=(2, 3)))
 
     def f(*_):
-        final = teacher.encoder.encode([1, 3, 2], v)
+        final = teacher.encoder.encode([[1, 3, 2], [1, 4, 3, 3, 2]], v)
         return ad.tensor_sum(final.h2) + ad.tensor_sum(ad.mul(final.h1, final.h1))
 
     params = [v] + [p for name, p in teacher.encoder.named_parameters("e").items()
@@ -68,35 +70,39 @@ def test_encoder_gradient_check():
 
 
 def _random_finals(rng, n, h=3):
-    return [EncoderFinal(*(Tensor(rng.normal(size=h)) for _ in range(4)))
-            for _ in range(n)]
+    return EncoderFinal(*(Tensor(rng.normal(size=(n, h))) for _ in range(4)))
+
+
+def _select(final, rows):
+    return EncoderFinal(*(Tensor(t.data[rows]) for t in
+                          (final.h1, final.c1, final.h2, final.c2)))
 
 
 def test_pool_single_caption_is_identity():
     rng = np.random.default_rng(0)
-    (f,) = _random_finals(rng, 1)
-    [(h, c)] = pool_captions([f], "fc")
-    assert np.array_equal(h.data, f.h2.data)
-    assert np.array_equal(c.data, f.c2.data)
+    f = _random_finals(rng, 1)
+    [(h, c)] = pool_captions(f, "fc")
+    assert np.array_equal(h.data, f.h2.data[0])
+    assert np.array_equal(c.data, f.c2.data[0])
 
 
 def test_pool_idempotent_and_dominates():
     rng = np.random.default_rng(1)
     finals = _random_finals(rng, 5)
     [(h, c)] = pool_captions(finals, "fc")
-    [(h2, c2)] = pool_captions(finals + finals, "fc")
+    [(h2, c2)] = pool_captions(_select(finals, [0, 1, 2, 3, 4] * 2), "fc")
     assert np.array_equal(h.data, h2.data) and np.array_equal(c.data, c2.data)
-    for f in finals:
-        assert np.all(h.data >= f.h2.data)
-        assert np.all(c.data >= f.c2.data)
+    for i in range(5):
+        assert np.all(h.data >= finals.h2.data[i])
+        assert np.all(c.data >= finals.c2.data[i])
 
 
 def test_pool_updown_uses_both_layers():
     rng = np.random.default_rng(2)
     finals = _random_finals(rng, 3)
     [(h1, _), (h2, _)] = pool_captions(finals, "updown")
-    assert np.array_equal(h1.data, np.max([f.h1.data for f in finals], axis=0))
-    assert np.array_equal(h2.data, np.max([f.h2.data for f in finals], axis=0))
+    assert np.array_equal(h1.data, np.max(finals.h1.data, axis=0))
+    assert np.array_equal(h2.data, np.max(finals.h2.data, axis=0))
 
 
 def test_pool_commutative():
@@ -104,14 +110,14 @@ def test_pool_commutative():
     finals = _random_finals(rng, 4)
     [(h, c)] = pool_captions(finals, "fc")
     for perm in ([3, 1, 0, 2], [2, 3, 1, 0]):
-        [(hp, cp)] = pool_captions([finals[i] for i in perm], "fc")
+        [(hp, cp)] = pool_captions(_select(finals, perm), "fc")
         assert np.array_equal(h.data, hp.data)
         assert np.array_equal(c.data, cp.data)
 
 
 def test_pool_empty_rejected():
     with pytest.raises(ContractError):
-        pool_captions([], "fc")
+        pool_captions(_random_finals(np.random.default_rng(0), 0), "fc")
 
 
 def test_teacher_forward_empty_caption_trace_is_init():
@@ -120,7 +126,7 @@ def test_teacher_forward_empty_caption_trace_is_init():
     with no_grad():
         init = teacher.encode_pooled([[4, 5]], Tensor(v))
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                                [], True, teacher.bos_id)
+                                [[]], True, teacher.bos_id).rollout(0)
     assert len(forced.trace) == 1
     assert forced.trace[0] is init
     assert len(forced.logits) == 1  # the eos emission
@@ -133,7 +139,8 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v))
         a, b = (teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                               caption, True, teacher.bos_id) for _ in range(2))
+                               [caption], True, teacher.bos_id).rollout(0)
+                for _ in range(2))
     for la, lb in zip(a.logits, b.logits):
         assert np.array_equal(la.data, lb.data)
     assert len(a.trace) == len(caption) + 1
@@ -149,7 +156,7 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
 def test_teacher_forward_rejects_wrong_layer_count():
     teacher = tiny_teacher(seed=13)
     with pytest.raises(ContractError):
-        teacher_forced(teacher.decoder, teacher.decoder.begin(feats()), [], [4],
+        teacher_forced(teacher.decoder, teacher.decoder.begin(feats()), [], [[4]],
                        True, teacher.bos_id)
 
 
@@ -183,9 +190,9 @@ def test_architecture_identity_with_student_decoder():
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v))
         t_run = teacher_forced(teacher.decoder, teacher.decoder.begin(v),
-                               init, caption, True, 1)
+                               init, [caption], True, 1)
         s_run = teacher_forced(student.decoder, student.decoder.begin(v),
-                               init, caption, True, 1)
+                               init, [caption], True, 1)
     for ts, ss in zip(t_run.states, s_run.states):
         for (th, tc), (sh, sc) in zip(ts, ss):
             assert np.array_equal(th.data, sh.data)

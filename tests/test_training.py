@@ -136,7 +136,7 @@ def test_scst_zero_advantage_zero_gradients():
     with Tape() as tape:
         ctx = world.make_ctx()
         replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                greedy.tokens, greedy.ended, world.bos)
+                                [greedy.tokens], greedy.ended, world.bos).rollout(0)
         trace = scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
     assert trace.advantage == 0.0
     grads = collect_gradients(world.student_params)
@@ -224,8 +224,8 @@ def test_hsg_matched_traces_reduce_to_scst():
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
-            replay = teacher_forced(world.decoder, ctx, t_init, tokens, True,
-                                    world.bos)
+            replay = teacher_forced(world.decoder, ctx, t_init, [tokens], True,
+                                    world.bos).rollout(0)
             if fn is hsg_gradients:
                 trace = fn(tape, replay, greedy, world.refs, world.reward_fn,
                            teacher, lam, features=world.features)
@@ -296,8 +296,8 @@ def test_enumeration_covers_probability_space():
     with no_grad():
         for tokens, ended in leaves:
             ctx = world.make_ctx()
-            r = teacher_forced(world.decoder, ctx, world.init(ctx), tokens,
-                               ended, world.bos)
+            r = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
+                               ended, world.bos).rollout(0)
             total += math.exp(r.total_log_prob())
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -354,8 +354,8 @@ def test_train_student_memorizes_single_scene():
             init = student.initial_state(ctx)
             for cap in rec.captions:
                 ids = vocab.encode(cap)[1:-1]
-                forced = teacher_forced(student.decoder, ctx, init, ids, True,
-                                        vocab.BOS)
+                forced = teacher_forced(student.decoder, ctx, init, [ids], True,
+                                        vocab.BOS).rollout(0)
                 for lg, t in zip(forced.logits, ids + [vocab.EOS]):
                     correct += int(np.argmax(lg.data)) == t
                     total += 1
