@@ -11,11 +11,11 @@ from .autodiff import (ContractError, DimensionError, Tape, Tensor, backward,
 from .config import RunConfig, load_config
 from .corpus import CorpusRecord, Vocabulary, generate_corpus
 from .metrics import DocFreq, bleu4, build_doc_freq, cider, rouge_l
-from .student import (FcDecoder, RolloutResult, StateTransformNet,
+from .student import (DecodedRows, FcDecoder, StateTransformNet,
                       UpDownDecoder, beam_search, greedy_decode, sample_decode)
 from .teacher import (TeacherAutoencoder, build_teacher, pool_captions,
                       pretrain_teacher)
-from .training import (RewardTrace, hsg_gradients, joint_mle_loss, loss_ll,
+from .training import (RewardTrace, hsg_gradients, joint_mle_loss,
                        pretrain_state_net, scst_gradients, state_loss_trace,
                        train_student)
 

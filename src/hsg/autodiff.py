@@ -4,13 +4,13 @@ Every operation records a backward closure on the thread's active ``Tape``.
 Running ``backward(tape, root)`` replays the tape in reverse and accumulates
 ``d root / d input`` into the ``grad`` field of every reachable tensor.
 Repeated ``backward`` calls without clearing grads accumulate on top of the
-previous pass.  There is no broadcasting beyond scalars: shapes must match
-exactly or one operand must have a single element.
+previous pass.  Elementwise ops do not broadcast beyond scalars: shapes must
+match exactly or one operand must have a single element.
 
-Many ops also take (B, d) row batches, one independent row per batch entry,
-so that several hypotheses or captions share one op and one tape node per
-step.  Row forms differentiate like the vector forms, row by row; a 1-D
-operand that an op repeats on every row receives the sum of its row
+Everything a decoder computes is a (B, d) row batch, one independent row per
+caption, hypothesis or beam; a single caption is a batch of one row.  The
+matrix ops (matmul, affine, concat, pick, row) take rows only.
+An operand that an op repeats on every row receives the sum of its row
 gradients.
 """
 
@@ -23,8 +23,8 @@ __all__ = [
     "parameter", "no_grad", "backward", "grad_check",
     "add", "sub", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
     "tanh", "exp", "softmax", "log_softmax",
-    "vec_max", "max_rows", "pick", "row", "stack_rows", "repeat_rows",
-    "scale_rows", "affine", "affine_rows", "squared_l2", "transpose",
+    "vec_max", "max_rows", "pick", "row", "stack_rows", "scale_rows",
+    "affine", "squared_l2", "transpose",
     "check_index", "defer",
 ]
 
@@ -162,15 +162,13 @@ def _tracing(*inputs):
 
 
 def check_index(index, n, what):
-    """Raise ContractError unless index, an int or a 1-D integer array of
-    row ids, lies in [0, n)."""
-    if isinstance(index, np.ndarray):
-        ok = index.ndim == 1 and index.size > 0 and index.dtype.kind in "iu"
-        if ok:
-            ids = index.tolist()  # min/max of a short list beat numpy reductions
-            ok = 0 <= min(ids) and max(ids) < n
-    else:
-        ok = 0 <= index < n
+    """Raise ContractError unless index is a non-empty 1-D integer array of
+    ids in [0, n)."""
+    ok = (isinstance(index, np.ndarray) and index.ndim == 1 and index.size > 0
+          and index.dtype.kind in "iu")
+    if ok:
+        ids = index.tolist()  # min/max of a short list beat numpy reductions
+        ok = 0 <= min(ids) and max(ids) < n
     if not ok:
         raise ContractError(f"{what} {index} out of range [0, {n})")
 
@@ -301,82 +299,61 @@ def neg(a):
 
 
 def matmul(a, b):
-    """Matrix product for 2-D operands; either side may be a vector."""
+    """Product of two matrices."""
     a = _as_tensor(a)
     b = _as_tensor(b)
-    if a.data.ndim not in (1, 2) or b.data.ndim not in (1, 2):
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise DimensionError(
-            f"matmul: expected 1-D or 2-D operands, got {a.data.shape} and {b.data.shape}")
-    inner_a = a.data.shape[-1]
-    inner_b = b.data.shape[0]
-    if inner_a != inner_b:
-        raise DimensionError(
-            f"matmul: inner dimensions of {a.data.shape} and {b.data.shape} do not match")
+            f"matmul: expected matrices with matching inner dimensions, got "
+            f"{a.data.shape} and {b.data.shape}")
     out = Tensor(a.data @ b.data)
     if _tracing(a, b):
         ad, bd = a.data, b.data
         def bwd():
             g = out.grad
             if a.requires_grad:
-                if ad.ndim == 2 and bd.ndim == 2:
-                    accumulate(a, g @ bd.T)
-                elif ad.ndim == 2 and bd.ndim == 1:
-                    accumulate(a, g[:, None] * bd)
-                elif ad.ndim == 1 and bd.ndim == 2:
-                    accumulate(a, bd @ g)
-                else:
-                    accumulate(a, g * bd)
+                accumulate(a, g @ bd.T)
             if b.requires_grad:
-                if ad.ndim == 2:
-                    accumulate(b, ad.T @ g)
-                elif ad.ndim == 1 and bd.ndim == 2:
-                    accumulate(b, ad[:, None] * g)
-                else:
-                    accumulate(b, g * ad)
+                accumulate(b, ad.T @ g)
         record(bwd, out)
     return out
 
 
 def concat(parts):
-    """Concatenate scalars and 1-D tensors into one vector.
+    """Join (B, d_i) row batches side by side into (B, sum d_i) rows.
 
-    If some parts are (B, d) row batches, every scalar or 1-D part is
-    repeated on each row and the result is (B, total).
+    A part with a single row, such as the per-scene mean feature, is
+    repeated on every row.
     """
     parts = [_as_tensor(p) for p in parts]
-    if not parts:
-        raise DimensionError("concat: no parts given")
-    batch = set()
+    rows, widths = set(), []
     for p in parts:
-        if p.data.ndim == 2:
-            batch.add(p.data.shape[0])
-        elif p.data.ndim > 2:
+        if p.data.ndim != 2:
             raise DimensionError(
-                f"concat: expected scalar, 1-D or (B, d) parts, got shape {p.data.shape}")
-    if len(batch) > 1:
-        raise DimensionError(f"concat: row batches of sizes {sorted(batch)} differ")
-    if batch:
-        widths = [p.data.shape[-1] if p.data.ndim else 1 for p in parts]
-        data = np.empty((batch.pop(), sum(widths)))
-        off = 0
-        for p, n in zip(parts, widths):
-            data[:, off:off + n] = p.data  # repeats a 1-D part on every row
-            off += n
-        out = Tensor(data)
-    else:
-        widths = [p.data.size for p in parts]
-        out = Tensor(np.concatenate([np.atleast_1d(p.data) for p in parts]))
+                f"concat: expected (B, d) parts, got shape {p.data.shape}")
+        rows.add(p.data.shape[0])
+        widths.append(p.data.shape[1])
+    n = max(rows, default=0)
+    if not parts or rows - {1, n}:
+        raise DimensionError(
+            f"concat: expected (B, d) or (1, d) parts, got row counts {sorted(rows)}")
+    data = np.empty((n, sum(widths)))
+    off = 0
+    for p, w in zip(parts, widths):
+        data[:, off:off + w] = p.data
+        off += w
+    out = Tensor(data)
     if _tracing(*parts):
         def bwd():
             g = out.grad
             off = 0
-            for p, n in zip(parts, widths):
+            for p, w in zip(parts, widths):
                 if p.requires_grad:
-                    gp = g[..., off:off + n]
-                    if g.ndim == 2 and p.data.ndim < 2:
-                        gp = gp.sum(axis=0)  # the part was repeated on every row
-                    accumulate(p, gp.reshape(p.data.shape))
-                off += n
+                    gp = g[:, off:off + w]
+                    # a part repeated on every row gets the sum of the rows
+                    accumulate(p, gp if gp.shape == p.data.shape
+                               else gp.sum(axis=0, keepdims=True))
+                off += w
         record(bwd, out)
     return out
 
@@ -459,11 +436,7 @@ def softmax(a):
     if _tracing(a):
         def bwd():
             g = out.grad
-            if y.ndim == 1:
-                dot = np.dot(g, y)
-            else:
-                dot = (g * y).sum(axis=1, keepdims=True)
-            accumulate(a, (g - dot) * y)
+            accumulate(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
         record(bwd, out)
     return out
 
@@ -484,23 +457,20 @@ def log_softmax(a):
 
 
 def _scatter(shape, index, g):
-    """Zeros of shape with g placed at index (an int or a tuple of arrays)."""
+    """Zeros of shape with g placed at index, a tuple of index arrays."""
     full = np.zeros(shape)
     full[index] = g
     return full
 
 
 def vec_max(a):
-    """Max over a vector as a scalar, or over each row of a (B, n) batch as a
-    (B,) vector; ties route the gradient to the lowest index."""
+    """Max over each row of a (B, n) batch, as a (B,) vector; ties route the
+    gradient to the lowest index."""
     a = _as_tensor(a)
-    if a.data.ndim not in (1, 2) or a.data.size == 0:
+    if a.data.ndim != 2 or a.data.size == 0:
         raise DimensionError(
-            f"vec_max: expected a non-empty vector or (B, n) rows, got shape {a.data.shape}")
-    if a.data.ndim == 1:
-        idx = int(np.argmax(a.data))
-    else:
-        idx = (np.arange(a.data.shape[0]), np.argmax(a.data, axis=1))
+            f"vec_max: expected non-empty (B, n) rows, got shape {a.data.shape}")
+    idx = (np.arange(a.data.shape[0]), np.argmax(a.data, axis=1))
     out = Tensor(a.data[idx])
     if _tracing(a):
         def bwd():
@@ -510,12 +480,12 @@ def vec_max(a):
 
 
 def max_rows(m):
-    """Elementwise max over the rows of a (B, d) matrix, as a (d,) vector;
+    """Elementwise max over the rows of a (B, d) matrix, as one (1, d) row;
     ties route the gradient to the earliest row."""
     m = _as_tensor(m)
     if m.data.ndim != 2 or m.data.shape[0] == 0:
         raise DimensionError(f"max_rows: expected (B, d) rows, got shape {m.data.shape}")
-    idx = (np.argmax(m.data, axis=0), np.arange(m.data.shape[1]))
+    idx = (np.argmax(m.data, axis=0)[None], np.arange(m.data.shape[1])[None])
     out = Tensor(m.data[idx])
     if _tracing(m):
         def bwd():
@@ -525,16 +495,15 @@ def max_rows(m):
 
 
 def pick(a, index):
-    """Select one element of a vector as a scalar tensor.  For (B, n) rows
-    and an array of B indices, select one element per row as a (B,) vector."""
+    """One element per row of a (B, n) batch, at an array of B indices, as a
+    (B,) vector."""
     a = _as_tensor(a)
-    rows = isinstance(index, np.ndarray)
-    if a.data.ndim != 1 + rows or (rows and index.shape != a.data.shape[:1]):
+    if a.data.ndim != 2 or np.shape(index) != a.data.shape[:1]:
         raise DimensionError(
-            f"pick: expected a vector with an index or (B, n) rows with B "
-            f"indices, got shape {a.data.shape}")
-    check_index(index, a.data.shape[-1], "pick: index")
-    idx = (np.arange(a.data.shape[0]), index) if rows else index
+            f"pick: expected (B, n) rows with B indices, got shape {a.data.shape} "
+            f"and {np.shape(index)} indices")
+    check_index(index, a.data.shape[1], "pick: index")
+    idx = (np.arange(a.data.shape[0]), index)
     out = Tensor(a.data[idx])
     if _tracing(a):
         def bwd():
@@ -544,21 +513,18 @@ def pick(a, index):
 
 
 def row(m, index):
-    """Select one row of a matrix (embedding lookup), or a (B, d) row batch
-    for an array of row ids; repeated ids sum their gradients."""
+    """The rows of a matrix at an array of B row ids, as a (B, d) batch
+    (embedding lookup, row selection); repeated ids sum their gradients."""
     m = _as_tensor(m)
     if m.data.ndim != 2:
         raise DimensionError(f"row: expected a matrix, got shape {m.data.shape}")
     check_index(index, m.data.shape[0], "row: index")
-    out = Tensor(m.data[index].copy())
+    out = Tensor(m.data[index])
     if _tracing(m):
         def bwd():
             if m.grad is None:
                 m.grad = np.zeros_like(m.data)
-            if isinstance(index, np.ndarray):
-                np.add.at(m.grad, index, out.grad)
-            else:
-                m.grad[index] += out.grad
+            np.add.at(m.grad, index, out.grad)
         record(bwd, out)
     return out
 
@@ -589,20 +555,6 @@ def stack_rows(parts):
     return out
 
 
-def repeat_rows(v, n):
-    """A 1-D vector repeated as the n rows of an (n, d) batch."""
-    v = _as_tensor(v)
-    if v.data.ndim != 1 or n < 1:
-        raise DimensionError(
-            f"repeat_rows: expected a vector and n >= 1, got shape {v.data.shape}, n={n}")
-    out = Tensor(np.tile(v.data, (n, 1)))
-    if _tracing(v):
-        def bwd():
-            accumulate(v, out.grad.sum(axis=0))
-        record(bwd, out)
-    return out
-
-
 def scale_rows(s, m):
     """Row b of an (B, d) batch scaled by s[b], for a (B,) vector s."""
     s = _as_tensor(s)
@@ -622,45 +574,17 @@ def scale_rows(s, m):
     return out
 
 
-def affine(w, x, b):
-    """Fused w @ x + b for a vector x; a (B, d) row batch x goes row-wise
-    through affine_rows."""
-    w = _as_tensor(w)
-    x = _as_tensor(x)
-    b = _as_tensor(b)
-    if x.data.ndim == 2:
-        return affine_rows(w, x, b)
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
-        raise DimensionError(
-            f"affine: shapes {w.data.shape} and {x.data.shape} do not match")
-    if b.data.shape != (w.data.shape[0],):
-        raise DimensionError(
-            f"affine: bias shape {b.data.shape} does not match output {w.data.shape[0]}")
-    out = Tensor(w.data @ x.data + b.data)
-    if _tracing(w, x, b):
-        wd, xd = w.data, x.data
-        def bwd():
-            g = out.grad
-            if w.requires_grad:
-                accumulate(w, g[:, None] * xd)
-            if x.requires_grad:
-                accumulate(x, wd.T @ g)
-            accumulate(b, g)
-        record(bwd, out)
-    return out
-
-
-def affine_rows(w, m, b):
-    """Fused m @ w.T + b applied row-wise to a matrix of inputs."""
+def affine(w, m, b):
+    """Fused m @ w.T + b: the affine map w x + b applied to each row of m."""
     w = _as_tensor(w)
     m = _as_tensor(m)
     b = _as_tensor(b)
     if m.data.ndim != 2 or w.data.ndim != 2 or m.data.shape[1] != w.data.shape[1]:
         raise DimensionError(
-            f"affine_rows: shapes {m.data.shape} and {w.data.shape} do not match")
+            f"affine: rows {m.data.shape} do not match weights {w.data.shape}")
     if b.data.shape != (w.data.shape[0],):
         raise DimensionError(
-            f"affine_rows: bias shape {b.data.shape} does not match output {w.data.shape[0]}")
+            f"affine: bias shape {b.data.shape} does not match output {w.data.shape[0]}")
     out = Tensor(m.data @ w.data.T + b.data)
     if _tracing(w, m, b):
         wd, md = w.data, m.data

@@ -16,8 +16,8 @@ from .student import (FcDecoder, StateTransformNet, UpDownDecoder,
                       greedy_decode, teacher_forced)
 from .teacher import build_teacher
 from .training import (
-    collect_gradients, hsg_gradients, joint_mle_loss, loss_ll,
-    scst_gradients, state_loss_trace, zero_gradients,
+    collect_gradients, hsg_gradients, joint_mle_loss, scst_gradients,
+    state_loss_trace, zero_gradients,
 )
 
 __all__ = ["grad_check_suite", "enum_check", "enumerate_rollouts"]
@@ -31,8 +31,11 @@ def _rand(rng, shape):
 
 
 def _op_cases(seed):
-    """Yield (name, f, inputs) triples for one seed."""
+    """Yield (name, f, inputs) triples for one seed: one case per op, on
+    (B, d) rows where the op takes rows, with repeated ids and a part
+    repeated on every row so those gradients sum over the rows."""
     rng = np.random.default_rng(seed)
+    ids = np.array([1, 3, 1])
     a6, b6 = _rand(rng, 6), _rand(rng, 6)
     yield "add", lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), a)), (a6, b6)
     yield "sub", lambda a, b: ad.tensor_sum(ad.mul(ad.sub(a, b), b)), (a6, b6)
@@ -44,100 +47,63 @@ def _op_cases(seed):
            (_rand(rng, 5), _rand(rng, ())))
     yield ("matmul", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
            (_rand(rng, (3, 4)), _rand(rng, (4, 2))))
-    yield ("matvec", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
-           (_rand(rng, (3, 4)), _rand(rng, 4)))
-    yield ("vecmat", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
-           (_rand(rng, 3), _rand(rng, (3, 4))))
-    yield ("concat", lambda a, b, c: ad.tensor_sum(
-        ad.tanh(ad.concat([a, b, c]))), (_rand(rng, 3), _rand(rng, ()), _rand(rng, 4)))
+    yield ("concat", lambda m, v, n: ad.tensor_sum(ad.tanh(ad.concat([m, v, n]))),
+           (_rand(rng, (3, 2)), _rand(rng, (1, 4)), _rand(rng, (3, 1))))
     yield "tensor_sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
     # a repeated term must receive its gradient once per occurrence
     yield ("sum_terms", lambda a, b, c: ad.tensor_sum(ad.tanh(ad.sum_terms([a, b, a, c]))),
            (_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)))
     yield "tanh", lambda a: ad.tensor_sum(ad.tanh(a)), (_rand(rng, 6),)
     yield "exp", lambda a: ad.tensor_sum(ad.exp(a)), (_rand(rng, 6),)
-    yield "softmax", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)), (_rand(rng, 6),)
+    yield ("softmax", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)),
+           (_rand(rng, (3, 5)),))
     yield ("log_softmax", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
-           (_rand(rng, 6),))
-    yield "vec_max", lambda a: ad.vec_max(a), (_rand(rng, 6),)
+           (_rand(rng, (3, 5)),))
+    yield "vec_max", lambda a: ad.tensor_sum(ad.tanh(ad.vec_max(a))), (_rand(rng, (3, 5)),)
     yield "max_rows", lambda m: ad.tensor_sum(ad.tanh(ad.max_rows(m))), (_rand(rng, (4, 3)),)
-    yield "pick", lambda a: ad.pick(ad.tanh(a), 2), (_rand(rng, 5),)
-    yield "row", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, 1))), (_rand(rng, (4, 3)),)
-    yield from _row_cases(rng)
-    yield ("affine", lambda w, x, b: ad.tensor_sum(ad.tanh(ad.affine(w, x, b))),
-           (_rand(rng, (3, 4)), _rand(rng, 4), _rand(rng, 3)))
-    yield ("transpose", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.transpose(a), b))),
-           (_rand(rng, (3, 4)), _rand(rng, (3, 2))))
-    yield ("affine_rows", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine_rows(w, m, b))),
-           (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
-    yield "squared_l2", ad.squared_l2, (_rand(rng, 8), _rand(rng, 8))
-
-
-def _row_cases(rng):
-    """Row forms: (B, d) batches, with repeated ids and parts repeated on
-    every row, whose gradients sum over the rows."""
-    ids = np.array([1, 3, 1])
-    yield ("concat_rows", lambda m, v, s: ad.tensor_sum(ad.tanh(ad.concat([m, v, s]))),
-           (_rand(rng, (3, 2)), _rand(rng, 4), _rand(rng, ())))
-    yield ("softmax_rows", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)),
-           (_rand(rng, (3, 5)),))
-    yield ("log_softmax_rows", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
-           (_rand(rng, (3, 5)),))
-    yield "vec_max_rows", lambda a: ad.tensor_sum(ad.tanh(ad.vec_max(a))), (_rand(rng, (3, 5)),)
-    yield ("pick_rows", lambda a: ad.tensor_sum(ad.tanh(ad.pick(a, ids))),
-           (_rand(rng, (3, 4)),))
-    yield "row_rows", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, ids))), (_rand(rng, (4, 3)),)
+    yield "pick", lambda a: ad.tensor_sum(ad.tanh(ad.pick(a, ids))), (_rand(rng, (3, 4)),)
+    yield "row", lambda w: ad.tensor_sum(ad.tanh(ad.row(w, ids))), (_rand(rng, (4, 3)),)
     yield ("stack_rows", lambda a, b: ad.tensor_sum(ad.tanh(ad.stack_rows([a, b, a]))),
            (_rand(rng, (2, 3)), _rand(rng, (1, 3))))
-    scale = Tensor(rng.uniform(-1, 1, (3, 4)))
-    yield ("repeat_rows",
-           lambda v: ad.tensor_sum(ad.tanh(ad.mul(ad.repeat_rows(v, 3), scale))),
-           (_rand(rng, 4),))
     yield ("scale_rows", lambda s, m: ad.tensor_sum(ad.tanh(ad.scale_rows(s, m))),
            (_rand(rng, 3), _rand(rng, (3, 4))))
+    yield ("affine", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine(w, m, b))),
+           (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
+    yield ("transpose", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.transpose(a), b))),
+           (_rand(rng, (3, 4)), _rand(rng, (3, 2))))
+    yield "squared_l2", ad.squared_l2, (_rand(rng, 8), _rand(rng, 8))
 
 
 def _composite_cases(seed):
     rng = np.random.default_rng(seed)
 
     cell = LstmCell(4, 3, rng)
-    x, h, c = _rand(rng, 4), _rand(rng, 3), _rand(rng, 3)
+    x, h, c = _rand(rng, (3, 4)), _rand(rng, (3, 3)), _rand(rng, (3, 3))
 
     def lstm_f(*_):
         hn, cn = cell.step(x, h, c)
-        return ad.tensor_sum(ad.mul(hn, hn) + cn)
+        return ad.tensor_sum(ad.mul(hn, hn) + ad.mul(cn, cn))
 
     yield "lstm_step", lstm_f, (x, h, c, cell.w_ih, cell.w_hh, cell.b)
 
-    xs, hs, cs = _rand(rng, (3, 4)), _rand(rng, (3, 3)), _rand(rng, (3, 3))
-
-    def lstm_rows_f(*_):
-        hn, cn = cell.step(xs, hs, cs)
-        return ad.tensor_sum(ad.mul(hn, hn) + cn)
-
-    yield "lstm_step_rows", lstm_rows_f, (xs, hs, cs, cell.w_ih, cell.w_hh, cell.b)
-
     head = AttentionHead(4, 3, rng)
-    q = _rand(rng, 3)
+    q = _rand(rng, (2, 3))
     feats = _rand(rng, (3, 4))
+    weights = Tensor(rng.uniform(-1, 1, (2, 3)))
 
     def attention_f(*_):
-        return ad.tensor_sum(ad.mul(head.weights(q, head.project(feats)), q))
+        return ad.tensor_sum(ad.mul(head.weights(q, head.keys(feats)), weights))
 
     # proj.b is excluded: it shifts all scores equally, so the weights are
     # exactly invariant to it (its gradient here is identically zero)
     yield "attention_weights", attention_f, (q, head.proj.w, feats)
 
-    logits = _rand(rng, 6)
+    logits = _rand(rng, (1, 6))
     yield ("softmax_cross_entropy",
-           lambda lg: ad.neg(ad.pick(ad.log_softmax(lg), 2)), (logits,))
+           lambda lg: ad.neg(ad.pick(ad.log_softmax(lg), np.array([2]))), (logits,))
 
-    seq = [_rand(rng, 5) for _ in range(3)]
-    gold = [int(g) for g in rng.integers(0, 5, size=3)]
-    yield "loss_ll", lambda *ls: loss_ll(list(ls), gold), tuple(seq)
-
-    s_trace = [[(_rand(rng, 3), _rand(rng, 3))] for _ in range(3)]
-    t_trace = [[(Tensor(rng.uniform(-1, 1, 3)), Tensor(rng.uniform(-1, 1, 3)))]
+    s_trace = [[(_rand(rng, (2, 3)), _rand(rng, (2, 3)))] for _ in range(3)]
+    t_trace = [[(Tensor(rng.uniform(-1, 1, (2, 3))), Tensor(rng.uniform(-1, 1, (2, 3))))]
                for _ in range(3)]
 
     def state_f(*_):
@@ -147,10 +113,10 @@ def _composite_cases(seed):
     yield "state_loss_and_joint", state_f, tuple(h for st in s_trace for h, _ in st)
 
     net = StateTransformNet(4, [3], rng)
-    vbar = _rand(rng, 4)
+    vbar = _rand(rng, (1, 4))
 
     def transform_f(*_):
-        return ad.squared_l2(net(vbar)[0], Tensor(np.ones(3)))
+        return ad.squared_l2(net(vbar)[0], Tensor(np.ones((1, 3))))
 
     net_params = tuple(net.named_parameters().values())
     yield "state_transform", transform_f, (vbar, *net_params)
@@ -165,17 +131,17 @@ def _composite_cases(seed):
     out = Linear(3, 5, rng)
 
     def tiny_decode_f(*_):
-        hcur = ad.tanh(ad.add(emb.lookup(1), emb.lookup(3)))
-        return ad.neg(ad.pick(ad.log_softmax(out(hcur)), 0))
+        hcur = ad.tanh(ad.add(emb.lookup(np.array([1])), emb.lookup(np.array([3]))))
+        return ad.neg(ad.pick(ad.log_softmax(out(hcur)), np.array([0])))
 
     yield "embed_project_nll", tiny_decode_f, (emb.w, out.w, out.b)
 
 
 def _hsg_pathway_case(seed):
     """Differentiable pathway of the guided policy gradient: lam * sum of
-    state losses through a replayed rollout.  Dims are kept minimal so no
-    parameter coordinate has a vanishing gradient, where central differences
-    measure only roundoff."""
+    state losses through a teacher-forced replay of a rollout.  Dims are
+    kept minimal so no parameter coordinate has a vanishing gradient, where
+    central differences measure only roundoff."""
     world = _TinyWorld("fc", seed, vocab_size=4, t_max=3, hidden=2,
                        feature_dim=2, k=2, embed=2)
 
@@ -188,8 +154,8 @@ def _hsg_pathway_case(seed):
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
             ctx = world.decoder.begin(world.features)
             replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
-                                    True, world.bos).rollout(0)
-            losses = state_loss_trace(replay.trace, t_trace)
+                                    True, world.bos)
+            losses = state_loss_trace(replay.trace_rows(), t_trace)
             terms += [term * (1.0 + 0.37 * t) for t, term in enumerate(losses)]
         return ad.sum_terms(terms) * 0.5
 
@@ -291,7 +257,7 @@ def _expected_estimator_grads(world, leaves, greedy, lam):
         with Tape() as tape:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    [tokens], ended, world.bos).rollout(0)
+                                    [tokens], ended, world.bos)
             prob = float(np.exp(replay.total_log_prob()))
             if lam == 0:
                 scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
@@ -316,14 +282,14 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
         for tokens, ended in leaves:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    [tokens], ended, world.bos).rollout(0)
-            prob = ad.exp(ad.sum_terms(replay.log_probs))
+                                    [tokens], ended, world.bos)
+            prob = ad.exp(replay.log_likelihood())
             adv = world.reward_fn(tokens, world.refs) - r_base
             if lam == 0:
                 obj = Tensor(-adv)
             else:
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
-                losses = state_loss_trace(replay.trace, t_trace)
+                losses = state_loss_trace(replay.trace_rows(), t_trace)
                 obj = ad.sum_terms(losses) * lam + (-adv)
             terms.append(ad.mul(prob, obj))
         backward(tape, ad.sum_terms(terms))

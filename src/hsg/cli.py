@@ -66,10 +66,10 @@ def _corpus_paths(cfg):
 def _load_corpus(cfg, splits=("train", "val", "test")):
     paths = _corpus_paths(cfg)
     records = {name: load_records(paths[name]) for name in splits}
-    with open(paths["vocab"]) as fh:
-        vocab = Vocabulary.from_json(fh.read())
-    with open(paths["docfreq"]) as fh:
-        doc_freq = DocFreq.from_json(fh.read())
+    with open(paths["vocab"], "rb") as fh:
+        vocab = Vocabulary.from_json(fh.read(), paths["vocab"])
+    with open(paths["docfreq"], "rb") as fh:
+        doc_freq = DocFreq.from_json(fh.read(), paths["docfreq"])
     return records, vocab, doc_freq, paths
 
 
@@ -108,8 +108,9 @@ def cmd_train_teacher(cfg):
             fh.write(json.dumps(line, sort_keys=True) + "\n")
     _write_manifest(cfg.output_dir, "train-teacher", cfg,
                     [paths["train"], paths["vocab"]], [out, hist_path])
-    print(json.dumps({"teacher_checkpoint": out,
-                      "final_token_accuracy": history[-1]["token_accuracy"]}))
+    # no epochs, no accuracy: null rather than a traceback
+    accuracy = history[-1]["token_accuracy"] if history else None
+    print(json.dumps({"teacher_checkpoint": out, "final_token_accuracy": accuracy}))
     return 0
 
 
@@ -177,7 +178,7 @@ def cmd_train_student(cfg):
     _write_manifest(cfg.output_dir, "train-student", cfg,
                     sorted(paths.values()) + [cfg.teacher_checkpoint],
                     [out, hist_path])
-    best = max((line["cider"] for line in history), default=float("nan"))
+    best = max((line["cider"] for line in history), default=None)
     print(json.dumps({"student_checkpoint": out, "best_val_cider": best}))
     return 0
 

@@ -62,6 +62,12 @@ class RunConfig:
             raise ConfigError("beam_width must be >= 1")
         if self.t_max < 1:
             raise ConfigError("t_max must be >= 1")
+        if min(self.hidden_dim, self.embed_dim) < 1:
+            raise ConfigError("hidden_dim and embed_dim must be >= 1")
+        if min(self.epochs, self.teacher_epochs, self.mle_warmup_epochs,
+               self.statenet_steps) < 0:
+            raise ConfigError("epochs, teacher_epochs, mle_warmup_epochs and "
+                              "statenet_steps must be >= 0")
         if min(self.n_train, self.n_val, self.n_test) < 1:
             raise ConfigError("corpus split sizes must be >= 1")
         if self.captions_per_scene < 1:

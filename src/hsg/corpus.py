@@ -112,8 +112,16 @@ class Vocabulary:
         return json.dumps({"tokens": self.tokens})
 
     @classmethod
-    def from_json(cls, text):
-        return cls(json.loads(text)["tokens"])
+    def from_json(cls, text, path="<string>"):
+        """Parse to_json output; any malformed input raises CorpusFormatError
+        naming path and the fault."""
+        try:
+            tokens = json.loads(text)["tokens"]
+            if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+                raise ValueError("tokens must be a list of strings")
+            return cls(tokens)
+        except (ValueError, KeyError, TypeError, RecursionError) as err:
+            raise CorpusFormatError(f"{path}: not a vocabulary ({err!r})") from err
 
     def content_hash(self):
         return hashlib.sha256(self.to_json().encode()).hexdigest()

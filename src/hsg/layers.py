@@ -1,15 +1,16 @@
 """Neural building blocks: LSTM cell, embedding table, linear layer, attention.
 
-All parameters are drawn uniform(-a, a) with a = 1/sqrt(fan_in) from a seeded
-generator, so identical seeds give bit-identical models.
+Every layer maps (B, d) row batches to row batches.  All parameters are
+drawn uniform(-a, a) with a = 1/sqrt(fan_in) from a seeded generator, so
+identical seeds give bit-identical models.
 """
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (
-    Tensor, DimensionError, accumulate, record, softmax, affine, affine_rows,
-    matmul, transpose,
+    Tensor, DimensionError, accumulate, record, softmax, affine, matmul,
+    transpose,
 )
 
 __all__ = [
@@ -39,8 +40,8 @@ class LstmCell:
         self.b = ad.parameter(uniform_init(rng, (4 * h,), input_dim))
 
     def _flush_weight_grads(self, pending):
-        """Add the (dz, x, h) contributions one backward sweep buffered for
-        this cell, vectors or row blocks, as one matrix product per weight."""
+        """Add the (dz, x, h) row blocks one backward sweep buffered for this
+        cell as one matrix product per weight."""
         dzs = np.vstack([p[0] for p in pending])
         if self.w_ih.requires_grad:
             xs = np.vstack([p[1] for p in pending])
@@ -60,31 +61,25 @@ class LstmCell:
 
 
 def lstm_step(cell, x, h, c):
-    """One LSTM step; returns (h', c').  Fused into a single tape node.
-
-    x, h and c may also be (B, d) row batches, one independent step per row.
-    """
+    """One LSTM step over (B, d) rows, one independent step per row; returns
+    (h', c').  Fused into a single tape node."""
     hd = cell.hidden_dim
-    rows = x.data.shape[:-1]
-    if len(rows) > 1 or x.data.shape[-1:] != (cell.input_dim,):
+    if x.data.ndim != 2 or x.data.shape[1] != cell.input_dim:
         raise DimensionError(
-            f"lstm_step: input shape {x.data.shape} does not match ({cell.input_dim},)")
-    want = rows + (hd,)
+            f"lstm_step: input shape {x.data.shape} does not match (B, {cell.input_dim})")
+    want = (x.data.shape[0], hd)
     if h.data.shape != want or c.data.shape != want:
         raise DimensionError(
             f"lstm_step: state shapes {h.data.shape}, {c.data.shape} do not match {want}")
 
     w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
-    if rows:
-        # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows
-        z = (w_ih.data @ np.ascontiguousarray(x.data.T)
-             + w_hh.data @ np.ascontiguousarray(h.data.T)).T + b.data
-    else:
-        z = w_ih.data @ x.data + w_hh.data @ h.data + b.data
-    i = 1.0 / (1.0 + np.exp(-z[..., :hd]))
-    f = 1.0 / (1.0 + np.exp(-z[..., hd:2 * hd]))
-    g = np.tanh(z[..., 2 * hd:3 * hd])
-    o = 1.0 / (1.0 + np.exp(-z[..., 3 * hd:]))
+    # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows
+    z = (w_ih.data @ np.ascontiguousarray(x.data.T)
+         + w_hh.data @ np.ascontiguousarray(h.data.T)).T + b.data
+    i = 1.0 / (1.0 + np.exp(-z[:, :hd]))
+    f = 1.0 / (1.0 + np.exp(-z[:, hd:2 * hd]))
+    g = np.tanh(z[:, 2 * hd:3 * hd])
+    o = 1.0 / (1.0 + np.exp(-z[:, 3 * hd:]))
     c_new = f * c.data + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
@@ -100,10 +95,10 @@ def lstm_step(cell, x, h, c):
             gc = c_out.grad if c_out.grad is not None else 0.0
             dc = gc + gh * o * (1.0 - tc * tc)
             dz = np.empty(z.shape)
-            dz[..., :hd] = dc * g * i * (1.0 - i)
-            dz[..., hd:2 * hd] = dc * cd * f * (1.0 - f)
-            dz[..., 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-            dz[..., 3 * hd:] = gh * tc * o * (1.0 - o)
+            dz[:, :hd] = dc * g * i * (1.0 - i)
+            dz[:, hd:2 * hd] = dc * cd * f * (1.0 - f)
+            dz[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+            dz[:, 3 * hd:] = gh * tc * o * (1.0 - o)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
                 ad.defer(cell, cell._flush_weight_grads, (dz, xd, hd_in))
             if x.requires_grad:
@@ -125,17 +120,17 @@ class Embedding:
         self.embed_dim = embed_dim
         self.w = ad.parameter(uniform_init(rng, (vocab_size, embed_dim), embed_dim))
 
-    def lookup(self, token_id):
-        """Embedding of one token id, or (B, E) rows for an id array."""
-        ad.check_index(token_id, self.vocab_size, "embedding lookup: token id")
-        return ad.row(self.w, token_id)
+    def lookup(self, token_ids):
+        """(B, E) embedding rows of an array of B token ids."""
+        ad.check_index(token_ids, self.vocab_size, "embedding lookup: token id")
+        return ad.row(self.w, token_ids)
 
     def named_parameters(self, prefix):
         return {prefix + ".w": self.w}
 
 
 class Linear:
-    """Affine layer y = W x + b."""
+    """Affine layer y = W x + b, applied to each row of a (B, d) batch."""
 
     def __init__(self, in_dim, out_dim, rng):
         self.in_dim = in_dim
@@ -143,11 +138,8 @@ class Linear:
         self.w = ad.parameter(uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = ad.parameter(uniform_init(rng, (out_dim,), in_dim))
 
-    def __call__(self, x):
-        return affine(self.w, x, self.b)
-
-    def apply_rows(self, m):
-        return affine_rows(self.w, m, self.b)
+    def __call__(self, m):
+        return affine(self.w, m, self.b)
 
     def named_parameters(self, prefix):
         return {prefix + ".w": self.w, prefix + ".b": self.b}
@@ -156,8 +148,8 @@ class Linear:
 class AttentionHead:
     """Dot-product attention over K object features after a linear projection.
 
-    Scores are inner products between the query state and each projected
-    feature; weights are the softmax over the K scores.
+    Scores are inner products between each query row and each projected
+    feature; weights are the softmax over the K scores of a row.
     """
 
     def __init__(self, feature_dim, hidden_dim, rng):
@@ -165,16 +157,14 @@ class AttentionHead:
         self.hidden_dim = hidden_dim
         self.proj = Linear(feature_dim, hidden_dim, rng)
 
-    def project(self, feats):
-        """Project a (K x d) feature matrix once so steps reuse it."""
-        return self.proj.apply_rows(feats)
+    def keys(self, feats):
+        """The (H, K) transposed projection of a (K, d) feature matrix,
+        built once per scene so every step reuses it."""
+        return transpose(self.proj(feats))
 
-    def weights(self, h, projected):
-        """Softmax over the K scores projected · h; for a (B, H) row batch h,
-        one softmax per row over h · projectedᵀ."""
-        if h.data.ndim == 2:
-            return softmax(matmul(h, transpose(projected)))
-        return softmax(matmul(projected, h))
+    def weights(self, h, keys):
+        """(B, K) weights: one softmax per row of h over h · keys."""
+        return softmax(matmul(h, keys))
 
     def named_parameters(self, prefix):
         return self.proj.named_parameters(prefix + ".proj")

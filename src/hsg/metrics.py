@@ -90,10 +90,21 @@ class DocFreq:
                     for gram, cnt in sorted(self.df.items())}})
 
     @classmethod
-    def from_json(cls, text):
-        obj = json.loads(text)
-        df = {tuple(key.split(" ")): int(cnt) for key, cnt in obj["df"].items()}
-        return cls(obj["M"], df)
+    def from_json(cls, text, path="<string>"):
+        """Parse to_json output; any malformed input raises CorpusFormatError
+        naming path and the fault."""
+        from .corpus import CorpusFormatError
+        try:
+            obj = json.loads(text)
+            m, counts = obj["M"], obj["df"]
+            if type(m) is not int or m < 1:
+                raise ValueError(f"M must be a positive integer, got {m!r}")
+            if any(type(cnt) is not int or cnt < 0 for cnt in counts.values()):
+                raise ValueError("df counts must be non-negative integers")
+            return cls(m, {tuple(key.split(" ")): cnt for key, cnt in counts.items()})
+        except (ValueError, KeyError, TypeError, AttributeError, RecursionError) as err:
+            raise CorpusFormatError(
+                f"{path}: not a document-frequency table ({err!r})") from err
 
 
 def build_doc_freq(ref_sets):

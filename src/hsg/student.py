@@ -3,8 +3,8 @@ and the state transformation network.
 
 The same decoder classes serve both the autoencoding teacher and the deployed
 student; only the initial hidden states differ.  Decoder states are lists of
-(h, c) pairs, one per LSTM layer: vectors when one caption is decoded, (B, H)
-row batches when beam search or teacher forcing decode several at once.
+(h, c) pairs, one per LSTM layer, each a (B, H) row batch: one row per
+caption or beam, and a batch of one row when a single caption is decoded.
 """
 
 from dataclasses import dataclass, field
@@ -12,13 +12,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Tensor, ContractError, DimensionError, check_index,
-                       concat, log_softmax, matmul, no_grad, pick, repeat_rows,
-                       row, stack_rows, tanh, tensor_sum)
+                       concat, log_softmax, matmul, no_grad, pick, row,
+                       stack_rows, tanh, tensor_sum)
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 
 __all__ = [
-    "FcDecoder", "UpDownDecoder", "StateTransformNet", "RolloutResult",
-    "ForcedRows", "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
+    "FcDecoder", "UpDownDecoder", "StateTransformNet", "DecodedRows",
+    "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
     "rows_by_length", "teacher_forced", "greedy_decode", "sample_decode",
     "beam_search", "sample_categorical",
 ]
@@ -26,10 +26,11 @@ __all__ = [
 
 @dataclass
 class DecoderContext:
-    """Per-scene constants: object features, their mean, projected features."""
+    """Per-scene constants: the (K, d) object features, their (1, d) mean
+    and, for attention, the (H, K) transposed projected features."""
     feats: Tensor
     vbar: Tensor
-    projected: Tensor = None
+    keys: Tensor = None
 
 
 class FcDecoder:
@@ -53,11 +54,12 @@ class FcDecoder:
 
     def begin(self, features):
         feats = Tensor(np.asarray(features, dtype=np.float64))
-        return DecoderContext(feats=feats, vbar=Tensor(feats.data.mean(axis=0)))
+        return DecoderContext(feats=feats,
+                              vbar=Tensor(feats.data.mean(axis=0, keepdims=True)))
 
-    def step(self, ctx, state, token_id):
+    def step(self, ctx, state, token_ids):
         (h, c), = state
-        e = self.embedding.lookup(token_id)
+        e = self.embedding.lookup(token_ids)
         x = concat([e, ctx.vbar])
         h2, c2 = self.lstm.step(x, h, c)
         return self.out(h2), [(h2, c2)]
@@ -95,16 +97,16 @@ class UpDownDecoder:
 
     def begin(self, features):
         feats = Tensor(np.asarray(features, dtype=np.float64))
-        vbar = Tensor(feats.data.mean(axis=0))
+        vbar = Tensor(feats.data.mean(axis=0, keepdims=True))
         return DecoderContext(feats=feats, vbar=vbar,
-                              projected=self.attention.project(feats))
+                              keys=self.attention.keys(feats))
 
-    def step(self, ctx, state, token_id):
+    def step(self, ctx, state, token_ids):
         (h1, c1), (h2, c2) = state
-        e = self.embedding.lookup(token_id)
+        e = self.embedding.lookup(token_ids)
         x1 = concat([h2, ctx.vbar, e])
         h1n, c1n = self.att_lstm.step(x1, h1, c1)
-        alpha = self.attention.weights(h1n, ctx.projected)
+        alpha = self.attention.weights(h1n, ctx.keys)
         attended = matmul(alpha, ctx.feats)
         x2 = concat([attended, h1n])
         h2n, c2n = self.lang_lstm.step(x2, h2, c2)
@@ -120,31 +122,27 @@ class UpDownDecoder:
         return params
 
 
-def decode_step(decoder, ctx, state, prev_token):
-    """One autoregressive step: (logits over vocab, next state).
-
-    prev_token may also be an array of B token ids whose state layers are
-    (B, H) row batches; the step then returns (B, V) logits.
-    """
-    check_index(prev_token, decoder.vocab_size, "decode_step: token id")
+def decode_step(decoder, ctx, state, prev_tokens):
+    """One autoregressive step for an array of B previous token ids and
+    (B, H) state rows: ((B, V) logits, next state)."""
     if len(state) != len(decoder.layer_dims):
         raise ContractError(
             f"decode_step: state has {len(state)} layers, decoder expects "
             f"{len(decoder.layer_dims)}")
-    rows = prev_token.shape if isinstance(prev_token, np.ndarray) else ()
     for (h, c), dim in zip(state, decoder.layer_dims):
-        want = rows + (dim,)
+        want = (np.size(prev_tokens), dim)
         if h.data.shape != want or c.data.shape != want:
             raise DimensionError(
                 f"decode_step: state shapes {h.data.shape}, {c.data.shape} do not "
                 f"match {want}")
-    return decoder.step(ctx, state, prev_token)
+    check_index(prev_tokens, decoder.vocab_size, "decode_step: token id")
+    return decoder.step(ctx, state, prev_tokens)
 
 
 class StateTransformNet:
-    """Two fully-connected layers with tanh in between, mapping the mean
-    visual feature to an initial hidden state per decoder layer.  Cell
-    states start at zero."""
+    """Two fully-connected layers with tanh in between, mapping the (1, d)
+    mean visual feature to a (1, H) initial hidden state per decoder layer.
+    Cell states start at zero."""
 
     def __init__(self, feature_dim, layer_dims, rng):
         self.feature_dim = feature_dim
@@ -153,10 +151,10 @@ class StateTransformNet:
                        for h in self.layer_dims]
 
     def __call__(self, vbar):
-        if vbar.data.shape != (self.feature_dim,):
+        if vbar.data.shape != (1, self.feature_dim):
             raise DimensionError(
                 f"state transform: input shape {vbar.data.shape} does not match "
-                f"({self.feature_dim},)")
+                f"(1, {self.feature_dim})")
         return [l2(tanh(l1(vbar))) for l1, l2 in self.blocks]
 
     def initial_state(self, vbar):
@@ -172,27 +170,58 @@ class StateTransformNet:
 
 
 @dataclass
-class RolloutResult:
-    """A decoded caption plus everything needed for policy gradients.
+class DecodedRows:
+    """C captions decoded as one row batch: a sampled or greedy rollout
+    (C = 1) or a teacher-forced pass.
 
-    tokens holds the content words (no eos); logits and log_probs hold one
-    entry per emission, including the final eos emission when the rollout
-    ended by eos.  states holds every decoder state that was computed; trace
-    trims it to [s_0 .. s_T] with T = len(tokens), the states that the
-    hidden-state losses compare.
+    The rows are sorted by emission count, longest first and ties in caption
+    order, so the rows still emitting at step t are a prefix that only
+    shrinks: row p of every step carries caption order[p].  logits[t] is
+    (n_t, V) and states[t + 1] the state after step t with the same rows;
+    states[0] is the initial state on all C rows.  emissions holds each
+    caption's emitted ids, in caption order, ending in eos when ended;
+    targets lists them in the order of stack_rows(logits).
     """
-    tokens: list
-    logits: list
-    log_probs: list
-    states: list
+    emissions: list
     ended: bool
+    order: np.ndarray
+    logits: list
+    states: list
+    targets: np.ndarray
 
     @property
-    def trace(self):
-        return self.states[:len(self.tokens) + 1]
+    def tokens(self):
+        """The content ids (no eos) of a single decoded caption."""
+        (emitted,) = self.emissions
+        return emitted[:-1] if self.ended else emitted
+
+    def log_prob_rows(self):
+        """Log-probability of every emission as one vector, in the order of
+        targets: one log-softmax over all steps' logits."""
+        return pick(log_softmax(stack_rows(self.logits)), self.targets)
+
+    def log_likelihood(self):
+        """Summed log-probability of all captions' emissions."""
+        return tensor_sum(self.log_prob_rows())
 
     def total_log_prob(self):
-        return sum(lp.item() for lp in self.log_probs)
+        with no_grad():
+            return self.log_likelihood().item()
+
+    def trace_rows(self):
+        """The traces [s_0 .. s_T] of all captions as row batches: the state
+        at step t keeps the rows of the captions with at least t content
+        tokens.  Two passes over the same captions have the same rows."""
+        out = []
+        for t, state in enumerate(self.states):
+            m = sum(len(e) - self.ended >= t for e in self.emissions)
+            if m == 0:
+                break
+            if m < state[0][0].data.shape[0]:
+                keep = np.arange(m)
+                state = [(row(h, keep), row(c, keep)) for h, c in state]
+            out.append(state)
+        return out
 
 
 def sample_categorical(probs, rng):
@@ -203,28 +232,30 @@ def sample_categorical(probs, rng):
 
 
 def rollout(decoder, ctx, init_state, bos_id, t_max, choose):
-    """The decode loop: up to t_max emissions, starting from bos_id.
+    """The decode loop for one caption: up to t_max emissions, starting from
+    bos_id and a one-row initial state.
 
-    choose(t, log_probs) picks emission t from the step's log-softmax array.
-    Every step records its state, its logits and the chosen token's
-    log-probability on the active tape; the loop stops after eos.
+    choose(t, log_probs) picks emission t from the step's log-softmax values;
+    the loop stops after eos.  Each step records its logits and state on the
+    active tape; the log-probabilities are taken afterwards, from all steps
+    at once (DecodedRows.log_prob_rows).
     """
     state = init_state
-    states = [state]
-    tokens, logits_seq, log_probs = [], [], []
-    prev = bos_id
+    states, logits, emitted = [state], [], []
+    prev = np.array([bos_id])
     for t in range(t_max):
-        logits, state = decode_step(decoder, ctx, state, prev)
-        lp = log_softmax(logits)
-        tok = choose(t, lp.data)
+        step_logits, state = decode_step(decoder, ctx, state, prev)
+        with no_grad():
+            lp = log_softmax(step_logits).data[0]
+        tok = choose(t, lp)
         states.append(state)
-        logits_seq.append(logits)
-        log_probs.append(pick(lp, tok))
+        logits.append(step_logits)
+        emitted.append(tok)
         if tok == decoder.eos_id:
-            return RolloutResult(tokens, logits_seq, log_probs, states, True)
-        tokens.append(tok)
-        prev = tok
-    return RolloutResult(tokens, logits_seq, log_probs, states, False)
+            break
+        prev = np.array([tok])
+    return DecodedRows([emitted], emitted[-1] == decoder.eos_id,
+                       np.zeros(1, dtype=np.intp), logits, states, np.array(emitted))
 
 
 def greedy_decode(decoder, ctx, init_state, t_max, bos_id):
@@ -237,8 +268,9 @@ def greedy_decode(decoder, ctx, init_state, t_max, bos_id):
 
 
 def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
-    """Multinomial decoding from the per-step softmax; records exact
-    log-probabilities of the realized tokens on the active tape."""
+    """Multinomial decoding from the per-step softmax; the tape records the
+    steps, so log_prob_rows gives the realized tokens' exact
+    log-probabilities."""
     if t_max < 1:
         raise ContractError("sample_decode: t_max must be >= 1")
     return rollout(decoder, ctx, init_state, bos_id, t_max,
@@ -261,83 +293,14 @@ def rows_by_length(sequences):
     return order, lengths, ids
 
 
-@dataclass
-class ForcedRows:
-    """C captions teacher-forced as one row batch.
-
-    The captions are sorted by emission count, longest first and ties in
-    caption order, so the rows still emitting at step t are a prefix that
-    only shrinks: row p of every step carries caption order[p].  logits[t]
-    is (counts[t], V) and states[t + 1] the state after step t with the same
-    rows; states[0] is the initial state repeated on all C rows.  targets
-    lists the emitted ids in the order of stack_rows(logits).
-    """
-    emissions: list
-    ended: bool
-    order: np.ndarray
-    counts: list
-    init_state: list
-    logits: list
-    states: list
-    targets: np.ndarray
-
-    def log_prob_rows(self):
-        """Log-probability of every emission as one vector, in the order of
-        targets: one log-softmax over all steps' logits."""
-        return pick(log_softmax(stack_rows(self.logits)), self.targets)
-
-    def log_likelihood(self):
-        """Summed log-probability of all captions' emissions."""
-        return tensor_sum(self.log_prob_rows())
-
-    def trace_rows(self):
-        """The traces [s_0 .. s_T] of all captions as row batches: the state
-        at step t keeps the rows of the captions with at least t content
-        tokens.  Two passes over the same captions have the same rows."""
-        out = []
-        for t, state in enumerate(self.states):
-            m = sum(len(e) - self.ended >= t for e in self.emissions)
-            if m == 0:
-                break
-            if m < state[0][0].data.shape[0]:
-                keep = np.arange(m)
-                state = [(row(h, keep), row(c, keep)) for h, c in state]
-            out.append(state)
-        return out
-
-    def _row_of(self, i):
-        return int(np.flatnonzero(self.order == i)[0])
-
-    def trace(self, i):
-        """Caption i's trace [s_0 .. s_T] as constant 1-D tensors: values
-        for a target trace, with no tape nodes."""
-        p = self._row_of(i)
-        return [self.init_state] + [
-            [(Tensor(h.data[p]), Tensor(c.data[p])) for h, c in state]
-            for state in self.states[1:len(self.emissions[i]) - self.ended + 1]]
-
-    def rollout(self, i):
-        """Caption i as a RolloutResult with 1-D logits and states and one
-        log-probability per emission, as if it had been decoded alone."""
-        emissions = self.emissions[i]
-        p = self._row_of(i)
-        at = np.cumsum([0] + self.counts)[:len(emissions)] + p
-        lp = self.log_prob_rows() if emissions else None
-        tokens = emissions[:-1] if self.ended else emissions
-        states = [self.init_state] + [[(row(h, p), row(c, p)) for h, c in state]
-                                      for state in self.states[1:len(emissions) + 1]]
-        return RolloutResult(list(tokens),
-                             [row(lg, p) for lg in self.logits[:len(emissions)]],
-                             [pick(lp, int(k)) for k in at], states, self.ended)
-
-
 def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
     """Run the decoder over C known captions (lists of content ids, eos
-    appended when ended) from one shared initial state, as a row batch.
+    appended when ended) from one shared one-row initial state, as a row
+    batch.
 
     Each caption's rows compute the same values as decoding it alone, so
     replaying a sampled caption reproduces its log-probabilities and states.
-    The pass records logits and states only; ForcedRows.log_likelihood adds
+    The pass records logits and states only; DecodedRows.log_likelihood adds
     the log-softmax for the callers that need it.
     """
     if not captions:
@@ -350,8 +313,10 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
     order, lengths, ids = rows_by_length(emissions)
     emitting = lengths > np.arange(ids.shape[1])[:, None]  # step x row
     counts = emitting.sum(axis=1).tolist()
-    state = [(repeat_rows(h, len(order)), repeat_rows(c, len(order)))
-             for h, c in init_state]
+    state = init_state
+    if len(order) > 1:
+        first = np.zeros(len(order), dtype=np.intp)
+        state = [(row(h, first), row(c, first)) for h, c in state]
     states, logits = [state], []
     for t, n in enumerate(counts):
         if n < (counts[t - 1] if t else len(order)):
@@ -361,8 +326,7 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
         step_logits, state = decode_step(decoder, ctx, state, prev)
         logits.append(step_logits)
         states.append(state)
-    return ForcedRows(emissions, ended, order, counts, init_state, logits,
-                      states, ids.T[emitting])
+    return DecodedRows(emissions, ended, order, logits, states, ids.T[emitting])
 
 
 @dataclass
@@ -391,7 +355,7 @@ def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
         emitted = [()]
         scores = np.zeros(1)
         tokens = np.array([bos_id])
-        state = [(Tensor(h.data[None]), Tensor(c.data[None])) for h, c in init_state]
+        state = init_state
         for _ in range(t_max):
             logits, state = decode_step(decoder, ctx, state, tokens)
             cand = scores[:, None] + log_softmax(logits).data

@@ -5,8 +5,9 @@ head grounds each word against the K object features, the resulting scalar
 gate (the max attention weight) scales the word embedding, and a Caption
 LSTM consumes the gated embeddings.  The decoder is the same class as the
 student decoder; only its initial state differs, coming from max pooling the
-encoder's final states over the C references.  Both run a scene's C
-captions as one row batch.
+encoder's final states over the C references into one row.  Both run a
+scene's C captions as one (C, d) row batch; a single caption is a batch of
+one row.
 """
 
 import math
@@ -58,7 +59,7 @@ class CaptionEncoder:
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
-        projected = self.attention.project(feats)
+        keys = self.attention.keys(feats)
         order, lengths, ids = rows_by_length(captions)
         zeros = Tensor(np.zeros((len(order), self.hidden_dim)))
         state = (zeros, zeros, zeros, zeros)
@@ -73,7 +74,7 @@ class CaptionEncoder:
             h1, c1, h2, c2 = state
             e = self.embedding.lookup(ids[:n, t])
             h1, c1 = self.word_lstm.step(e, h1, c1)
-            gate = vec_max(self.attention.weights(h1, projected))
+            gate = vec_max(self.attention.weights(h1, keys))
             if collect_gates is not None:
                 collect_gates.extend(gate.data.tolist())
             h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
@@ -99,8 +100,8 @@ class CaptionEncoder:
 
 
 def pool_captions(final, family):
-    """Elementwise max over the captions' encoder finals -> decoder init
-    states; ties take the earliest caption.
+    """Elementwise max over the captions' encoder finals -> (1, H) decoder
+    init states; ties take the earliest caption.
 
     The single-LSTM decoder is initialized from the Caption LSTM finals; the
     two-layer decoder additionally initializes its first layer from the Word
@@ -138,27 +139,24 @@ class TeacherAutoencoder:
                                     feats)
         return pool_captions(final, self.family)
 
-    def _forced(self, caption_id_lists, features):
-        with no_grad():
-            ctx = self.decoder.begin(features)
-            init = self.encode_pooled(caption_id_lists, ctx.feats)
-            return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False, self.bos_id)
-
     def traces(self, caption_id_lists, features):
         """Constant teacher state traces [s_0 .. s_T] of all captions, as the
-        row batches of ForcedRows.trace_rows.
+        row batches of DecodedRows.trace_rows.
 
         The encoder pools over all the captions and the teacher decoder is
         teacher-forced over them from that pooled state.  Runs untaped: the
         teacher is frozen.
         """
-        return self._forced(caption_id_lists, features).trace_rows()
+        with no_grad():
+            ctx = self.decoder.begin(features)
+            init = self.encode_pooled(caption_id_lists, ctx.feats)
+            return teacher_forced(self.decoder, ctx, init, caption_id_lists,
+                                  False, self.bos_id).trace_rows()
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as
-        1-D states."""
-        return self._forced([list(tokens)], features).trace(0)
+        one-row states."""
+        return self.traces([list(tokens)], features)
 
     def named_parameters(self):
         params = {"embedding.w": self.embedding.w}

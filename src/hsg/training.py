@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (
-    Tensor, Tape, ContractError, backward, log_softmax, neg, no_grad, pick,
-    squared_l2, sum_terms,
+    Tensor, Tape, ContractError, backward, mul, neg, no_grad, squared_l2,
+    sum_terms, tensor_sum,
 )
 from .metrics import bleu4, cider, rouge_l
 from .student import (
@@ -25,28 +25,19 @@ from .student import (
 from .teacher import TrainingDiverged
 
 __all__ = [
-    "RewardTrace", "loss_ll", "state_loss_trace", "joint_mle_loss",
+    "RewardTrace", "state_loss_trace", "joint_mle_loss",
     "scst_gradients", "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
     "zero_gradients", "collect_gradients",
 ]
 
 
-def loss_ll(logits_seq, gold_ids):
-    """Negative sum of the log softmax at the gold ids."""
-    if len(logits_seq) != len(gold_ids):
-        raise ContractError(
-            f"loss_ll: {len(logits_seq)} logits for {len(gold_ids)} gold ids")
-    return neg(sum_terms([pick(log_softmax(logits), gold)
-                          for logits, gold in zip(logits_seq, gold_ids)]))
-
-
 def state_loss_trace(student_trace, teacher_trace, match_cell=False):
     """Per-step squared L2 between student and teacher hidden states.
 
-    Both traces are lists (over t) of per-layer (h, c) pairs, vectors for one
-    caption or row batches for several (ForcedRows.trace_rows), where a
-    step's loss sums over the rows.  The teacher side must be constant
+    Both traces are lists (over t) of per-layer (h, c) row batches
+    (DecodedRows.trace_rows), one row per caption; a step's loss sums over
+    the rows.  The teacher side must be constant
     tensors; gradients flow only into the student states.  Layer losses are
     summed.
     """
@@ -89,9 +80,10 @@ class RewardTrace:
     coefficients: list = field(default_factory=list)
 
 
-def _policy_backward(tape, log_probs, coefficients, extra=None):
-    """Backpropagate sum_m coeff_m * log p_m (+ extra differentiable term)."""
-    terms = [lp * coeff for lp, coeff in zip(log_probs, coefficients)]
+def _policy_backward(tape, rollout, coefficients, extra=None):
+    """Backpropagate sum_m coeff_m * log p_m over the rollout's emissions
+    (+ extra differentiable term)."""
+    terms = [tensor_sum(mul(rollout.log_prob_rows(), Tensor(coefficients)))]
     if extra is not None:
         terms.append(extra)
     backward(tape, sum_terms(terms))
@@ -102,8 +94,8 @@ def scst_gradients(tape, rollout, greedy, refs, reward_fn):
     r = reward_fn(rollout.tokens, refs)
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
-    coeffs = [-adv] * len(rollout.log_probs)
-    _policy_backward(tape, rollout.log_probs, coeffs)
+    coeffs = [-adv] * rollout.targets.size
+    _policy_backward(tape, rollout, coeffs)
     return RewardTrace(r, b, adv, [], coeffs)
 
 
@@ -111,7 +103,7 @@ def _check_teacher_match(teacher, rollout):
     dims = teacher.decoder.layer_dims
     state0 = rollout.states[0]
     if len(state0) != len(dims) or any(
-            h.data.shape != (d,) for (h, _c), d in zip(state0, dims)):
+            h.data.shape != (1, d) for (h, _c), d in zip(state0, dims)):
         raise ContractError(
             "hsg_gradients: teacher and student decoder architectures differ")
 
@@ -135,14 +127,15 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
     teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
-    losses = state_loss_trace(rollout.trace, teacher_trace, match_cell=match_cell)
+    losses = state_loss_trace(rollout.trace_rows(), teacher_trace,
+                              match_cell=match_cell)
     vals = [loss.item() for loss in losses]
     suffix = [0.0] * (len(vals) + 1)
     for t in range(len(vals) - 1, -1, -1):
         suffix[t] = vals[t] + discount * suffix[t + 1]
-    coeffs = [lam * suffix[m] - adv for m in range(len(rollout.log_probs))]
+    coeffs = [lam * suffix[m] - adv for m in range(rollout.targets.size)]
 
-    _policy_backward(tape, rollout.log_probs, coeffs,
+    _policy_backward(tape, rollout, coeffs,
                      extra=sum_terms(losses) * lam)
     return RewardTrace(r, b, adv, vals, coeffs)
 
@@ -227,8 +220,7 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
             order = rng.permutation(len(records))
         rec = records[idx]
         with Tape() as tape:
-            vbar = Tensor(rec.features.mean(axis=0))
-            hs = net(vbar)
+            hs = net(Tensor(rec.features.mean(axis=0, keepdims=True)))
             loss = sum_terms([squared_l2(h, Tensor(target))
                               for h, target in zip(hs, targets[idx])])
             if not math.isfinite(loss.item()):
@@ -242,7 +234,7 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
     mean_loss = 0.0
     with no_grad():
         for rec, target in zip(records, targets):
-            hs = net(Tensor(rec.features.mean(axis=0)))
+            hs = net(Tensor(rec.features.mean(axis=0, keepdims=True)))
             mean_loss += sum(
                 float(np.sum((h.data - t) ** 2)) for h, t in zip(hs, target))
     mean_loss /= len(records)
@@ -316,7 +308,7 @@ def _mean_state_loss(student, teacher, records, t_max, vocab, match_cell=False):
             rollout = greedy_decode(student.decoder, ctx, init, t_max,
                                     bos_id=vocab.BOS)
             teacher_trace = teacher.trace_for_tokens(rollout.tokens, rec.features)
-            losses = state_loss_trace(rollout.trace, teacher_trace,
+            losses = state_loss_trace(rollout.trace_rows(), teacher_trace,
                                       match_cell=match_cell)
             total += sum(loss.item() for loss in losses) / len(losses)
     return total / len(records)

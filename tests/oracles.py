@@ -4,8 +4,8 @@ The metric oracles are written from the definitions with different machinery
 (Counter, dict vectors, recursive LCS) than the package implementations.
 The beam-search oracle is the one-beam-at-a-time loop that sorts every
 candidate tuple, against which the row-batched search is checked.  The
-teacher-forcing oracles run a scene's captions one at a time through the
-vector forms of the ops (encoder, pooling chain, decoder replay and the
+teacher-forcing oracles run a scene's captions one at a time, each as a
+batch of one row (encoder, pooling chain, decoder replay and the
 per-caption losses), against which the row-batched passes are checked.
 """
 
@@ -152,8 +152,8 @@ def beam_search_oracle(decoder, ctx, init_state, t_max, width, bos_id):
         for _ in range(t_max):
             candidates = []
             for emitted, score, state, prev in alive:
-                logits, nstate = decode_step(decoder, ctx, state, prev)
-                lp = log_softmax(logits).data
+                logits, nstate = decode_step(decoder, ctx, state, np.array([prev]))
+                lp = log_softmax(logits).data[0]
                 for tok in range(decoder.vocab_size):
                     candidates.append(
                         (emitted + (tok,), score + float(lp[tok]), nstate))
@@ -187,15 +187,15 @@ def max_elementwise(a, b):
 
 
 def encode_oracle(encoder, caption_ids, feats):
-    """One caption through the encoder, one vector step per token:
+    """One caption through the encoder, one one-row step per token:
     (h1, c1, h2, c2) finals."""
-    projected = encoder.attention.project(feats)
+    keys = encoder.attention.keys(feats)
     h = encoder.hidden_dim
-    h1, c1, h2, c2 = (Tensor(np.zeros(h)) for _ in range(4))
+    h1, c1, h2, c2 = (Tensor(np.zeros((1, h))) for _ in range(4))
     for tok in caption_ids:
-        e = encoder.embedding.lookup(tok)
+        e = encoder.embedding.lookup(np.array([tok]))
         h1, c1 = encoder.word_lstm.step(e, h1, c1)
-        gate = vec_max(encoder.attention.weights(h1, projected))
+        gate = vec_max(encoder.attention.weights(h1, keys))
         h2, c2 = encoder.caption_lstm.step(mul(gate, e), h2, c2)
     return h1, c1, h2, c2
 
@@ -218,7 +218,7 @@ def encode_pooled_oracle(teacher, caption_id_lists, feats):
 
 
 def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
-    """One caption replayed through the scalar rollout loop."""
+    """One caption replayed through the one-row rollout loop."""
     emissions = list(tokens) + ([decoder.eos_id] if ended else [])
     return rollout(decoder, ctx, init_state, bos_id, len(emissions),
                    lambda t, _lp: emissions[t])
@@ -227,15 +227,15 @@ def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
 def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=None,
                     lam=0.0, match_cell=False):
     """Mean over captions of the negative log-likelihood, plus lam times the
-    state losses against each caption's 1-D teacher trace; also returns the
-    per-caption replays."""
+    state losses against each caption's one-row teacher trace; also returns
+    the per-caption replays."""
     replays, terms = [], []
     for i, ids in enumerate(captions):
         forced = forced_oracle(decoder, ctx, init_state, ids, True, bos_id)
         replays.append(forced)
-        ll = neg(sum_terms(forced.log_probs))
+        ll = neg(forced.log_likelihood())
         if lam > 0:
-            losses = state_loss_trace(forced.trace, teacher_traces[i],
+            losses = state_loss_trace(forced.trace_rows(), teacher_traces[i],
                                       match_cell=match_cell)
             ll = joint_mle_loss(ll, losses, lam)
         terms.append(ll)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hsg import cli
-from hsg.autodiff import Tape, Tensor, no_grad
+from hsg.autodiff import Tape, Tensor, neg, no_grad
 from hsg.checks import enum_check, enumerate_rollouts, grad_check_suite, _TinyWorld
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
@@ -20,7 +20,7 @@ from hsg.student import (beam_search, greedy_decode, sample_decode,
                          teacher_forced)
 from hsg.teacher import pretrain_teacher
 from hsg.training import (collect_gradients, evaluate_split, hsg_gradients,
-                          joint_mle_loss, loss_ll, pretrain_state_net,
+                          joint_mle_loss, pretrain_state_net,
                           scst_gradients, train_student, zero_gradients)
 
 from oracles import bleu4_oracle, cider_oracle, handcrafted_pairs, rouge_l_oracle
@@ -90,8 +90,10 @@ def test_criterion_3_reduction_identities():
 
     # (b) the joint loss at lambda 0 is the likelihood loss itself
     rng = np.random.default_rng(7)
-    logits = [Tensor(rng.normal(size=6)) for _ in range(4)]
-    ll = loss_ll(logits, [1, 2, 3, 0])
+    world = _TinyWorld("fc", seed=7)
+    ctx = world.make_ctx()
+    ll = neg(teacher_forced(world.decoder, ctx, world.init(ctx), [[1, 2, 3]],
+                            True, world.bos).log_likelihood())
     losses = [Tensor(abs(rng.normal())) for _ in range(4)]
     joint_identity = joint_mle_loss(ll, losses, 0.0) is ll
 
@@ -112,8 +114,8 @@ def test_criterion_3_reduction_identities():
 
     ok = grads_equal and joint_identity and beam_equal
     report(3, ok,
-           f"hsg(lambda=0)==scst: {grads_equal}; joint(lambda=0) is loss_ll: "
-           f"{joint_identity}; beam(1)==greedy: {beam_equal}")
+           f"hsg(lambda=0)==scst: {grads_equal}; joint(lambda=0) is the "
+           f"likelihood loss: {joint_identity}; beam(1)==greedy: {beam_equal}")
 
 
 def test_criterion_4_metric_oracles():
@@ -151,7 +153,7 @@ def test_criterion_5_beam_search_exactness():
                 for tokens, ended in leaves:
                     ctx = world.make_ctx()
                     r = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                       [tokens], ended, world.bos).rollout(0)
+                                       [tokens], ended, world.bos)
                     key = (-r.total_log_prob(),
                            tuple(tokens) + ((world.eos,) if ended else ()))
                     if best_key is None or key < best_key:

@@ -68,7 +68,7 @@ def test_softmax_empty_rejected():
 
 def test_max_rows_values_and_tie_gradient():
     (m,) = tensors([[1.0, 5.0], [3.0, 2.0]])
-    assert ad.max_rows(m).data.tolist() == [3.0, 5.0]
+    assert ad.max_rows(m).data.tolist() == [[3.0, 5.0]]
     # ties route the gradient to the earliest row
     (m,) = tensors([[2.0, 1.0], [2.0, 2.0], [2.0, 2.0]])
     with Tape() as tape:
@@ -93,7 +93,7 @@ def test_elementwise_ops_gradients():
         (lambda a, b: ad.tensor_sum(ad.concat([a, b])), 2),
     ]
     for f, arity in cases:
-        args = tensors(*(rng.normal(size=5) for _ in range(arity)))
+        args = tensors(*(rng.normal(size=(1, 5)) for _ in range(arity)))
         assert grad_check(f, args) <= 1e-6
 
 
@@ -103,9 +103,17 @@ def test_incompatible_shapes_rejected():
     with pytest.raises(DimensionError):
         ad.mul(Tensor(np.zeros((2, 2))), Tensor(np.zeros(4)))
     # a (1,) bias would broadcast over the 3 outputs and get a (3,) gradient
-    for x in (np.zeros(4), np.zeros((5, 4))):
-        with pytest.raises(DimensionError, match="bias"):
-            ad.affine(Tensor(np.zeros((3, 4))), Tensor(x), Tensor(np.zeros(1)))
+    with pytest.raises(DimensionError, match="bias"):
+        ad.affine(Tensor(np.zeros((3, 4))), Tensor(np.zeros((5, 4))), Tensor(np.zeros(1)))
+    # the matrix ops take (B, d) rows only
+    with pytest.raises(DimensionError):
+        ad.affine(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)), Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+    with pytest.raises(DimensionError):
+        ad.concat([Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))])
+    with pytest.raises(DimensionError):
+        ad.pick(Tensor(np.zeros(3)), np.array([1]))
 
 
 def test_sum_terms_matches_add_chain_in_one_node():
@@ -226,8 +234,6 @@ def test_no_grad_suppresses_recording():
 # exports of hsg.autodiff that are not differentiable operations
 NON_OPS = {"Tensor", "Tape", "DimensionError", "ContractError", "parameter",
            "no_grad", "backward", "grad_check", "check_index", "defer"}
-# ops whose (B, d) row form has its own backward rule
-ROW_FORMS = {"concat", "softmax", "log_softmax", "vec_max", "pick", "row"}
 
 
 def test_every_op_has_a_grad_check_case():
@@ -237,7 +243,5 @@ def test_every_op_has_a_grad_check_case():
     ops = set(ad.__all__) - NON_OPS
     assert NON_OPS <= set(ad.__all__)
     assert sorted(ops - cases) == []
-    assert sorted(f"{op}_rows" for op in ROW_FORMS) == sorted(
-        name for name in cases if name.endswith("_rows") and name[:-5] in ROW_FORMS)
-    # the LSTM step is a layer op with a row form too
-    assert {"lstm_step", "lstm_step_rows"} <= cases
+    # the LSTM step is a layer op
+    assert "lstm_step" in cases

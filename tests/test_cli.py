@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import stat
 
 import numpy as np
@@ -391,6 +392,66 @@ def test_checkpoint_unknown_family_rejected(pipeline_dir, tmp_path):
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match="family"):
             load(str(path), vocab)
+
+
+def last_json_line(out):
+    """The last printed line, parsed as strict JSON (no NaN or Infinity)."""
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(out.strip().splitlines()[-1], parse_constant=reject)
+
+
+@pytest.mark.parametrize("command,setting,want", [
+    ("train-teacher", "teacher_epochs=0", "final_token_accuracy"),
+    ("train-student", "epochs=0", "best_val_cider"),
+    ("train-teacher", "hidden_dim=0", "ConfigError"),
+    ("train-teacher", "embed_dim=0", "ConfigError"),
+    ("train-teacher", "hidden_dim=-3", "ConfigError"),
+    ("train-teacher", "teacher_epochs=-1", "ConfigError"),
+    ("train-teacher", "epochs=-1", "ConfigError"),
+    ("train-teacher", "mle_warmup_epochs=-1", "ConfigError"),
+    ("train-teacher", "statenet_steps=-1", "ConfigError"),
+])
+def test_degenerate_config_ends_in_one_json_line(pipeline_dir, tmp_path, capsys,
+                                                 command, setting, want):
+    # zero epochs is a legal run whose empty history prints null; a dim
+    # below one or a negative count is a ConfigError
+    src, cfg_path = pipeline_dir
+    capsys.readouterr()
+    code = cli.main([command, "--config", cfg_path, "--set", setting,
+                     "--set", f"output_dir={tmp_path / 'out'}",
+                     "--set", f"teacher_checkpoint={src / 'out' / 'teacher.json'}"])
+    line = last_json_line(capsys.readouterr().out)
+    if want == "ConfigError":
+        assert code == 1 and line["error"] == "ConfigError"
+        assert setting.split("=")[0] in line["message"]
+    else:
+        assert code == 0 and line[want] is None
+
+
+@pytest.mark.parametrize("name,text", [
+    ("docfreq.json", '{"M": 3}'),
+    ("docfreq.json", "garbage"),
+    ("docfreq.json", '{"M": 0, "df": {}}'),
+    ("vocab.json", "[1,2]"),
+    ("vocab.json", "garbage"),
+    ("vocab.json", '{"tokens": ["pad", "bos", "eos", "unk", 7]}'),
+])
+def test_malformed_vocab_or_docfreq_is_corpus_format_error(pipeline_dir, tmp_path,
+                                                            capsys, name, text):
+    src, cfg_path = pipeline_dir
+    corpus = tmp_path / "corpus"
+    shutil.copytree(src / "corpus", corpus)
+    (corpus / name).write_text(text)
+    capsys.readouterr()
+    code = cli.main(["evaluate", "--config", cfg_path,
+                     "--set", f"corpus_dir={corpus}",
+                     "--set", f"output_dir={tmp_path / 'out'}",
+                     "--checkpoint", str(src / "out" / "student.json")])
+    err = last_json_line(capsys.readouterr().out)
+    assert code == 1 and err["error"] == "CorpusFormatError"
+    assert str(corpus / name) in err["message"]
 
 
 def test_grad_check_command_exits_zero(capsys):

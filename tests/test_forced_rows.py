@@ -14,7 +14,6 @@ import pytest
 
 import hsg.autodiff
 import hsg.student
-import hsg.training
 from hsg import cli
 from hsg.autodiff import Tape, Tensor, backward, neg, no_grad
 from hsg.corpus import Vocabulary
@@ -70,19 +69,25 @@ def assert_same_grads(got, want):
 
 
 def assert_same_replay(forced, replays):
-    """Every caption's logits and states (1-D views) match its replay."""
+    """Every caption's row of logits, log-probabilities and states matches
+    its one-caption replay."""
+    counts = [lg.data.shape[0] for lg in forced.logits]
+    offsets = np.cumsum([0] + counts)
+    lp = forced.log_prob_rows().data
     for i, want in enumerate(replays):
-        got = forced.rollout(i)
-        assert got.tokens == want.tokens and got.ended == want.ended
-        assert len(got.logits) == len(want.logits)
-        for a, b in zip(got.logits, want.logits):
-            assert_close(a.data, b.data, f"logits of caption {i}")
-        assert abs(got.total_log_prob() - want.total_log_prob()) <= TOL
-        assert len(got.states) == len(want.states)
-        for s_got, s_want in zip(got.states, want.states):
+        p = int(np.flatnonzero(forced.order == i)[0])
+        n = len(want.logits)
+        assert forced.emissions[i] == want.emissions[0] and forced.ended == want.ended
+        assert sum(k > p for k in counts) == n
+        for t in range(n):
+            assert_close(forced.logits[t].data[p], want.logits[t].data[0],
+                         f"logits of caption {i}")
+        assert abs(lp[offsets[:n] + p].sum() - want.total_log_prob()) <= TOL
+        assert len(want.states) == n + 1
+        for s_got, s_want in zip(forced.states, want.states):
             for (h, c), (wh, wc) in zip(s_got, s_want):
-                assert_close(h.data, wh.data, f"h of caption {i}")
-                assert_close(c.data, wc.data, f"c of caption {i}")
+                assert_close(h.data[p], wh.data[0], f"h of caption {i}")
+                assert_close(c.data[p], wc.data[0], f"c of caption {i}")
 
 
 @pytest.mark.parametrize("family", ["fc", "updown"])
@@ -164,19 +169,21 @@ def test_teacher_traces_match_per_caption_oracle(family):
     with no_grad():
         ctx = teacher.decoder.begin(feats)
         init_o = encode_pooled_oracle(teacher, caps, ctx.feats)
-        want = [forced_oracle(teacher.decoder, ctx, init_o, ids, False, BOS).trace
-                for ids in caps]
+        want = [forced_oracle(teacher.decoder, ctx, init_o, ids, False,
+                              BOS).trace_rows() for ids in caps]
         single = forced_oracle(teacher.decoder, ctx,
                                encode_pooled_oracle(teacher, [caps[2]], ctx.feats),
-                               caps[2], False, BOS).trace
+                               caps[2], False, BOS).trace_rows()
     rows = teacher.traces(caps, feats)
     order = sorted(range(5), key=lambda i: -len(caps[i]))
     assert len(rows) == 1 + max(len(c) for c in caps)
     for t, state in enumerate(rows):
         alive = [i for i in order if len(caps[i]) >= t]
         for layer, (h, c) in enumerate(state):
-            assert_close(h.data, np.stack([want[i][t][layer][0].data for i in alive]), "h")
-            assert_close(c.data, np.stack([want[i][t][layer][1].data for i in alive]), "c")
+            want_h = np.concatenate([want[i][t][layer][0].data for i in alive])
+            want_c = np.concatenate([want[i][t][layer][1].data for i in alive])
+            assert_close(h.data, want_h, "h")
+            assert_close(c.data, want_c, "c")
     trace = teacher.trace_for_tokens(caps[2], feats)
     assert len(trace) == len(single)
     for s_got, s_want in zip(trace, single):
@@ -197,7 +204,7 @@ def test_encoder_finals_come_back_in_caption_order():
         for i, ids in enumerate(caps):
             for got, want in zip((final.h1, final.c1, final.h2, final.c2),
                                  encode_oracle(teacher.encoder, ids, Tensor(feats))):
-                assert_close(got.data[i], want.data, f"final of caption {i}")
+                assert_close(got.data[i:i + 1], want.data, f"final of caption {i}")
 
 
 def test_teacher_traces_compute_no_log_softmax(monkeypatch):
@@ -209,7 +216,7 @@ def test_teacher_traces_compute_no_log_softmax(monkeypatch):
         calls.append(a.data.shape)
         return real(a)
 
-    for module in (hsg.autodiff, hsg.student, hsg.training):
+    for module in (hsg.autodiff, hsg.student):
         monkeypatch.setattr(module, "log_softmax", spy)
     trace = teacher.trace_for_tokens([4, 5, 6], feats)
     assert len(trace) == 4 and calls == []

@@ -14,7 +14,8 @@ def test_lstm_zero_weights_zero_state():
     cell = make_cell()
     for p in (cell.w_ih, cell.w_hh, cell.b):
         p.data[...] = 0.0
-    h, c = cell.step(Tensor([1.0, -2.0, 0.5, 3.0]), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+    h, c = cell.step(Tensor([[1.0, -2.0, 0.5, 3.0]]), Tensor(np.zeros((1, 3))),
+                     Tensor(np.zeros((1, 3))))
     assert np.all(h.data == 0.0) and np.all(c.data == 0.0)
 
 
@@ -23,11 +24,11 @@ def test_lstm_saturated_forget_gate_accumulates():
     hd = cell.hidden_dim
     cell.b.data[hd:2 * hd] = 50.0  # forget gate pinned open
     rng = np.random.default_rng(2)
-    x = Tensor(rng.normal(size=4))
-    h0 = Tensor(rng.normal(size=3))
-    c0 = Tensor(rng.normal(size=3))
+    x = Tensor(rng.normal(size=(1, 4)))
+    h0 = Tensor(rng.normal(size=(1, 3)))
+    c0 = Tensor(rng.normal(size=(1, 3)))
     _, c1 = cell.step(x, h0, c0)
-    z = cell.w_ih.data @ x.data + cell.w_hh.data @ h0.data + cell.b.data
+    z = cell.w_ih.data @ x.data[0] + cell.w_hh.data @ h0.data[0] + cell.b.data
     i = 1 / (1 + np.exp(-z[:hd]))
     g = np.tanh(z[2 * hd:3 * hd])
     assert np.allclose(c1.data, c0.data + i * g, atol=1e-10)
@@ -36,9 +37,9 @@ def test_lstm_saturated_forget_gate_accumulates():
 def test_lstm_gradient_check():
     cell = make_cell(seed=3)
     rng = np.random.default_rng(4)
-    x = ad.parameter(rng.normal(size=4))
-    h = ad.parameter(rng.normal(size=3))
-    c = ad.parameter(rng.normal(size=3))
+    x = ad.parameter(rng.normal(size=(1, 4)))
+    h = ad.parameter(rng.normal(size=(1, 3)))
+    c = ad.parameter(rng.normal(size=(1, 3)))
 
     def f(*_):
         hn, cn = cell.step(x, h, c)
@@ -50,8 +51,8 @@ def test_lstm_gradient_check():
 def test_interrupted_backward_leaves_no_stale_weight_grads():
     cell, fresh = make_cell(seed=14), make_cell(seed=14)
     rng = np.random.default_rng(15)
-    x = ad.parameter(rng.normal(size=4))
-    h, c = Tensor(rng.normal(size=3)), Tensor(rng.normal(size=3))
+    x = ad.parameter(rng.normal(size=(1, 4)))
+    h, c = Tensor(rng.normal(size=(1, 3))), Tensor(rng.normal(size=(1, 3)))
 
     class Interrupt(Exception):
         pass
@@ -81,24 +82,24 @@ def test_interrupted_backward_leaves_no_stale_weight_grads():
 def test_lstm_cell_state_bounded_growth():
     cell = make_cell(seed=5)
     rng = np.random.default_rng(6)
-    c = Tensor(rng.normal(size=3))
+    c = Tensor(rng.normal(size=(1, 3)))
     for _ in range(20):
-        x = Tensor(rng.normal(size=4))
-        h = Tensor(rng.normal(size=3))
+        x = Tensor(rng.normal(size=(1, 4)))
+        h = Tensor(rng.normal(size=(1, 3)))
         _, c_new = cell.step(x, h, c)
         assert np.all(np.abs(c_new.data) <= np.abs(c.data) + 1.0 + 1e-12)
         c = c_new
 
 
 def attention_weights(head, h, feats):
-    """Weights of the K feature rows feats for query h."""
-    return head.weights(h, head.project(feats))
+    """(B, K) weights of the K feature rows feats for query rows h."""
+    return head.weights(h, head.keys(feats))
 
 
 def test_attend_single_object_and_symmetry():
     head = AttentionHead(4, 3, np.random.default_rng(7))
-    h = Tensor(np.random.default_rng(8).normal(size=3))
-    assert attention_weights(head, h, Tensor(np.ones((1, 4)))).data.tolist() == [1.0]
+    h = Tensor(np.random.default_rng(8).normal(size=(1, 3)))
+    assert attention_weights(head, h, Tensor(np.ones((1, 4)))).data.tolist() == [[1.0]]
     two = attention_weights(head, h, Tensor(np.ones((2, 4))))
     assert np.allclose(two.data, [0.5, 0.5], atol=1e-15)
 
@@ -106,9 +107,9 @@ def test_attend_single_object_and_symmetry():
 def test_attend_matches_dot_softmax_oracle():
     rng = np.random.default_rng(9)
     head = AttentionHead(4, 3, rng)
-    h = Tensor(rng.normal(size=3))
+    h = Tensor(rng.normal(size=(1, 3)))
     feats = rng.normal(size=(3, 4))
-    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v + head.proj.b.data))
+    scores = np.array([float(np.dot(h.data[0], head.proj.w.data @ v + head.proj.b.data))
                        for v in feats])
     e = np.exp(scores - scores.max())
     assert np.allclose(attention_weights(head, h, Tensor(feats)).data, e / e.sum(),
@@ -118,13 +119,13 @@ def test_attend_matches_dot_softmax_oracle():
 def test_attend_shift_invariance():
     rng = np.random.default_rng(10)
     head = AttentionHead(4, 3, rng)
-    h = ad.Tensor(rng.normal(size=3))
+    h = ad.Tensor(rng.normal(size=(1, 3)))
     feats = rng.normal(size=(4, 4))
     base = attention_weights(head, h, Tensor(feats)).data.copy()
     # shifting every score by a constant must not move the weights; a bias
     # change along h's direction shifts all K scores equally when the
     # features share the same projection offset
-    scores = np.array([float(np.dot(h.data, head.proj.w.data @ v + head.proj.b.data))
+    scores = np.array([float(np.dot(h.data[0], head.proj.w.data @ v + head.proj.b.data))
                        for v in feats])
     shifted = np.exp(scores + 11.5 - (scores + 11.5).max())
     assert np.allclose(base, shifted / shifted.sum(), atol=1e-12)
@@ -133,15 +134,16 @@ def test_attend_shift_invariance():
 def test_attend_gradient_and_empty_contract():
     rng = np.random.default_rng(11)
     head = AttentionHead(3, 2, rng)
-    h = ad.parameter(rng.normal(size=2))
+    h = ad.parameter(rng.normal(size=(1, 2)))
     feats = ad.parameter(rng.normal(size=(3, 3)))
+    first = np.array([0])
     # the projection bias shifts every score equally, so the weights do not
     # depend on it; check it separately as an exact-zero gradient
-    assert grad_check(lambda *a: ad.pick(attention_weights(head, h, feats), 0),
+    assert grad_check(lambda *a: ad.pick(attention_weights(head, h, feats), first),
                       [h, head.proj.w, feats]) <= 1e-5
     head.proj.b.zero_grad()
     with Tape() as tape:
-        backward(tape, ad.pick(attention_weights(head, h, feats), 0))
+        backward(tape, ad.pick(attention_weights(head, h, feats), first))
     assert np.all(np.abs(head.proj.b.grad) < 1e-12)
     with pytest.raises(ad.DimensionError):
         attention_weights(head, h, Tensor(np.zeros((0, 3))))
@@ -151,17 +153,17 @@ def test_embedding_lookup_equals_one_hot_matmul():
     rng = np.random.default_rng(12)
     emb = Embedding(6, 4, rng)
     for tid in range(6):
-        one_hot = np.zeros(6)
-        one_hot[tid] = 1.0
+        one_hot = np.zeros((1, 6))
+        one_hot[0, tid] = 1.0
         via_matmul = ad.matmul(Tensor(one_hot), emb.w).data
-        assert np.allclose(emb.lookup(tid).data, via_matmul, atol=1e-15)
+        assert np.allclose(emb.lookup(np.array([tid])).data, via_matmul, atol=1e-15)
 
 
 def test_linear_is_exact_affine():
     rng = np.random.default_rng(13)
     lin = Linear(3, 2, rng)
-    x = Tensor(rng.normal(size=3))
-    assert np.allclose(lin(x).data, lin.w.data @ x.data + lin.b.data, atol=0)
+    x = Tensor(rng.normal(size=(2, 3)))
+    assert np.allclose(lin(x).data, x.data @ lin.w.data.T + lin.b.data, atol=0)
 
 
 def test_layer_init_determinism_and_range():

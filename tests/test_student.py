@@ -32,19 +32,19 @@ def test_state_transform_zero_weights_zero_state():
     _, net, _ = make_world()
     for p in net.named_parameters().values():
         p.data[...] = 0.0
-    out = net(Tensor(np.ones(4)))
+    out = net(Tensor(np.ones((1, 4))))
     assert all(np.all(h.data == 0.0) for h in out)
 
 
 def test_state_transform_deterministic_and_differentiable():
     _, net, _ = make_world(seed=3)
-    vbar = ad.parameter(np.random.default_rng(4).normal(size=4))
+    vbar = ad.parameter(np.random.default_rng(4).normal(size=(1, 4)))
     a = net(vbar)[0].data.copy()
     b = net(vbar)[0].data.copy()
     assert np.array_equal(a, b)
 
     def f(*_):
-        return ad.squared_l2(net(vbar)[0], Tensor(np.ones(3)))
+        return ad.squared_l2(net(vbar)[0], Tensor(np.ones((1, 3))))
 
     assert grad_check(f, [vbar] + list(net.named_parameters().values())) <= 1e-5
 
@@ -52,7 +52,7 @@ def test_state_transform_deterministic_and_differentiable():
 def test_state_transform_dim_mismatch():
     _, net, _ = make_world()
     with pytest.raises(ad.DimensionError):
-        net(Tensor(np.ones(7)))
+        net(Tensor(np.ones((1, 7))))
 
 
 def test_decode_step_probabilities_sum_to_one():
@@ -60,7 +60,7 @@ def test_decode_step_probabilities_sum_to_one():
         decoder, net, features = make_world(family, seed=5)
         ctx, state = fresh(decoder, net, features)
         with no_grad():
-            logits, _ = decode_step(decoder, ctx, state, BOS)
+            logits, _ = decode_step(decoder, ctx, state, np.array([BOS]))
         probs = ad.softmax(logits).data
         assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -80,15 +80,25 @@ def test_updown_single_object_attended_feature():
 
     decoder.attention.weights = spy
     with no_grad():
-        decode_step(decoder, ctx, state, BOS)
-    assert np.allclose(alpha_probe["alpha"], [1.0], atol=0)
+        decode_step(decoder, ctx, state, np.array([BOS]))
+    assert np.allclose(alpha_probe["alpha"], [[1.0]], atol=0)
 
 
 def test_decode_step_rejects_bad_token():
     decoder, net, features = make_world()
     ctx, state = fresh(decoder, net, features)
     with pytest.raises(ContractError):
-        decode_step(decoder, ctx, state, 99)
+        decode_step(decoder, ctx, state, np.array([99]))
+
+
+def test_decode_step_rejects_vector_state():
+    # states are (B, H) rows; a single caption is a batch of one row
+    decoder, net, features = make_world()
+    ctx, state = fresh(decoder, net, features)
+    vector = [(Tensor(h.data.reshape(-1)), Tensor(c.data.reshape(-1))) for h, c in state]
+    for prev in (BOS, np.array([BOS])):
+        with pytest.raises(ad.DimensionError):
+            decode_step(decoder, ctx, vector, prev)
 
 
 def test_greedy_eos_bias_gives_empty_caption():
@@ -99,7 +109,7 @@ def test_greedy_eos_bias_gives_empty_caption():
     rollout = greedy_decode(decoder, ctx, state, t_max=6, bos_id=BOS)
     assert rollout.tokens == []
     assert rollout.ended
-    assert len(rollout.trace) == 1
+    assert len(rollout.trace_rows()) == 1
 
 
 def test_greedy_deterministic_and_locally_optimal():
@@ -114,8 +124,8 @@ def test_greedy_deterministic_and_locally_optimal():
         prev = BOS
         emissions = list(r1.tokens) + ([EOS] if r1.ended else [])
         for step, tok in enumerate(emissions):
-            logits, state = decode_step(decoder, ctx, state, prev)
-            lp = ad.log_softmax(logits).data
+            logits, state = decode_step(decoder, ctx, state, np.array([prev]))
+            lp = ad.log_softmax(logits).data[0]
             assert lp[tok] >= lp.max() - 1e-15
             prev = tok
 
@@ -167,9 +177,9 @@ def test_sampled_log_probs_match_replay():
         with no_grad():
             ctx2 = decoder.begin(features)
             replay = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                    [rollout.tokens], rollout.ended, BOS).rollout(0)
+                                    [rollout.tokens], rollout.ended, BOS)
         assert abs(rollout.total_log_prob() - replay.total_log_prob()) <= 1e-12
-        assert len(rollout.trace) == len(rollout.tokens) + 1
+        assert len(rollout.trace_rows()) == len(rollout.tokens) + 1
 
 
 def test_rollout_trace_matches_teacher_forced_states():
@@ -182,8 +192,8 @@ def test_rollout_trace_matches_teacher_forced_states():
     with no_grad():
         ctx2 = decoder.begin(features)
         states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                [rollout.tokens], False, BOS).rollout(0).states
-    for s_roll, s_tf in zip(rollout.trace, states):
+                                [rollout.tokens], False, BOS).states
+    for s_roll, s_tf in zip(rollout.trace_rows(), states):
         for (h1, c1), (h2, c2) in zip(s_roll, s_tf):
             assert np.array_equal(h1.data, h2.data)
             assert np.array_equal(c1.data, c2.data)
@@ -213,7 +223,7 @@ def brute_force_best(decoder, ctx, init, t_max):
     best = None
     with no_grad():
         for tokens, ended in enumerate_rollouts(decoder.vocab_size, EOS, t_max):
-            r = teacher_forced(decoder, ctx, init, [tokens], ended, BOS).rollout(0)
+            r = teacher_forced(decoder, ctx, init, [tokens], ended, BOS)
             key = (-r.total_log_prob(), tuple(tokens) + ((EOS,) if ended else ()))
             if best is None or key < best[0]:
                 best = (key, tokens)
@@ -284,18 +294,19 @@ def test_decode_step_rows_match_single_rows():
         decoder, net, features = make_world(family, seed=19)
         ctx, state = fresh(decoder, net, features)
         tokens = np.array([BOS, 3, 2, 3])
-        rows = [(Tensor(np.stack([h.data * (1 + 0.1 * b) for b in range(4)])),
-                 Tensor(np.stack([c.data - 0.2 * b for b in range(4)])))
+        rows = [(Tensor(np.concatenate([h.data * (1 + 0.1 * b) for b in range(4)])),
+                 Tensor(np.concatenate([c.data - 0.2 * b for b in range(4)])))
                 for h, c in state]
         with no_grad():
             logits, new_rows = decode_step(decoder, ctx, rows, tokens)
-            for b, tok in enumerate(tokens.tolist()):
-                single = [(Tensor(h.data[b]), Tensor(c.data[b])) for h, c in rows]
-                want, want_state = decode_step(decoder, ctx, single, tok)
-                assert np.allclose(logits.data[b], want.data, rtol=0, atol=1e-12)
+            for b in range(4):
+                single = [(Tensor(h.data[b:b + 1]), Tensor(c.data[b:b + 1]))
+                          for h, c in rows]
+                want, want_state = decode_step(decoder, ctx, single, tokens[b:b + 1])
+                assert np.allclose(logits.data[b], want.data[0], rtol=0, atol=1e-12)
                 for (h, c), (wh, wc) in zip(new_rows, want_state):
-                    assert np.allclose(h.data[b], wh.data, rtol=0, atol=1e-12)
-                    assert np.allclose(c.data[b], wc.data, rtol=0, atol=1e-12)
+                    assert np.allclose(h.data[b], wh.data[0], rtol=0, atol=1e-12)
+                    assert np.allclose(c.data[b], wc.data[0], rtol=0, atol=1e-12)
         with pytest.raises(ContractError):
             decode_step(decoder, ctx, rows, np.array([BOS, 3, 2, 99]))
         with pytest.raises(ad.DimensionError):
@@ -310,8 +321,8 @@ def test_decode_step_rows_gradients_match_single_rows():
         _ctx, state = fresh(decoder, net, features)
         tokens = np.array([BOS, 3, 3, 2])
         weights = np.random.default_rng(1).normal(size=(4, decoder.vocab_size))
-        data = [(np.stack([h.data * (1 + 0.1 * b) for b in range(4)]),
-                 np.stack([c.data - 0.2 * b for b in range(4)])) for h, c in state]
+        data = [(np.concatenate([h.data * (1 + 0.1 * b) for b in range(4)]),
+                 np.concatenate([c.data - 0.2 * b for b in range(4)])) for h, c in state]
         params = decoder.named_parameters()
 
         def grads(batches):
@@ -334,7 +345,7 @@ def test_decode_step_rows_gradients_match_single_rows():
             return out
 
         batched = grads([(slice(None), tokens)])
-        single = grads([(b, int(tok)) for b, tok in enumerate(tokens)])
+        single = grads([(slice(b, b + 1), tokens[b:b + 1]) for b in range(4)])
         single["states"] = np.concatenate(
             [single["states"].reshape(4, len(data), 2, -1)[:, l, k].ravel()
              for l in range(len(data)) for k in range(2)])

@@ -82,8 +82,8 @@ def test_pool_single_caption_is_identity():
     rng = np.random.default_rng(0)
     f = _random_finals(rng, 1)
     [(h, c)] = pool_captions(f, "fc")
-    assert np.array_equal(h.data, f.h2.data[0])
-    assert np.array_equal(c.data, f.c2.data[0])
+    assert np.array_equal(h.data, f.h2.data)
+    assert np.array_equal(c.data, f.c2.data)
 
 
 def test_pool_idempotent_and_dominates():
@@ -101,8 +101,8 @@ def test_pool_updown_uses_both_layers():
     rng = np.random.default_rng(2)
     finals = _random_finals(rng, 3)
     [(h1, _), (h2, _)] = pool_captions(finals, "updown")
-    assert np.array_equal(h1.data, np.max(finals.h1.data, axis=0))
-    assert np.array_equal(h2.data, np.max(finals.h2.data, axis=0))
+    assert np.array_equal(h1.data, np.max(finals.h1.data, axis=0, keepdims=True))
+    assert np.array_equal(h2.data, np.max(finals.h2.data, axis=0, keepdims=True))
 
 
 def test_pool_commutative():
@@ -126,9 +126,9 @@ def test_teacher_forward_empty_caption_trace_is_init():
     with no_grad():
         init = teacher.encode_pooled([[4, 5]], Tensor(v))
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                                [[]], True, teacher.bos_id).rollout(0)
-    assert len(forced.trace) == 1
-    assert forced.trace[0] is init
+                                [[]], True, teacher.bos_id)
+    assert len(forced.trace_rows()) == 1
+    assert forced.trace_rows()[0] is init
     assert len(forced.logits) == 1  # the eos emission
 
 
@@ -139,16 +139,16 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v))
         a, b = (teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                               [caption], True, teacher.bos_id).rollout(0)
+                               [caption], True, teacher.bos_id)
                 for _ in range(2))
     for la, lb in zip(a.logits, b.logits):
         assert np.array_equal(la.data, lb.data)
-    assert len(a.trace) == len(caption) + 1
+    assert len(a.trace_rows()) == len(caption) + 1
     # log-likelihood equals the sum of per-step log softmax at the gold ids
     targets = caption + [teacher.decoder.eos_id]
     total = 0.0
     for lg, t in zip(a.logits, targets):
-        z = lg.data - lg.data.max()
+        z = lg.data[0] - lg.data.max()
         total += z[t] - np.log(np.exp(z).sum())
     assert abs(total - a.total_log_prob()) <= 1e-12
 

@@ -4,36 +4,40 @@ import numpy as np
 import pytest
 
 from hsg import autodiff as ad
-from hsg.autodiff import ContractError, Tape, Tensor, backward, no_grad
+from hsg.autodiff import ContractError, Tape, Tensor, backward, neg, no_grad
 from hsg.checks import _TinyWorld, enum_check, enumerate_rollouts
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
-from hsg.student import greedy_decode, sample_decode, teacher_forced
+from hsg.student import (FcDecoder, StateTransformNet, greedy_decode,
+                         sample_decode, teacher_forced)
 from hsg.teacher import TrainingDiverged, pretrain_teacher
 from hsg.training import (build_student, clip_gradients, collect_gradients,
-                          hsg_gradients, joint_mle_loss, loss_ll,
+                          hsg_gradients, joint_mle_loss,
                           pretrain_state_net, scst_gradients,
                           state_loss_trace, train_student, zero_gradients)
 
 
-def test_loss_ll_perfect_logits_near_zero():
-    logits = []
-    gold = [2, 0, 1]
-    for g in gold:
-        z = np.zeros(4)
-        z[g] = 50.0
-        logits.append(Tensor(z))
-    assert loss_ll(logits, gold).item() < 1e-10
+def constant_logits_nll(bias, captions):
+    """Negative log-likelihood of captions (no eos) under a decoder whose
+    logits are the output bias at every step."""
+    rng = np.random.default_rng(0)
+    decoder = FcDecoder(bias.size, 4, 3, 4, 2, rng)
+    decoder.out.w.data[...] = 0.0
+    decoder.out.b.data[...] = bias
+    ctx = decoder.begin(rng.normal(size=(3, 4)))
+    init = StateTransformNet(4, [3], rng).initial_state(ctx.vbar)
+    return neg(teacher_forced(decoder, ctx, init, captions, False, 1).log_likelihood())
 
 
-def test_loss_ll_uniform_closed_form():
-    logits = [Tensor(np.zeros(8)) for _ in range(3)]
-    assert loss_ll(logits, [0, 3, 7]).item() == pytest.approx(3 * math.log(8), abs=1e-10)
+def test_log_likelihood_perfect_logits_near_zero():
+    bias = np.zeros(4)
+    bias[3] = 50.0
+    assert constant_logits_nll(bias, [[3, 3, 3]]).item() < 1e-10
 
 
-def test_loss_ll_length_mismatch():
-    with pytest.raises(ContractError):
-        loss_ll([Tensor(np.zeros(4))], [1, 2])
+def test_log_likelihood_uniform_closed_form():
+    nll = constant_logits_nll(np.zeros(8), [[3, 7], [5]])
+    assert nll.item() == pytest.approx(3 * math.log(8), abs=1e-10)
 
 
 def rand_trace(rng, steps, layers=1, h=3, param=False):
@@ -136,7 +140,7 @@ def test_scst_zero_advantage_zero_gradients():
     with Tape() as tape:
         ctx = world.make_ctx()
         replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                [greedy.tokens], greedy.ended, world.bos).rollout(0)
+                                [greedy.tokens], greedy.ended, world.bos)
         trace = scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
     assert trace.advantage == 0.0
     grads = collect_gradients(world.student_params)
@@ -225,7 +229,7 @@ def test_hsg_matched_traces_reduce_to_scst():
         with Tape() as tape:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, t_init, [tokens], True,
-                                    world.bos).rollout(0)
+                                    world.bos)
             if fn is hsg_gradients:
                 trace = fn(tape, replay, greedy, world.refs, world.reward_fn,
                            teacher, lam, features=world.features)
@@ -297,7 +301,7 @@ def test_enumeration_covers_probability_space():
         for tokens, ended in leaves:
             ctx = world.make_ctx()
             r = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
-                               ended, world.bos).rollout(0)
+                               ended, world.bos)
             total += math.exp(r.total_log_prob())
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -323,7 +327,7 @@ def test_pretrain_state_net_overfits_single_scene():
         target = teacher.encode_pooled(
             [vocab.encode(c)[1:-1] for c in train[0].captions],
             Tensor(train[0].features))
-        got = net(Tensor(train[0].features.mean(axis=0)))
+        got = net(Tensor(train[0].features.mean(axis=0, keepdims=True)))
     loss = sum(float(np.sum((h.data - t.data) ** 2))
                for h, (t, _c) in zip(got, target))
     assert loss < 1e-4
@@ -355,9 +359,9 @@ def test_train_student_memorizes_single_scene():
             for cap in rec.captions:
                 ids = vocab.encode(cap)[1:-1]
                 forced = teacher_forced(student.decoder, ctx, init, [ids], True,
-                                        vocab.BOS).rollout(0)
+                                        vocab.BOS)
                 for lg, t in zip(forced.logits, ids + [vocab.EOS]):
-                    correct += int(np.argmax(lg.data)) == t
+                    correct += int(np.argmax(lg.data[0])) == t
                     total += 1
     assert correct / total >= 0.99
 
