@@ -9,9 +9,10 @@ match exactly or one operand must have a single element.
 
 Everything a decoder computes is a (B, d) row batch, one independent row per
 caption, hypothesis or beam; a single caption is a batch of one row.  The
-matrix ops (matmul, affine, concat, pick, row) take rows only.
-An operand that an op repeats on every row receives the sum of its row
-gradients.
+matrix ops (matmul, affine, concat, pick, row) take rows only.  Per-scene
+constants are stacked as (S, ...) arrays and reach the rows through a
+row->scene index (row, scene_attention); an operand that several rows read
+receives the sum of their gradients.
 """
 
 import threading
@@ -24,7 +25,7 @@ __all__ = [
     "add", "sub", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
     "tanh", "exp", "softmax", "log_softmax",
     "vec_max", "max_rows", "pick", "row", "stack_rows", "scale_rows",
-    "affine", "squared_l2", "transpose",
+    "affine", "squared_l2", "reshape", "scene_attention",
     "check_index", "defer",
 ]
 
@@ -320,39 +321,23 @@ def matmul(a, b):
 
 
 def concat(parts):
-    """Join (B, d_i) row batches side by side into (B, sum d_i) rows.
-
-    A part with a single row, such as the per-scene mean feature, is
-    repeated on every row.
-    """
+    """Join (B, d_i) row batches side by side into (B, sum d_i) rows."""
     parts = [_as_tensor(p) for p in parts]
-    rows, widths = set(), []
-    for p in parts:
-        if p.data.ndim != 2:
-            raise DimensionError(
-                f"concat: expected (B, d) parts, got shape {p.data.shape}")
-        rows.add(p.data.shape[0])
-        widths.append(p.data.shape[1])
-    n = max(rows, default=0)
-    if not parts or rows - {1, n}:
+    if not parts or any(p.data.ndim != 2 for p in parts):
         raise DimensionError(
-            f"concat: expected (B, d) or (1, d) parts, got row counts {sorted(rows)}")
-    data = np.empty((n, sum(widths)))
-    off = 0
-    for p, w in zip(parts, widths):
-        data[:, off:off + w] = p.data
-        off += w
-    out = Tensor(data)
+            f"concat: expected (B, d) parts, got shapes {[p.data.shape for p in parts]}")
+    rows = {p.data.shape[0] for p in parts}
+    if len(rows) > 1:
+        raise DimensionError(f"concat: parts have row counts {sorted(rows)}")
+    widths = [p.data.shape[1] for p in parts]
+    out = Tensor(np.concatenate([p.data for p in parts], axis=1))
     if _tracing(*parts):
         def bwd():
             g = out.grad
             off = 0
             for p, w in zip(parts, widths):
                 if p.requires_grad:
-                    gp = g[:, off:off + w]
-                    # a part repeated on every row gets the sum of the rows
-                    accumulate(p, gp if gp.shape == p.data.shape
-                               else gp.sum(axis=0, keepdims=True))
+                    accumulate(p, g[:, off:off + w])
                 off += w
         record(bwd, out)
     return out
@@ -599,17 +584,66 @@ def affine(w, m, b):
     return out
 
 
-def transpose(a):
-    """Transpose of a matrix."""
+def reshape(a, shape):
+    """The same values in a new shape (row-major order)."""
     a = _as_tensor(a)
-    if a.data.ndim != 2:
-        raise DimensionError(f"transpose: expected a matrix, got shape {a.data.shape}")
-    out = Tensor(a.data.T)
+    out = Tensor(a.data.reshape(shape))
     if _tracing(a):
         def bwd():
-            accumulate(a, out.grad.T)
+            accumulate(a, out.grad.reshape(a.data.shape))
         record(bwd, out)
     return out
+
+
+def scene_attention(q, keys, values, scene):
+    """Dot-product attention of each query row over its own scene's objects.
+
+    keys (S, K, H) and values (S, K, d) stack S scenes of K objects each;
+    row b of the (B, H) queries belongs to scene scene[b].  Returns the
+    (B, K) weights softmax(keys[scene[b]] @ q[b]) and the (B, d) attended
+    rows weights[b] @ values[scene[b]], recorded as one tape node.  A
+    scene's keys and values receive the summed gradients of its rows.
+    """
+    q, keys, values = _as_tensor(q), _as_tensor(keys), _as_tensor(values)
+    qd, kd, vd = q.data, keys.data, values.data
+    if (qd.ndim != 2 or kd.ndim != 3 or vd.ndim != 3 or kd.shape[:2] != vd.shape[:2]
+            or kd.shape[2] != qd.shape[1] or np.shape(scene) != qd.shape[:1]):
+        raise DimensionError(
+            f"scene_attention: queries {qd.shape} with {np.shape(scene)} scene ids, "
+            f"keys {kd.shape} and values {vd.shape} do not match")
+    if kd.shape[1] == 0:
+        raise DimensionError("scene_attention: scenes have no objects")
+    check_index(scene, kd.shape[0], "scene_attention: scene")
+    # each row's (K, H) keys and (K, d) values are gathered when used and
+    # not kept, so a wide row batch holds one gathered copy at a time
+    e = np.matmul(kd[scene], qd[:, :, None])[:, :, 0]
+    e -= e.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=1, keepdims=True)
+    weights = Tensor(e)
+    mixed = Tensor(np.matmul(e[:, None, :], vd[scene])[:, 0, :])
+    if _tracing(q, keys, values):
+        w = e
+
+        def per_scene(g, rows):
+            # sum_b g[b]ᵀ rows[b] over each scene's rows: (S, K, n)
+            onehot = scene == np.arange(kd.shape[0])[:, None]
+            return np.matmul(onehot[:, None, :] * g.T, rows)
+
+        def bwd():
+            gm = mixed.grad
+            g = np.zeros_like(w) if weights.grad is None else weights.grad
+            if gm is not None:
+                g = g + np.matmul(vd[scene], gm[:, :, None])[:, :, 0]
+            gs = (g - (g * w).sum(axis=1, keepdims=True)) * w
+            if q.requires_grad:
+                accumulate(q, np.matmul(gs[:, None, :], kd[scene])[:, 0, :])
+            if keys.requires_grad:
+                accumulate(keys, per_scene(gs, qd))
+            if values.requires_grad and gm is not None:
+                accumulate(values, per_scene(w, gm))
+        record(bwd, weights, mixed)
+    return weights, mixed
 
 
 def squared_l2(a, b):

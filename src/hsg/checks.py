@@ -32,10 +32,11 @@ def _rand(rng, shape):
 
 def _op_cases(seed):
     """Yield (name, f, inputs) triples for one seed: one case per op, on
-    (B, d) rows where the op takes rows, with repeated ids and a part
-    repeated on every row so those gradients sum over the rows."""
+    (B, d) rows where the op takes rows, with repeated row and scene ids so
+    those gradients sum over the rows."""
     rng = np.random.default_rng(seed)
     ids = np.array([1, 3, 1])
+    scene = np.array([1, 0, 1])
     a6, b6 = _rand(rng, 6), _rand(rng, 6)
     yield "add", lambda a, b: ad.tensor_sum(ad.mul(ad.add(a, b), a)), (a6, b6)
     yield "sub", lambda a, b: ad.tensor_sum(ad.mul(ad.sub(a, b), b)), (a6, b6)
@@ -48,7 +49,7 @@ def _op_cases(seed):
     yield ("matmul", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
            (_rand(rng, (3, 4)), _rand(rng, (4, 2))))
     yield ("concat", lambda m, v, n: ad.tensor_sum(ad.tanh(ad.concat([m, v, n]))),
-           (_rand(rng, (3, 2)), _rand(rng, (1, 4)), _rand(rng, (3, 1))))
+           (_rand(rng, (3, 2)), _rand(rng, (3, 4)), _rand(rng, (3, 1))))
     yield "tensor_sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
     # a repeated term must receive its gradient once per occurrence
     yield ("sum_terms", lambda a, b, c: ad.tensor_sum(ad.tanh(ad.sum_terms([a, b, a, c]))),
@@ -69,8 +70,16 @@ def _op_cases(seed):
            (_rand(rng, 3), _rand(rng, (3, 4))))
     yield ("affine", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine(w, m, b))),
            (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
-    yield ("transpose", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.transpose(a), b))),
-           (_rand(rng, (3, 4)), _rand(rng, (3, 2))))
+    yield ("reshape", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.reshape(a, (3, 4)), b))),
+           (_rand(rng, (2, 6)), _rand(rng, (4, 2))))
+    mix_weights = Tensor(rng.uniform(-1, 1, (3, 4)))
+
+    def scene_attention_f(q, keys, values):
+        weights, mixed = ad.scene_attention(q, keys, values, scene)
+        return ad.tensor_sum(ad.mul(weights, mix_weights)) + ad.tensor_sum(ad.tanh(mixed))
+
+    yield ("scene_attention", scene_attention_f,
+           (_rand(rng, (3, 2)), _rand(rng, (2, 4, 2)), _rand(rng, (2, 4, 3))))
     yield "squared_l2", ad.squared_l2, (_rand(rng, 8), _rand(rng, 8))
 
 
@@ -87,12 +96,14 @@ def _composite_cases(seed):
     yield "lstm_step", lstm_f, (x, h, c, cell.w_ih, cell.w_hh, cell.b)
 
     head = AttentionHead(4, 3, rng)
-    q = _rand(rng, (2, 3))
-    feats = _rand(rng, (3, 4))
-    weights = Tensor(rng.uniform(-1, 1, (2, 3)))
+    q = _rand(rng, (3, 3))
+    feats = _rand(rng, (2, 3, 4))
+    weights = Tensor(rng.uniform(-1, 1, (3, 3)))
 
     def attention_f(*_):
-        return ad.tensor_sum(ad.mul(head.weights(q, head.keys(feats)), weights))
+        alpha, _mixed = ad.scene_attention(q, head.keys(feats), feats,
+                                           np.array([1, 0, 1]))
+        return ad.tensor_sum(ad.mul(alpha, weights))
 
     # proj.b is excluded: it shifts all scores equally, so the weights are
     # exactly invariant to it (its gradient here is identically zero)

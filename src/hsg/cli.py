@@ -63,9 +63,15 @@ def _corpus_paths(cfg):
         "docfreq": os.path.join(d, "docfreq.json")}
 
 
-def _load_corpus(cfg, splits=("train", "val", "test")):
+def _load_corpus(cfg, splits):
+    """Records of the splits a command needs (each must be non-empty),
+    vocabulary, document frequencies and the corpus file paths."""
     paths = _corpus_paths(cfg)
-    records = {name: load_records(paths[name]) for name in splits}
+    records = {}
+    for name in splits:
+        records[name] = load_records(paths[name])
+        if not records[name]:
+            raise CorpusFormatError(f"{paths[name]}: the {name} split has no records")
     with open(paths["vocab"], "rb") as fh:
         vocab = Vocabulary.from_json(fh.read(), paths["vocab"])
     with open(paths["docfreq"], "rb") as fh:
@@ -161,7 +167,7 @@ def cmd_train_student(cfg):
     os.makedirs(cfg.output_dir, exist_ok=True)
     if not cfg.teacher_checkpoint:
         raise ConfigError("train-student requires teacher_checkpoint in the config")
-    records, vocab, doc_freq, paths = _load_corpus(cfg)
+    records, vocab, doc_freq, paths = _load_corpus(cfg, splits=("train", "val"))
     feature_dim = records["train"][0].features.shape[1]
     teacher, _ckpt = load_teacher(cfg.teacher_checkpoint, vocab, feature_dim)
     statenet = pretrain_state_net(records["train"], teacher, vocab, cfg)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -49,6 +50,16 @@ class RunConfig:
     min_count: int = 1
 
     def validate(self):
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            # json.load accepts NaN and Infinity
+            if f.type in (float, "float") and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
+        if min(self.lr, self.rl_lr, self.statenet_lr) <= 0:
+            raise ConfigError("lr, rl_lr and statenet_lr must be > 0")
+        if self.grad_clip <= 0:
+            raise ConfigError("grad_clip must be > 0: a non-positive limit turns "
+                              "clipping off")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:

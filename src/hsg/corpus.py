@@ -69,10 +69,6 @@ class CorpusRecord:
     def k(self):
         return self.features.shape[0]
 
-    @property
-    def vbar(self):
-        return self.features.mean(axis=0)
-
 
 class Vocabulary:
     """Token <-> id map with reserved ids 0=pad, 1=bos, 2=eos, 3=unk."""

@@ -9,8 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import (
-    Tensor, DimensionError, accumulate, record, softmax, affine, matmul,
-    transpose,
+    Tensor, DimensionError, accumulate, record, affine, reshape,
 )
 
 __all__ = [
@@ -73,14 +72,22 @@ def lstm_step(cell, x, h, c):
             f"lstm_step: state shapes {h.data.shape}, {c.data.shape} do not match {want}")
 
     w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
-    # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows
-    z = (w_ih.data @ np.ascontiguousarray(x.data.T)
-         + w_hh.data @ np.ascontiguousarray(h.data.T)).T + b.data
-    i = 1.0 / (1.0 + np.exp(-z[:, :hd]))
-    f = 1.0 / (1.0 + np.exp(-z[:, hd:2 * hd]))
-    g = np.tanh(z[:, 2 * hd:3 * hd])
-    o = 1.0 / (1.0 + np.exp(-z[:, 3 * hd:]))
-    c_new = f * c.data + i * g
+    # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows;
+    # the sums run in place, which keeps a wide row batch's peak memory low
+    z = w_ih.data @ np.ascontiguousarray(x.data.T)
+    z += w_hh.data @ np.ascontiguousarray(h.data.T)
+    z = z.T
+    z += b.data
+    # the gate activations overwrite z's column blocks: z holds [i, f, g, o]
+    for gate in (z[:, :2 * hd], z[:, 3 * hd:]):
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+    np.tanh(z[:, 2 * hd:3 * hd], out=z[:, 2 * hd:3 * hd])
+    i, f, g, o = z[:, :hd], z[:, hd:2 * hd], z[:, 2 * hd:3 * hd], z[:, 3 * hd:]
+    c_new = f * c.data
+    c_new += i * g
     tc = np.tanh(c_new)
     h_new = o * tc
 
@@ -148,8 +155,9 @@ class Linear:
 class AttentionHead:
     """Dot-product attention over K object features after a linear projection.
 
-    Scores are inner products between each query row and each projected
-    feature; weights are the softmax over the K scores of a row.
+    The projected features are the keys of autodiff.scene_attention, which
+    scores each query row against the keys of the row's scene and takes the
+    softmax over the K scores of a row.
     """
 
     def __init__(self, feature_dim, hidden_dim, rng):
@@ -158,14 +166,13 @@ class AttentionHead:
         self.proj = Linear(feature_dim, hidden_dim, rng)
 
     def keys(self, feats):
-        """The (H, K) transposed projection of a (K, d) feature matrix,
-        built once per scene so every step reuses it."""
-        return transpose(self.proj(feats))
-
-    def weights(self, h, keys):
-        """(B, K) weights: one softmax per row of h over h · keys."""
-        return softmax(matmul(h, keys))
+        """The (S, K, H) projections of an (S, K, d) stack of scene features,
+        built once per context so every step reuses them."""
+        if feats.data.ndim != 3:
+            raise DimensionError(
+                f"attention keys: expected (S, K, d) features, got {feats.data.shape}")
+        s, k, d = feats.data.shape
+        return reshape(self.proj(reshape(feats, (s * k, d))), (s, k, self.hidden_dim))
 
     def named_parameters(self, prefix):
         return self.proj.named_parameters(prefix + ".proj")
-

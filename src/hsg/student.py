@@ -5,6 +5,8 @@ The same decoder classes serve both the autoencoding teacher and the deployed
 student; only the initial hidden states differ.  Decoder states are lists of
 (h, c) pairs, one per LSTM layer, each a (B, H) row batch: one row per
 caption or beam, and a batch of one row when a single caption is decoded.
+A decode context holds the constants of S scenes; each decode row reaches
+its own scene's constants through a row->scene index.
 """
 
 from dataclasses import dataclass, field
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autodiff import (Tensor, ContractError, DimensionError, check_index,
-                       concat, log_softmax, matmul, no_grad, pick, row,
+                       concat, log_softmax, no_grad, pick, row, scene_attention,
                        stack_rows, tanh, tensor_sum)
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 
@@ -26,11 +28,27 @@ __all__ = [
 
 @dataclass
 class DecoderContext:
-    """Per-scene constants: the (K, d) object features, their (1, d) mean
-    and, for attention, the (H, K) transposed projected features."""
+    """The constants of S scenes with K objects each: the (S, K, d) object
+    features, their (S, d) means and, for attention, the (S, K, H) projected
+    features."""
     feats: Tensor
     vbar: Tensor
     keys: Tensor = None
+
+    @property
+    def n_scenes(self):
+        return self.vbar.data.shape[0]
+
+
+def _scene_stack(features):
+    """(S, K, d) features of S scenes; one scene's (K, d) block is S = 1."""
+    feats = np.asarray(features, dtype=np.float64)
+    if feats.ndim == 2:
+        feats = feats[None]
+    if feats.ndim != 3 or 0 in feats.shape:
+        raise DimensionError(
+            f"decoder context: expected (K, d) or (S, K, d) features, got {feats.shape}")
+    return Tensor(feats), Tensor(feats.mean(axis=1))
 
 
 class FcDecoder:
@@ -53,14 +71,13 @@ class FcDecoder:
         return [self.hidden_dim]
 
     def begin(self, features):
-        feats = Tensor(np.asarray(features, dtype=np.float64))
-        return DecoderContext(feats=feats,
-                              vbar=Tensor(feats.data.mean(axis=0, keepdims=True)))
+        feats, vbar = _scene_stack(features)
+        return DecoderContext(feats=feats, vbar=vbar)
 
-    def step(self, ctx, state, token_ids):
+    def step(self, ctx, state, token_ids, scene):
         (h, c), = state
         e = self.embedding.lookup(token_ids)
-        x = concat([e, ctx.vbar])
+        x = concat([e, row(ctx.vbar, scene)])
         h2, c2 = self.lstm.step(x, h, c)
         return self.out(h2), [(h2, c2)]
 
@@ -96,20 +113,19 @@ class UpDownDecoder:
         return [self.hidden_dim, self.hidden_dim]
 
     def begin(self, features):
-        feats = Tensor(np.asarray(features, dtype=np.float64))
-        vbar = Tensor(feats.data.mean(axis=0, keepdims=True))
+        feats, vbar = _scene_stack(features)
         return DecoderContext(feats=feats, vbar=vbar,
                               keys=self.attention.keys(feats))
 
-    def step(self, ctx, state, token_ids):
+    def step(self, ctx, state, token_ids, scene):
         (h1, c1), (h2, c2) = state
-        e = self.embedding.lookup(token_ids)
-        x1 = concat([h2, ctx.vbar, e])
-        h1n, c1n = self.att_lstm.step(x1, h1, c1)
-        alpha = self.attention.weights(h1n, ctx.keys)
-        attended = matmul(alpha, ctx.feats)
-        x2 = concat([attended, h1n])
-        h2n, c2n = self.lang_lstm.step(x2, h2, c2)
+        # the layer inputs are not kept past their step, which lowers the
+        # peak memory of a wide row batch
+        h1n, c1n = self.att_lstm.step(
+            concat([h2, row(ctx.vbar, scene), self.embedding.lookup(token_ids)]),
+            h1, c1)
+        _alpha, attended = scene_attention(h1n, ctx.keys, ctx.feats, scene)
+        h2n, c2n = self.lang_lstm.step(concat([attended, h1n]), h2, c2)
         return self.out(h2n), [(h1n, c1n), (h2n, c2n)]
 
     def named_parameters(self, prefix="decoder"):
@@ -122,9 +138,13 @@ class UpDownDecoder:
         return params
 
 
-def decode_step(decoder, ctx, state, prev_tokens):
+def decode_step(decoder, ctx, state, prev_tokens, scene=None):
     """One autoregressive step for an array of B previous token ids and
-    (B, H) state rows: ((B, V) logits, next state)."""
+    (B, H) state rows: ((B, V) logits, next state).
+
+    Row b decodes scene scene[b] of the context; scene None puts every row
+    in the only scene of a one-scene context.
+    """
     if len(state) != len(decoder.layer_dims):
         raise ContractError(
             f"decode_step: state has {len(state)} layers, decoder expects "
@@ -136,13 +156,21 @@ def decode_step(decoder, ctx, state, prev_tokens):
                 f"decode_step: state shapes {h.data.shape}, {c.data.shape} do not "
                 f"match {want}")
     check_index(prev_tokens, decoder.vocab_size, "decode_step: token id")
-    return decoder.step(ctx, state, prev_tokens)
+    if scene is None:
+        if ctx.n_scenes != 1:
+            raise ContractError(
+                f"decode_step: a context of {ctx.n_scenes} scenes needs a scene per row")
+        scene = np.zeros(len(prev_tokens), dtype=np.intp)
+    elif np.shape(scene) != np.shape(prev_tokens):
+        raise DimensionError(
+            f"decode_step: {np.size(scene)} scene ids for {np.size(prev_tokens)} rows")
+    return decoder.step(ctx, state, prev_tokens, scene)
 
 
 class StateTransformNet:
-    """Two fully-connected layers with tanh in between, mapping the (1, d)
-    mean visual feature to a (1, H) initial hidden state per decoder layer.
-    Cell states start at zero."""
+    """Two fully-connected layers with tanh in between, mapping the (S, d)
+    mean visual features of S scenes to (S, H) initial hidden states per
+    decoder layer.  Cell states start at zero."""
 
     def __init__(self, feature_dim, layer_dims, rng):
         self.feature_dim = feature_dim
@@ -151,10 +179,10 @@ class StateTransformNet:
                        for h in self.layer_dims]
 
     def __call__(self, vbar):
-        if vbar.data.shape != (1, self.feature_dim):
+        if vbar.data.ndim != 2 or vbar.data.shape[1] != self.feature_dim:
             raise DimensionError(
                 f"state transform: input shape {vbar.data.shape} does not match "
-                f"(1, {self.feature_dim})")
+                f"(S, {self.feature_dim})")
         return [l2(tanh(l1(vbar))) for l1, l2 in self.blocks]
 
     def initial_state(self, vbar):
@@ -339,50 +367,71 @@ class BeamHypothesis:
 
 def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
                 return_pool=False):
-    """Length-unnormalized log-prob beam search.
+    """Length-unnormalized log-prob beam search over the S scenes of ctx,
+    from init_state's S rows (row s starts scene s).
 
-    The alive beams are the rows of one decode step per timestep.  Their
-    W x V candidates rank by score, then lexicographically on the token
-    sequence, so width 1 reproduces greedy decoding exactly.  Completed
-    hypotheses (eos) retire into a pool and the best pool entry wins.
+    The alive beams of all scenes are the rows of one decode step per
+    timestep, scene-major, with a row->scene index.  Each scene's candidates
+    rank by score, then lexicographically on the token sequence, so width 1
+    reproduces greedy decoding exactly; the first `width` go on.  Completed
+    hypotheses (eos) retire into their scene's pool.  Returns one result per
+    scene: the best pool entry, or with return_pool the pool, best first.
     """
     if width < 1:
         raise ContractError("beam_search: width must be >= 1")
+    n_scenes = ctx.n_scenes
+    if init_state[0][0].data.shape[0] != n_scenes:
+        raise DimensionError(
+            f"beam_search: {init_state[0][0].data.shape[0]} initial rows for "
+            f"{n_scenes} scenes")
     vocab_size = decoder.vocab_size
-    token_ids = np.arange(vocab_size)
-    pool = []
+    eos_id = decoder.eos_id
+    # only candidates that reach their row's width-th best score are ranked:
+    # any other one has `width` better ones in its own row already
+    kth = max(vocab_size - width, 0)
+    pools = [[] for _ in range(n_scenes)]
     with no_grad():
-        emitted = [()]
-        scores = np.zeros(1)
-        tokens = np.array([bos_id])
+        scene = np.arange(n_scenes)
+        # rank of each row's emitted prefix, ordered by (scene, prefix): the
+        # prefixes of one scene are distinct and of equal length, so ranking
+        # ties by (prefix rank, token) orders extended sequences
+        # lexicographically
+        rank = np.arange(n_scenes)
+        seqs = np.zeros((n_scenes, 0), dtype=np.intp)
+        scores = np.zeros(n_scenes)
+        tokens = np.full(n_scenes, bos_id)
         state = init_state
         for _ in range(t_max):
-            logits, state = decode_step(decoder, ctx, state, tokens)
+            logits, state = decode_step(decoder, ctx, state, tokens, scene)
             cand = scores[:, None] + log_softmax(logits).data
-            # alive prefixes are distinct and of equal length, so ranking ties
-            # by (prefix rank, token) orders the extended sequences
-            # lexicographically
-            prefix_rank = np.empty(len(emitted), dtype=np.intp)
-            prefix_rank[sorted(range(len(emitted)), key=emitted.__getitem__)] = (
-                np.arange(len(emitted)))
-            tie = prefix_rank[:, None] * vocab_size + token_ids
-            best = np.lexsort((tie.ravel(), -cand.ravel()))[:width]
-            keep = []
-            for r, t in zip(*(a.tolist() for a in np.divmod(best, vocab_size))):
-                if t == decoder.eos_id:
-                    pool.append(BeamHypothesis(emitted[r], float(cand[r, t]), True,
-                                               emitted[r] + (t,)))
-                else:
-                    keep.append((r, t))
-            emitted = [emitted[r] + (t,) for r, t in keep]
-            if not keep:
+            floor = np.partition(cand, kth, axis=1)[:, kth, None]
+            r, t = np.nonzero(cand >= floor)
+            c = cand[r, t]
+            order = np.lexsort((rank[r] * vocab_size + t, -c, scene[r]))
+            # keep the first `width` of each scene's block of the ranking
+            ranked_scene = scene[r[order]]
+            pos = np.arange(order.size) - np.searchsorted(ranked_scene, ranked_scene)
+            best = order[pos < width]
+            r, t, c = r[best], t[best], c[best]
+            for i in np.flatnonzero(t == eos_id).tolist():
+                emitted = tuple(seqs[r[i]].tolist())
+                pools[scene[r[i]]].append(BeamHypothesis(
+                    emitted, float(c[i]), True, emitted + (eos_id,)))
+            keep = t != eos_id
+            r, tokens, scores = r[keep], t[keep], c[keep]
+            if not r.size:
                 break
-            r_keep, tokens = np.array(keep).T
-            scores = cand[r_keep, tokens]
-            state = [(Tensor(h.data[r_keep]), Tensor(c.data[r_keep])) for h, c in state]
-        for seq, score in zip(emitted, scores.tolist()):
-            pool.append(BeamHypothesis(seq, score, False, seq))
-    pool.sort(key=lambda h: (-h.score, h.emissions))
+            seqs = np.column_stack((seqs[r], tokens))
+            scene = scene[r]
+            parent_rank = rank[r]
+            rank = np.empty(r.size, dtype=np.intp)
+            rank[np.lexsort((tokens, parent_rank))] = np.arange(r.size)
+            state = [(Tensor(h.data[r]), Tensor(cell.data[r])) for h, cell in state]
+        else:
+            for s, seq, score in zip(scene.tolist(), seqs.tolist(), scores.tolist()):
+                pools[s].append(BeamHypothesis(tuple(seq), score, False, tuple(seq)))
+    for pool in pools:
+        pool.sort(key=lambda h: (-h.score, h.emissions))
     if return_pool:
-        return pool
-    return pool[0]
+        return pools
+    return [pool[0] for pool in pools]

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (Tensor, ContractError, Tape, backward, max_rows, neg,
-                       no_grad, row, scale_rows, stack_rows, vec_max)
+from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
+                       max_rows, neg, no_grad, row, scale_rows, scene_attention,
+                       stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
 from .student import FcDecoder, UpDownDecoder, rows_by_length, teacher_forced
 
@@ -50,7 +51,8 @@ class CaptionEncoder:
         self.caption_lstm = LstmCell(embedding.embed_dim, hidden_dim, rng)
 
     def encode(self, captions, feats, collect_gates=None):
-        """Encode C captions (non-empty id sequences) grounded in feats.
+        """Encode C captions (non-empty id sequences) grounded in feats, the
+        (1, K, d) feature stack of one scene.
 
         The captions run as rows, longest first, so the rows still reading
         form a prefix that shrinks; a caption's final state is taken when
@@ -59,8 +61,13 @@ class CaptionEncoder:
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
+        if feats.data.ndim != 3 or feats.data.shape[0] != 1:
+            raise DimensionError(
+                f"caption encoder: expected one scene's (1, K, d) features, got "
+                f"{feats.data.shape}")
         keys = self.attention.keys(feats)
         order, lengths, ids = rows_by_length(captions)
+        scene = np.zeros(len(order), dtype=np.intp)
         zeros = Tensor(np.zeros((len(order), self.hidden_dim)))
         state = (zeros, zeros, zeros, zeros)
         # counts[t]: rows still reading at position t
@@ -74,7 +81,7 @@ class CaptionEncoder:
             h1, c1, h2, c2 = state
             e = self.embedding.lookup(ids[:n, t])
             h1, c1 = self.word_lstm.step(e, h1, c1)
-            gate = vec_max(self.attention.weights(h1, keys))
+            gate = vec_max(scene_attention(h1, keys, feats, scene[:n])[0])
             if collect_gates is not None:
                 collect_gates.extend(gate.data.tolist())
             h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)

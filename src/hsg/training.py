@@ -209,7 +209,7 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
     for rec in records:
         content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
         with no_grad():
-            init = teacher.encode_pooled(content, Tensor(rec.features))
+            init = teacher.encode_pooled(content, Tensor(rec.features[None]))
         targets.append([h.data.copy() for h, _c in init])
 
     order = rng.permutation(len(records))
@@ -283,18 +283,30 @@ def build_student(teacher, statenet, seed):
 
 
 def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max):
-    """Beam-decode a split and average the sentence-level metrics."""
-    sums = {"bleu4": 0.0, "rouge_l": 0.0, "cider": 0.0}
+    """Beam-decode a split and average the sentence-level metrics.
+
+    Scenes with the same feature shape (K objects) are beam-decoded together
+    as the scenes of one context; the metrics add up in record order.
+    """
+    if not records:
+        raise ContractError("evaluate_split: no records to evaluate")
+    groups = {}
+    for i, rec in enumerate(records):
+        groups.setdefault(rec.features.shape, []).append(i)
+    best = [None] * len(records)
     with no_grad():
-        for rec in records:
-            ctx = student.decoder.begin(rec.features)
-            init = student.initial_state(ctx)
-            best = beam_search(student.decoder, ctx, init, t_max,
-                               width=beam_width, bos_id=vocab.BOS)
-            words = vocab.decode(best.tokens)
-            sums["bleu4"] += bleu4(words, rec.captions)
-            sums["rouge_l"] += rouge_l(words, rec.captions)
-            sums["cider"] += cider(words, rec.captions, doc_freq)
+        for idx in groups.values():
+            ctx = student.decoder.begin(np.stack([records[i].features for i in idx]))
+            found = beam_search(student.decoder, ctx, student.initial_state(ctx),
+                                t_max, width=beam_width, bos_id=vocab.BOS)
+            for i, hyp in zip(idx, found):
+                best[i] = hyp
+    sums = {"bleu4": 0.0, "rouge_l": 0.0, "cider": 0.0}
+    for rec, hyp in zip(records, best):
+        words = vocab.decode(hyp.tokens)
+        sums["bleu4"] += bleu4(words, rec.captions)
+        sums["rouge_l"] += rouge_l(words, rec.captions)
+        sums["cider"] += cider(words, rec.captions, doc_freq)
     return {k: v / len(records) for k, v in sums.items()}
 
 

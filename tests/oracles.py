@@ -15,8 +15,8 @@ from collections import Counter
 import numpy as np
 
 from hsg.autodiff import (Tensor, accumulate, log_softmax, mul, neg, no_grad,
-                          record, sum_terms, vec_max, _binary_prep, _tracing,
-                          _unbroadcast)
+                          record, scene_attention, sum_terms, vec_max,
+                          _binary_prep, _tracing, _unbroadcast)
 from hsg.student import BeamHypothesis, decode_step, rollout
 from hsg.training import joint_mle_loss, state_loss_trace
 
@@ -190,12 +190,13 @@ def encode_oracle(encoder, caption_ids, feats):
     """One caption through the encoder, one one-row step per token:
     (h1, c1, h2, c2) finals."""
     keys = encoder.attention.keys(feats)
+    scene = np.zeros(1, dtype=np.intp)
     h = encoder.hidden_dim
     h1, c1, h2, c2 = (Tensor(np.zeros((1, h))) for _ in range(4))
     for tok in caption_ids:
         e = encoder.embedding.lookup(np.array([tok]))
         h1, c1 = encoder.word_lstm.step(e, h1, c1)
-        gate = vec_max(encoder.attention.weights(h1, keys))
+        gate = vec_max(scene_attention(h1, keys, feats, scene)[0])
         h2, c2 = encoder.caption_lstm.step(mul(gate, e), h2, c2)
     return h1, c1, h2, c2
 

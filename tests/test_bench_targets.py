@@ -21,3 +21,15 @@ def test_trace_targets_resolve_on_src_hsg():
         module = sys.modules[getattr(owner, "__module__", owner.__name__)]
         assert os.path.dirname(os.path.abspath(module.__file__)) == src, span
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_blas_thread_count_follows_the_environment():
+    # conftest.py sets OPENBLAS_NUM_THREADS before numpy loads; the count
+    # OpenBLAS reports is read as the benchmark's {"env"} line reads it
+    import pytest
+    from perfbench.run import blas_environment
+
+    threads = blas_environment()["blas_threads"]
+    if threads is None:
+        pytest.skip("this BLAS does not report its thread count")
+    assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])

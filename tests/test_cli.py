@@ -412,14 +412,33 @@ def last_json_line(out):
     ("train-teacher", "epochs=-1", "ConfigError"),
     ("train-teacher", "mle_warmup_epochs=-1", "ConfigError"),
     ("train-teacher", "statenet_steps=-1", "ConfigError"),
+    # file:KEY=RAW writes the raw JSON value into the config file itself
+    ("train-teacher", "file:lr=NaN", "ConfigError"),
+    ("train-teacher", "file:rl_lr=Infinity", "ConfigError"),
+    ("train-teacher", "file:state_loss_weight=NaN", "ConfigError"),
+    ("train-teacher", "file:statenet_lr=-Infinity", "ConfigError"),
+    ("train-teacher", "file:lr=-0.1", "ConfigError"),
+    ("train-teacher", "file:rl_lr=0", "ConfigError"),
+    ("train-teacher", "file:statenet_lr=-0.05", "ConfigError"),
+    ("train-teacher", "file:grad_clip=0", "ConfigError"),
 ])
 def test_degenerate_config_ends_in_one_json_line(pipeline_dir, tmp_path, capsys,
                                                  command, setting, want):
     # zero epochs is a legal run whose empty history prints null; a dim
-    # below one or a negative count is a ConfigError
+    # below one, a negative count, a non-finite number, a learning rate
+    # <= 0 or a grad_clip <= 0 is a ConfigError
     src, cfg_path = pipeline_dir
+    flags = ["--set", setting]
+    if setting.startswith("file:"):
+        setting = setting[len("file:"):]
+        key, raw = setting.split("=", 1)
+        text = (src / "config.json").read_text().rstrip()
+        cfg_path = tmp_path / "degenerate.json"
+        # a repeated key takes the last value
+        cfg_path.write_text(text[:-1] + f', "{key}": {raw}}}')
+        flags = []
     capsys.readouterr()
-    code = cli.main([command, "--config", cfg_path, "--set", setting,
+    code = cli.main([command, "--config", str(cfg_path), *flags,
                      "--set", f"output_dir={tmp_path / 'out'}",
                      "--set", f"teacher_checkpoint={src / 'out' / 'teacher.json'}"])
     line = last_json_line(capsys.readouterr().out)
@@ -454,6 +473,33 @@ def test_malformed_vocab_or_docfreq_is_corpus_format_error(pipeline_dir, tmp_pat
     assert str(corpus / name) in err["message"]
 
 
+@pytest.mark.parametrize("command,split", [
+    ("evaluate", "test"),
+    ("train-teacher", "train"),
+    ("train-student", "train"),
+    ("train-student", "val"),
+])
+def test_empty_split_is_corpus_format_error(pipeline_dir, tmp_path, capsys,
+                                            command, split):
+    # an empty split died with ZeroDivisionError (evaluate) or IndexError
+    # (train-teacher, train-student)
+    src, cfg_path = pipeline_dir
+    corpus = tmp_path / "corpus"
+    shutil.copytree(src / "corpus", corpus)
+    (corpus / f"{split}.jsonl").write_bytes(b"")
+    extra = {"evaluate": ["--checkpoint", str(src / "out" / "student.json")],
+             "train-student": ["--set",
+                               f"teacher_checkpoint={src / 'out' / 'teacher.json'}"]}
+    capsys.readouterr()
+    code = cli.main([command, "--config", cfg_path,
+                     "--set", f"corpus_dir={corpus}",
+                     "--set", f"output_dir={tmp_path / 'out'}",
+                     *extra.get(command, [])])
+    err = last_json_line(capsys.readouterr().out)
+    assert code == 1 and err["error"] == "CorpusFormatError"
+    assert str(corpus / f"{split}.jsonl") in err["message"]
+
+
 def test_grad_check_command_exits_zero(capsys):
     assert cli.main(["grad-check"]) == 0
     out = capsys.readouterr().out
@@ -468,3 +514,66 @@ def test_enum_check_command_exits_zero(capsys):
     reports = [json.loads(line) for line in lines]
     assert {r["family"] for r in reports} == {"fc", "updown"}
     assert all(r["ok"] for r in reports)
+
+
+def test_evaluate_mixed_k_split_equals_per_scene_sums(tmp_path, capsys, monkeypatch):
+    # a hand-written updown split whose scenes have K = 3 or K = 6 objects:
+    # evaluate decodes each K group as one context, and its means equal the
+    # per-scene metrics added up in record order
+    import hsg.training
+    from hsg.corpus import load_records
+    from hsg.metrics import build_doc_freq
+    from hsg.student import StateTransformNet, UpDownDecoder
+    from hsg.training import StudentModel, evaluate_split
+
+    rng = np.random.default_rng(4)
+    words = ["red", "cat", "near", "blue", "dog", "big"]
+    ks = [3, 6, 3, 6, 6, 3, 3]
+    lines = []
+    for i, k in enumerate(ks):
+        caps = [list(rng.choice(words, size=int(rng.integers(2, 6)))) for _ in range(2)]
+        lines.append(json.dumps({"scene_id": i, "K": k,
+                                 "features": rng.normal(size=(k, 5)).tolist(),
+                                 "captions": caps}))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    (corpus / "test.jsonl").write_text("\n".join(lines) + "\n")
+    records = load_records(str(corpus / "test.jsonl"))
+    vocab = Vocabulary.from_captions(c for rec in records for c in rec.captions)
+    doc_freq = build_doc_freq([rec.captions for rec in records])
+    (corpus / "vocab.json").write_text(vocab.to_json())
+    (corpus / "docfreq.json").write_text(doc_freq.to_json())
+
+    cfg = RunConfig(family="updown", hidden_dim=8, embed_dim=6, beam_width=3,
+                    t_max=6, corpus_dir=str(corpus), output_dir=str(tmp_path / "out"))
+    decoder = UpDownDecoder(len(vocab), 6, 8, 5, vocab.EOS, rng)
+    student = StudentModel(decoder, StateTransformNet(5, decoder.layer_dims, rng))
+    ckpt = tmp_path / "student.json"
+    save_checkpoint(str(ckpt), "student", "updown", 5, student.named_parameters(),
+                    cfg.to_dict(), 0, vocab.content_hash())
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg.to_dict()))
+
+    per_scene = [evaluate_split(student, [rec], vocab, doc_freq, 3, 6) for rec in records]
+    sums = {key: 0.0 for key in per_scene[0]}
+    for metrics in per_scene:
+        for key, value in metrics.items():
+            sums[key] += value
+    assert sums["rouge_l"] > 0.0
+
+    contexts = []
+    search = hsg.training.beam_search
+
+    def spy(decoder, ctx, *args, **kwargs):
+        contexts.append(ctx.feats.data.shape)
+        return search(decoder, ctx, *args, **kwargs)
+
+    monkeypatch.setattr(hsg.training, "beam_search", spy)
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", str(cfg_path),
+                     "--checkpoint", str(ckpt), "--split", "test"]) == 0
+    result = last_json_line(capsys.readouterr().out)
+    assert contexts == [(4, 3, 5), (3, 6, 5)]
+    assert result["n"] == len(ks)
+    for key, total in sums.items():
+        assert result[key] == total / len(ks)

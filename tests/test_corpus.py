@@ -51,12 +51,11 @@ def test_references_differ_and_are_consistent(small_corpus):
                 assert rouge_l(rec.captions[i], [rec.captions[j]]) > 0.0
 
 
-def test_caption_length_bound_and_vbar(small_corpus):
+def test_caption_length_bound(small_corpus):
     train, val, test, _, _ = small_corpus
     for rec in train + val + test:
         for cap in rec.captions:
             assert len(cap) <= MAX_CAPTION_LEN
-        assert np.allclose(rec.vbar, rec.features.mean(axis=0), atol=1e-12)
 
 
 def test_vocabulary_reserved_layout(small_corpus):

@@ -200,10 +200,10 @@ def test_encoder_finals_come_back_in_caption_order():
     teacher, feats = world("updown", seed=41)
     caps = [[1, 4, 2], [1, 6, 7, 8, 2], [1, 4, 2], [1, 5, 5, 2]]
     with no_grad():
-        final = teacher.encoder.encode(caps, Tensor(feats))
+        final = teacher.encoder.encode(caps, Tensor(feats[None]))
         for i, ids in enumerate(caps):
             for got, want in zip((final.h1, final.c1, final.h2, final.c2),
-                                 encode_oracle(teacher.encoder, ids, Tensor(feats))):
+                                 encode_oracle(teacher.encoder, ids, Tensor(feats[None]))):
                 assert_close(got.data[i:i + 1], want.data, f"final of caption {i}")
 
 

@@ -92,8 +92,10 @@ def test_lstm_cell_state_bounded_growth():
 
 
 def attention_weights(head, h, feats):
-    """(B, K) weights of the K feature rows feats for query rows h."""
-    return head.weights(h, head.keys(feats))
+    """(B, K) weights of the K feature rows feats, one scene, for query rows h."""
+    stack = ad.reshape(feats, (1,) + feats.data.shape)
+    scene = np.zeros(h.data.shape[0], dtype=np.intp)
+    return ad.scene_attention(h, head.keys(stack), stack, scene)[0]
 
 
 def test_attend_single_object_and_symmetry():

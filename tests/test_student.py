@@ -65,20 +65,19 @@ def test_decode_step_probabilities_sum_to_one():
         assert abs(probs.sum() - 1.0) <= 1e-12
 
 
-def test_updown_single_object_attended_feature():
+def test_updown_single_object_attended_feature(monkeypatch):
+    import hsg.student
     decoder, net, features = make_world("updown", k=1, seed=6)
     ctx = decoder.begin(features)
     state = net.initial_state(ctx.vbar)
     alpha_probe = {}
 
-    orig_weights = decoder.attention.weights
-
-    def spy(h, projected):
-        out = orig_weights(h, projected)
-        alpha_probe["alpha"] = out.data.copy()
+    def spy(h, keys, feats, scene):
+        out = ad.scene_attention(h, keys, feats, scene)
+        alpha_probe["alpha"] = out[0].data.copy()
         return out
 
-    decoder.attention.weights = spy
+    monkeypatch.setattr(hsg.student, "scene_attention", spy)
     with no_grad():
         decode_step(decoder, ctx, state, np.array([BOS]))
     assert np.allclose(alpha_probe["alpha"], [[1.0]], atol=0)
@@ -213,7 +212,7 @@ def test_beam_width_one_equals_greedy():
             ctx, state = fresh(decoder, net, features)
             greedy = greedy_decode(decoder, ctx, state, t_max=5, bos_id=BOS)
             state2 = net.initial_state(ctx.vbar)
-            best = beam_search(decoder, ctx, state2, t_max=5, width=1, bos_id=BOS)
+            (best,) = beam_search(decoder, ctx, state2, t_max=5, width=1, bos_id=BOS)
             assert list(best.tokens) == greedy.tokens
             assert best.score == pytest.approx(greedy.total_log_prob(), abs=1e-12)
 
@@ -234,21 +233,21 @@ def test_beam_exhaustive_matches_enumeration():
     decoder, net, features = make_world(vocab=4, seed=13)
     ctx, state = fresh(decoder, net, features)
     expected = brute_force_best(decoder, ctx, net.initial_state(ctx.vbar), 3)
-    best = beam_search(decoder, ctx, state, t_max=3, width=64, bos_id=BOS)
+    (best,) = beam_search(decoder, ctx, state, t_max=3, width=64, bos_id=BOS)
     assert list(best.tokens) == expected
 
 
 def test_beam_pool_scores_non_increasing_and_width_monotone():
     decoder, net, features = make_world(seed=14)
     ctx, state = fresh(decoder, net, features)
-    pool = beam_search(decoder, ctx, state, t_max=4, width=3, bos_id=BOS,
-                       return_pool=True)
+    (pool,) = beam_search(decoder, ctx, state, t_max=4, width=3, bos_id=BOS,
+                          return_pool=True)
     scores = [h.score for h in pool]
     assert scores == sorted(scores, reverse=True)
     prev_best = None
     for width in (1, 2, 3, 5):
         state_w = net.initial_state(ctx.vbar)
-        best = beam_search(decoder, ctx, state_w, t_max=4, width=width, bos_id=BOS)
+        (best,) = beam_search(decoder, ctx, state_w, t_max=4, width=width, bos_id=BOS)
         if prev_best is not None:
             assert best.score >= prev_best - 1e-15
         prev_best = best.score
@@ -270,23 +269,67 @@ def all_ties(decoder):
 
 
 def test_beam_rows_match_scalar_oracle():
+    # S scenes decode as the rows of one search; each scene's pool must be
+    # the one-scene, one-beam oracle's, in the same order
+    retire_steps = set()
     for family in ("fc", "updown"):
-        for seed, ties in ((16, False), (17, False), (18, True)):
+        for seed, world in ((16, "plain"), (17, "plain"), (18, "ties"), (19, "bias"),
+                            (23, "eos")):
             decoder, net, features = make_world(family, vocab=6, seed=seed)
-            if ties:
+            if world == "ties":
                 all_ties(decoder)
-            for width in (1, 2, 5, 64):
-                for t_max in (1, 6):
-                    ctx, state = fresh(decoder, net, features)
-                    pool = beam_search(decoder, ctx, state, t_max, width=width,
-                                       bos_id=BOS, return_pool=True)
-                    expected = beam_search_oracle(
-                        decoder, ctx, net.initial_state(ctx.vbar), t_max, width, BOS)
-                    assert [h.emissions for h in pool] == [h.emissions for h in expected]
-                    assert [(h.tokens, h.ended) for h in pool] == [
-                        (h.tokens, h.ended) for h in expected]
-                    for got, want in zip(pool, expected):
-                        assert abs(got.score - want.score) <= 1e-12
+            if world == "bias":
+                # every row has the same log-probs, so prefixes that permute
+                # the same tokens tie exactly while others do not
+                decoder.out.w.data[...] = 0.0
+            if world == "eos":
+                # an eos logit that swings with the state retires all of a
+                # scene's beams at a step that differs from scene to scene
+                decoder.out.w.data[EOS] *= 6.0
+            for n_scenes in (1, 3, 7):
+                scenes = np.random.default_rng(seed + n_scenes).normal(
+                    size=(n_scenes,) + features.shape)
+                for width in (1, 2, 5, 64):
+                    for t_max in (1, 6):
+                        ctx = decoder.begin(scenes)
+                        pools = beam_search(decoder, ctx, net.initial_state(ctx.vbar),
+                                            t_max, width=width, bos_id=BOS,
+                                            return_pool=True)
+                        assert len(pools) == n_scenes
+                        steps = set()
+                        for pool, scene in zip(pools, scenes):
+                            one = decoder.begin(scene)
+                            expected = beam_search_oracle(
+                                decoder, one, net.initial_state(one.vbar), t_max,
+                                width, BOS)
+                            assert [h.emissions for h in pool] == [
+                                h.emissions for h in expected]
+                            assert [(h.tokens, h.ended) for h in pool] == [
+                                (h.tokens, h.ended) for h in expected]
+                            for got, want in zip(pool, expected):
+                                assert abs(got.score - want.score) <= 1e-12
+                            if all(h.ended for h in pool):
+                                steps.add(max(len(h.emissions) for h in pool))
+                        if len(steps) > 1:
+                            retire_steps.add(family)
+    # the eos world covers searches whose scenes retire at different steps
+    assert retire_steps == {"fc", "updown"}
+
+
+def test_scene_index_contracts():
+    # a context of S scenes needs S initial rows and a scene id per row
+    decoder, net, features = make_world("updown")
+    ctx = decoder.begin(np.stack([features, features]))
+    with pytest.raises(ad.DimensionError):
+        beam_search(decoder, ctx, net.initial_state(Tensor(ctx.vbar.data[:1])),
+                    3, width=2, bos_id=BOS)
+    state = net.initial_state(ctx.vbar)
+    with pytest.raises(ContractError):
+        decode_step(decoder, ctx, state, np.array([BOS, BOS]))
+    with pytest.raises(ContractError):
+        decode_step(decoder, ctx, state, np.array([BOS, BOS]), np.array([0, 2]))
+    with pytest.raises(ad.DimensionError):
+        decode_step(decoder, ctx, state, np.array([BOS, BOS]), np.array([0]))
 
 
 def test_decode_step_rows_match_single_rows():

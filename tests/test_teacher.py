@@ -23,7 +23,7 @@ def test_single_object_gate_is_one():
     teacher = tiny_teacher()
     gates = []
     with no_grad():
-        teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats(k=1)),
+        teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats(k=1)[None]),
                                collect_gates=gates)
     assert gates == [1.0] * 4
 
@@ -32,7 +32,7 @@ def test_gate_in_unit_interval():
     teacher = tiny_teacher(seed=5)
     gates = []
     with no_grad():
-        teacher.encoder.encode([[1, 4, 5, 6, 2]], Tensor(feats(k=4, seed=2)),
+        teacher.encoder.encode([[1, 4, 5, 6, 2]], Tensor(feats(k=4, seed=2)[None]),
                                collect_gates=gates)
     assert all(0.0 < g <= 1.0 for g in gates)
 
@@ -43,21 +43,21 @@ def test_zero_caption_lstm_weights_zero_final():
     for p in (cell.w_ih, cell.w_hh, cell.b):
         p.data[...] = 0.0
     with no_grad():
-        final = teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats()))
+        final = teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats()[None]))
     assert np.all(final.h2.data == 0.0) and np.all(final.c2.data == 0.0)
 
 
 def test_empty_caption_rejected():
     teacher = tiny_teacher()
     with pytest.raises(ContractError):
-        teacher.encoder.encode([[1, 4, 2], []], Tensor(feats()))
+        teacher.encoder.encode([[1, 4, 2], []], Tensor(feats()[None]))
     with pytest.raises(ContractError):
-        teacher.encoder.encode([], Tensor(feats()))
+        teacher.encoder.encode([], Tensor(feats()[None]))
 
 
 def test_encoder_gradient_check():
     teacher = tiny_teacher(vocab=5, embed=3, hidden=2, feat=3, seed=7)
-    v = ad.parameter(np.random.default_rng(8).normal(size=(2, 3)))
+    v = ad.parameter(np.random.default_rng(8).normal(size=(1, 2, 3)))
 
     def f(*_):
         final = teacher.encoder.encode([[1, 3, 2], [1, 4, 3, 3, 2]], v)
@@ -124,7 +124,7 @@ def test_teacher_forward_empty_caption_trace_is_init():
     teacher = tiny_teacher(seed=9)
     v = feats()
     with no_grad():
-        init = teacher.encode_pooled([[4, 5]], Tensor(v))
+        init = teacher.encode_pooled([[4, 5]], Tensor(v[None]))
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
                                 [[]], True, teacher.bos_id)
     assert len(forced.trace_rows()) == 1
@@ -137,7 +137,7 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
     v = feats(seed=3)
     caption = [4, 5, 6]
     with no_grad():
-        init = teacher.encode_pooled([caption], Tensor(v))
+        init = teacher.encode_pooled([caption], Tensor(v[None]))
         a, b = (teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
                                [caption], True, teacher.bos_id)
                 for _ in range(2))
@@ -188,7 +188,7 @@ def test_architecture_identity_with_student_decoder():
     v = feats(seed=5)
     caption = [4, 5, 6]
     with no_grad():
-        init = teacher.encode_pooled([caption], Tensor(v))
+        init = teacher.encode_pooled([caption], Tensor(v[None]))
         t_run = teacher_forced(teacher.decoder, teacher.decoder.begin(v),
                                init, [caption], True, 1)
         s_run = teacher_forced(student.decoder, student.decoder.begin(v),

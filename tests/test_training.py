@@ -218,7 +218,7 @@ def test_hsg_matched_traces_reduce_to_scst():
 
     tokens = [1, 2]
     with no_grad():
-        t_init = teacher.encode_pooled([tokens], Tensor(world.features))
+        t_init = teacher.encode_pooled([tokens], Tensor(world.features[None]))
         ctx0 = world.make_ctx()
         greedy = greedy_decode(world.decoder, ctx0, t_init, world.t_max,
                                bos_id=world.bos)
@@ -326,7 +326,7 @@ def test_pretrain_state_net_overfits_single_scene():
     with no_grad():
         target = teacher.encode_pooled(
             [vocab.encode(c)[1:-1] for c in train[0].captions],
-            Tensor(train[0].features))
+            Tensor(train[0].features[None]))
         got = net(Tensor(train[0].features.mean(axis=0, keepdims=True)))
     loss = sum(float(np.sum((h.data - t.data) ** 2))
                for h, (t, _c) in zip(got, target))
