@@ -22,7 +22,7 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "DimensionError", "ContractError",
     "parameter", "no_grad", "backward", "grad_check",
-    "add", "sub", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
+    "add", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
     "tanh", "exp", "softmax", "log_softmax",
     "vec_max", "max_rows", "pick", "row", "stack_rows", "scale_rows",
     "affine", "squared_l2", "reshape", "scene_attention",
@@ -264,18 +264,6 @@ def add(a, b):
     return out
 
 
-def sub(a, b):
-    a, b = _binary_prep(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    if _tracing(a, b):
-        def bwd():
-            g = out.grad
-            accumulate(a, _unbroadcast(g, a.data.shape))
-            accumulate(b, _unbroadcast(-g, b.data.shape))
-        record(bwd, out)
-    return out
-
-
 def mul(a, b):
     a, b = _binary_prep(a, b, "mul")
     out = Tensor(a.data * b.data)
@@ -464,17 +452,37 @@ def vec_max(a):
     return out
 
 
-def max_rows(m):
-    """Elementwise max over the rows of a (B, d) matrix, as one (1, d) row;
-    ties route the gradient to the earliest row."""
+def max_rows(m, scene=None):
+    """Elementwise max over the rows of each scene of a (B, d) matrix, as
+    (S, d) rows: row b belongs to scene scene[b], and each of the scenes
+    0..S-1 owns at least one row (scene None: all rows are scene 0).  Ties
+    route the gradient to the earliest row of a scene, and a NaN wins as in
+    np.argmax."""
     m = _as_tensor(m)
-    if m.data.ndim != 2 or m.data.shape[0] == 0:
-        raise DimensionError(f"max_rows: expected (B, d) rows, got shape {m.data.shape}")
-    idx = (np.argmax(m.data, axis=0)[None], np.arange(m.data.shape[1])[None])
-    out = Tensor(m.data[idx])
+    md = m.data
+    if md.ndim != 2 or md.shape[0] == 0:
+        raise DimensionError(f"max_rows: expected (B, d) rows, got shape {md.shape}")
+    n = md.shape[0]
+    if scene is None:
+        scene = np.zeros(n, dtype=np.intp)
+    elif np.shape(scene) != (n,):
+        raise DimensionError(f"max_rows: {np.size(scene)} scene ids for {n} rows")
+    check_index(scene, n, "max_rows: scene")
+    counts = np.bincount(scene)
+    if not counts.all():
+        raise ContractError("max_rows: a scene has no rows")
+    # each scene's rows as one block, in row order
+    order = np.argsort(scene, kind="stable")
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    blocks = md[order]
+    hit = blocks == np.maximum.reduceat(blocks, starts)[scene[order]]
+    hit |= np.isnan(blocks)
+    first = np.minimum.reduceat(np.where(hit, np.arange(n)[:, None], n), starts)
+    idx = (order[first], np.arange(md.shape[1])[None])
+    out = Tensor(md[idx])
     if _tracing(m):
         def bwd():
-            accumulate(m, _scatter(m.data.shape, idx, out.grad))
+            accumulate(m, _scatter(md.shape, idx, out.grad))
         record(bwd, out)
     return out
 

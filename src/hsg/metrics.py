@@ -11,7 +11,8 @@ from collections import defaultdict
 
 from .autodiff import ContractError
 
-__all__ = ["ngram_counts", "bleu4", "cider", "rouge_l", "DocFreq", "build_doc_freq"]
+__all__ = ["ngram_counts", "bleu4", "cider", "CiderRefs", "rouge_l", "DocFreq",
+           "build_doc_freq"]
 
 MAX_NGRAM = 4
 BLEU_EPS = 1e-9
@@ -73,15 +74,24 @@ class DocFreq:
     """Document frequencies of n-grams over a corpus of reference sets.
 
     M is the number of reference sets; df maps an n-gram to the number of
-    sets containing it (in any single reference).
+    sets containing it (in any single reference).  idf values are
+    memoized, so neither changes after construction.
     """
 
     def __init__(self, m, df):
         self.m = int(m)
         self.df = dict(df)
+        self._idf = {}
 
     def idf(self, gram):
-        return math.log(self.m / max(1.0, float(self.df.get(gram, 0))))
+        # one memo entry per n-gram of the table and one (None) for all the
+        # others, which share an idf: scoring new candidates adds no entries
+        key = gram if gram in self.df else None
+        value = self._idf.get(key)
+        if value is None:
+            value = math.log(self.m / max(1.0, float(self.df.get(gram, 0))))
+            self._idf[key] = value
+        return value
 
     def to_json(self):
         return json.dumps(
@@ -120,54 +130,83 @@ def build_doc_freq(ref_sets):
     return DocFreq(len(ref_sets), df)
 
 
-def _tfidf_cosine(cand_counts, ref_counts, df):
-    """Cosine between TF-IDF n-gram vectors of one order.
+class CiderRefs:
+    """A reference set prepared for CIDEr under one DocFreq.
+
+    Per n-gram order it holds each reference's counts, the squared norm of
+    its TF-IDF vector and the squared norm of its raw count vector (for the
+    all-zero-idf fallback), so a score computes only the candidate side.
+    """
+
+    def __init__(self, refs, df):
+        if not refs:
+            raise ContractError("cider: reference list is empty")
+        if df.m <= 0:
+            raise ContractError("cider: document frequencies built from an empty corpus")
+        self.df = df
+        self.orders = []
+        for n in range(1, MAX_NGRAM + 1):
+            prepared = []
+            for ref in refs:
+                counts = ngram_counts(ref, n)
+                sq = sq_raw = 0.0
+                for gram, cnt in counts.items():
+                    w = cnt * df.idf(gram)
+                    sq += w * w
+                    sq_raw += cnt * cnt
+                prepared.append((counts, sq, sq_raw))
+            self.orders.append(prepared)
+
+
+def _tfidf_cosine(cand, sq_c, ref_counts, sq_r, sq_r_raw):
+    """Cosine between TF-IDF n-gram vectors of one order; cand lists the
+    candidate's (gram, count, weight, idf) and sq_c its squared norm.
 
     When every involved idf is zero (degenerate single-document corpora) the
     similarity falls back to the cosine of the raw count vectors, so a
     candidate identical to the reference still scores 1.
     """
-    dot = sq_c = sq_r = 0.0
-    for gram, cnt in cand_counts.items():
-        w = cnt * df.idf(gram)
-        sq_c += w * w
-        rc = ref_counts.get(gram)
-        if rc:
-            dot += w * rc * df.idf(gram)
-    for gram, cnt in ref_counts.items():
-        w = cnt * df.idf(gram)
-        sq_r += w * w
     if sq_c > 0.0 and sq_r > 0.0:
+        dot = 0.0
+        for gram, _cnt, w, idf in cand:
+            rc = ref_counts.get(gram)
+            if rc:
+                dot += w * rc * idf
         return dot / math.sqrt(sq_c * sq_r)
     if sq_c == 0.0 and sq_r == 0.0:
-        dot = sq_c = sq_r = 0.0
-        for gram, cnt in cand_counts.items():
-            sq_c += cnt * cnt
+        dot = sq_raw = 0.0
+        for gram, cnt, _w, _idf in cand:
+            sq_raw += cnt * cnt
             dot += cnt * ref_counts.get(gram, 0)
-        for cnt in ref_counts.values():
-            sq_r += cnt * cnt
-        if sq_c > 0.0 and sq_r > 0.0:
-            return dot / math.sqrt(sq_c * sq_r)
+        if sq_raw > 0.0 and sq_r_raw > 0.0:
+            return dot / math.sqrt(sq_raw * sq_r_raw)
     return 0.0
 
 
 def cider(candidate, refs, df):
     """Consensus CIDEr: mean over n of 10 x TF-IDF cosine, averaged over refs.
 
-    Plain CIDEr with idf = log(M / df); no length penalty.
+    Plain CIDEr with idf = log(M / df); no length penalty.  refs is a list
+    of references or a CiderRefs prepared under df.
     """
-    if not refs:
-        raise ContractError("cider: reference list is empty")
-    if df.m <= 0:
-        raise ContractError("cider: document frequencies built from an empty corpus")
+    if not isinstance(refs, CiderRefs):
+        refs = CiderRefs(refs, df)
+    elif refs.df is not df:
+        raise ContractError("cider: references were prepared under other document "
+                            "frequencies")
     candidate = list(candidate)
     total = 0.0
-    for n in range(1, MAX_NGRAM + 1):
-        cand_counts = ngram_counts(candidate, n)
+    for n, prepared in enumerate(refs.orders, start=1):
+        cand, sq_c = [], 0.0
+        for gram, cnt in ngram_counts(candidate, n).items():
+            idf = df.idf(gram)
+            w = cnt * idf
+            sq_c += w * w
+            cand.append((gram, cnt, w, idf))
         sim = 0.0
-        for ref in refs:
-            sim += _tfidf_cosine(cand_counts, ngram_counts(ref, n), df)
-        total += 10.0 * sim / len(refs)
+        for ref_counts, sq_r, sq_r_raw in prepared:
+            sim += _tfidf_cosine(cand, sq_c, ref_counts, sq_r, sq_r_raw)
+        total += 10.0 * sim / len(prepared)
     return total / MAX_NGRAM
 
 

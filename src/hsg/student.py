@@ -197,31 +197,43 @@ class StateTransformNet:
         return params
 
 
+def _rows(state, perm):
+    """A decoder state's rows taken in the order perm."""
+    return [(row(h, perm), row(c, perm)) for h, c in state]
+
+
 @dataclass
 class DecodedRows:
-    """C captions decoded as one row batch: a sampled or greedy rollout
-    (C = 1) or a teacher-forced pass.
+    """C captions decoded as one row batch: a sampled or greedy rollout or a
+    teacher-forced pass.
 
-    The rows are sorted by emission count, longest first and ties in caption
-    order, so the rows still emitting at step t are a prefix that only
-    shrinks: row p of every step carries caption order[p].  logits[t] is
-    (n_t, V) and states[t + 1] the state after step t with the same rows;
-    states[0] is the initial state on all C rows.  emissions holds each
-    caption's emitted ids, in caption order, ending in eos when ended;
-    targets lists them in the order of stack_rows(logits).
+    The rows are sorted by emission count, longest first, then unended
+    captions first and ties in caption order, so the rows still emitting at
+    step t are a prefix that only shrinks, and so are the rows of the
+    captions with at least t content tokens: row p of every step carries
+    caption order[p].  logits[t] is (n_t, V) and states[t + 1] the state
+    after step t with the same rows; states[0] is the initial state on all C
+    rows.  emissions holds each caption's emitted ids, in caption order,
+    ending in eos where ended[i]; targets lists them in the order of
+    stack_rows(logits).
     """
     emissions: list
-    ended: bool
+    ended: np.ndarray
     order: np.ndarray
     logits: list
     states: list
     targets: np.ndarray
 
     @property
+    def captions(self):
+        """Each caption's content ids (no eos), in caption order."""
+        return [e[:-1] if end else e for e, end in zip(self.emissions, self.ended)]
+
+    @property
     def tokens(self):
         """The content ids (no eos) of a single decoded caption."""
-        (emitted,) = self.emissions
-        return emitted[:-1] if self.ended else emitted
+        (tokens,) = self.captions
+        return tokens
 
     def log_prob_rows(self):
         """Log-probability of every emission as one vector, in the order of
@@ -240,14 +252,15 @@ class DecodedRows:
         """The traces [s_0 .. s_T] of all captions as row batches: the state
         at step t keeps the rows of the captions with at least t content
         tokens.  Two passes over the same captions have the same rows."""
+        content = [len(e) - end for e, end in zip(self.emissions, self.ended)]
         out = []
         for t, state in enumerate(self.states):
-            m = sum(len(e) - self.ended >= t for e in self.emissions)
+            m = sum(n >= t for n in content)
             if m == 0:
                 break
             if m < state[0][0].data.shape[0]:
                 keep = np.arange(m)
-                state = [(row(h, keep), row(c, keep)) for h, c in state]
+                state = _rows(state, keep)
             out.append(state)
         return out
 
@@ -259,40 +272,73 @@ def sample_categorical(probs, rng):
     return int(np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1))
 
 
-def rollout(decoder, ctx, init_state, bos_id, t_max, choose):
-    """The decode loop for one caption: up to t_max emissions, starting from
-    bos_id and a one-row initial state.
+def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
+    """The decode loop: one caption per row of init_state, each up to t_max
+    emissions starting from bos_id.
 
-    choose(t, log_probs) picks emission t from the step's log-softmax values;
-    the loop stops after eos.  Each step records its logits and state on the
-    active tape; the log-probabilities are taken afterwards, from all steps
-    at once (DecodedRows.log_prob_rows).
+    choose(t, log_probs) picks emission t of every running row, as a list,
+    from the step's (n, V) log-softmax rows.  A row stops after eos and the
+    rows that go on are compacted; the loop ends when none is left.  Row i
+    decodes scene scene[i] of the context (None: every row the one scene).
+    Each step records its logits and state on the active tape; the
+    log-probabilities are taken afterwards, from all steps at once
+    (DecodedRows.log_prob_rows).  The result is laid out as a
+    teacher-forced pass over the same emissions.
     """
+    eos_id = decoder.eos_id
+    live = list(range(init_state[0][0].data.shape[0]))  # caption of each row
+    emissions = [[] for _ in live]
     state = init_state
-    states, logits, emitted = [state], [], []
-    prev = np.array([bos_id])
+    steps = []
+    prev = np.full(len(live), bos_id)
     for t in range(t_max):
-        step_logits, state = decode_step(decoder, ctx, state, prev)
+        step_logits, state = decode_step(
+            decoder, ctx, state, prev, None if scene is None else scene[live])
         with no_grad():
-            lp = log_softmax(step_logits).data[0]
-        tok = choose(t, lp)
-        states.append(state)
-        logits.append(step_logits)
-        emitted.append(tok)
-        if tok == decoder.eos_id:
+            lp = log_softmax(step_logits).data
+        tokens = choose(t, lp)
+        steps.append((live, step_logits, state, tokens))
+        for i, tok in zip(live, tokens):
+            emissions[i].append(tok)
+        keep = [p for p, tok in enumerate(tokens) if tok != eos_id]
+        if not keep:
             break
-        prev = np.array([tok])
-    return DecodedRows([emitted], emitted[-1] == decoder.eos_id,
-                       np.zeros(1, dtype=np.intp), logits, states, np.array(emitted))
+        if len(keep) < len(live):
+            state = _rows(state, np.array(keep))
+            live = [live[p] for p in keep]
+        prev = np.array([tokens[p] for p in keep])
+    # row order: emission count descending, then unended captions, then
+    # caption order; a step's rows are ascending by caption, so they need
+    # reordering only when that order is not caption order
+    ended = np.array([bool(e) and e[-1] == eos_id for e in emissions])
+    order = sorted(range(len(emissions)), key=lambda i: (-len(emissions[i]), ended[i]))
+    in_order = order == list(range(len(order)))
+    order = np.array(order, dtype=np.intp)
+    states, logits, targets = [init_state], [], []
+    if not in_order:
+        states[0] = _rows(init_state, order)
+        position = np.empty(order.size, dtype=np.intp)
+        position[order] = np.arange(order.size)
+    for live, step_logits, state, tokens in steps:
+        if not in_order:
+            perm = np.argsort(position[live])
+            step_logits, state = row(step_logits, perm), _rows(state, perm)
+            tokens = [tokens[p] for p in perm.tolist()]
+        logits.append(step_logits)
+        states.append(state)
+        targets.extend(tokens)
+    return DecodedRows(emissions, ended, order, logits, states, np.array(targets))
 
 
-def greedy_decode(decoder, ctx, init_state, t_max, bos_id):
-    """Argmax decoding; ties go to the lowest token id.  Runs untaped."""
+def greedy_decode(decoder, ctx, init_state, t_max, bos_id, scene=None):
+    """Argmax decoding of one caption per init_state row (row i in scene
+    scene[i], as in rollout); ties go to the lowest token id.  Runs
+    untaped."""
     if t_max < 1:
         raise ContractError("greedy_decode: t_max must be >= 1")
     with no_grad():
         return rollout(decoder, ctx, init_state, bos_id, t_max,
-                       lambda _t, lp: int(np.argmax(lp)))
+                       lambda _t, lp: np.argmax(lp, axis=1).tolist(), scene)
 
 
 def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
@@ -302,7 +348,7 @@ def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
     if t_max < 1:
         raise ContractError("sample_decode: t_max must be >= 1")
     return rollout(decoder, ctx, init_state, bos_id, t_max,
-                   lambda _t, lp: sample_categorical(np.exp(lp), rng))
+                   lambda _t, lp: [sample_categorical(np.exp(p), rng) for p in lp])
 
 
 def rows_by_length(sequences):
@@ -321,10 +367,11 @@ def rows_by_length(sequences):
     return order, lengths, ids
 
 
-def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
+def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None):
     """Run the decoder over C known captions (lists of content ids, eos
-    appended when ended) from one shared one-row initial state, as a row
-    batch.
+    appended when ended) as a row batch, from a one-row initial state that
+    all captions share or from one initial row per caption (caption order).
+    Caption i decodes scene scene[i] of the context (None: the one scene).
 
     Each caption's rows compute the same values as decoding it alone, so
     replaying a sampled caption reproduces its log-probabilities and states.
@@ -341,20 +388,31 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id):
     order, lengths, ids = rows_by_length(emissions)
     emitting = lengths > np.arange(ids.shape[1])[:, None]  # step x row
     counts = emitting.sum(axis=1).tolist()
+    if len(init_state) != len(decoder.layer_dims):
+        raise ContractError(
+            f"teacher_forced: state has {len(init_state)} layers, decoder expects "
+            f"{len(decoder.layer_dims)}")
+    n_init = init_state[0][0].data.shape[0]
+    if n_init not in (1, len(order)):
+        raise DimensionError(
+            f"teacher_forced: {n_init} initial rows for {len(order)} captions")
     state = init_state
     if len(order) > 1:
-        first = np.zeros(len(order), dtype=np.intp)
-        state = [(row(h, first), row(c, first)) for h, c in state]
+        state = _rows(state, order if n_init > 1 else np.zeros(len(order), dtype=np.intp))
+    if scene is not None:
+        scene = np.asarray(scene)[order]
     states, logits = [state], []
     for t, n in enumerate(counts):
         if n < (counts[t - 1] if t else len(order)):
             keep = np.arange(n)
-            state = [(row(h, keep), row(c, keep)) for h, c in state]
+            state = _rows(state, keep)
         prev = np.full(n, bos_id) if t == 0 else ids[:n, t - 1]
-        step_logits, state = decode_step(decoder, ctx, state, prev)
+        step_logits, state = decode_step(decoder, ctx, state, prev,
+                                         None if scene is None else scene[:n])
         logits.append(step_logits)
         states.append(state)
-    return DecodedRows(emissions, ended, order, logits, states, ids.T[emitting])
+    return DecodedRows(emissions, np.full(len(order), bool(ended)), order, logits,
+                       states, ids.T[emitting])
 
 
 @dataclass

@@ -50,9 +50,10 @@ class CaptionEncoder:
         self.attention = AttentionHead(feature_dim, hidden_dim, rng)
         self.caption_lstm = LstmCell(embedding.embed_dim, hidden_dim, rng)
 
-    def encode(self, captions, feats, collect_gates=None):
+    def encode(self, captions, feats, scene=None, collect_gates=None):
         """Encode C captions (non-empty id sequences) grounded in feats, the
-        (1, K, d) feature stack of one scene.
+        (S, K, d) feature stack of S scenes; caption i belongs to scene
+        scene[i] (None: every caption to the only scene).
 
         The captions run as rows, longest first, so the rows still reading
         form a prefix that shrinks; a caption's final state is taken when
@@ -61,13 +62,21 @@ class CaptionEncoder:
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
-        if feats.data.ndim != 3 or feats.data.shape[0] != 1:
+        if feats.data.ndim != 3:
             raise DimensionError(
-                f"caption encoder: expected one scene's (1, K, d) features, got "
-                f"{feats.data.shape}")
+                f"caption encoder: expected (S, K, d) features, got {feats.data.shape}")
+        if scene is None:
+            if feats.data.shape[0] != 1:
+                raise ContractError(
+                    f"caption encoder: {feats.data.shape[0]} scenes need a scene "
+                    f"per caption")
+            scene = np.zeros(len(captions), dtype=np.intp)
+        elif np.shape(scene) != (len(captions),):
+            raise DimensionError(
+                f"caption encoder: {np.size(scene)} scene ids for {len(captions)} captions")
         keys = self.attention.keys(feats)
         order, lengths, ids = rows_by_length(captions)
-        scene = np.zeros(len(order), dtype=np.intp)
+        scene = np.asarray(scene)[order]
         zeros = Tensor(np.zeros((len(order), self.hidden_dim)))
         state = (zeros, zeros, zeros, zeros)
         # counts[t]: rows still reading at position t
@@ -106,9 +115,10 @@ class CaptionEncoder:
         return params
 
 
-def pool_captions(final, family):
-    """Elementwise max over the captions' encoder finals -> (1, H) decoder
-    init states; ties take the earliest caption.
+def pool_captions(final, family, scene=None):
+    """Elementwise max over each scene's captions' encoder finals -> (S, H)
+    decoder init states, one row per scene; ties take the scene's earliest
+    caption.  Caption i belongs to scene scene[i] (None: all to one scene).
 
     The single-LSTM decoder is initialized from the Caption LSTM finals; the
     two-layer decoder additionally initializes its first layer from the Word
@@ -117,10 +127,10 @@ def pool_captions(final, family):
     if final.h2.data.shape[0] == 0:
         raise ContractError("pool_captions: no encoder outputs to pool")
     if family == "fc":
-        return [(max_rows(final.h2), max_rows(final.c2))]
+        return [(max_rows(final.h2, scene), max_rows(final.c2, scene))]
     if family == "updown":
-        return [(max_rows(final.h1), max_rows(final.c1)),
-                (max_rows(final.h2), max_rows(final.c2))]
+        return [(max_rows(final.h1, scene), max_rows(final.c1, scene)),
+                (max_rows(final.h2, scene), max_rows(final.c2, scene))]
     raise ContractError(f"pool_captions: unknown decoder family {family!r}")
 
 
@@ -140,25 +150,31 @@ class TeacherAutoencoder:
     def frame(self, content_ids):
         return [self.bos_id] + list(content_ids) + [self.decoder.eos_id]
 
-    def encode_pooled(self, caption_id_lists, feats):
-        """Encode every caption (content ids) and pool into decoder init states."""
+    def encode_pooled(self, caption_id_lists, feats, scene=None):
+        """Encode every caption (content ids) and pool each scene's captions
+        into decoder init states: one row per scene of the (S, K, d) feats,
+        with caption i in scene scene[i] (None: one scene)."""
         final = self.encoder.encode([self.frame(ids) for ids in caption_id_lists],
-                                    feats)
-        return pool_captions(final, self.family)
+                                    feats, scene)
+        return pool_captions(final, self.family, scene)
 
-    def traces(self, caption_id_lists, features):
+    def traces(self, caption_id_lists, features, scene=None):
         """Constant teacher state traces [s_0 .. s_T] of all captions, as the
         row batches of DecodedRows.trace_rows.
 
-        The encoder pools over all the captions and the teacher decoder is
-        teacher-forced over them from that pooled state.  Runs untaped: the
-        teacher is frozen.
+        features holds one scene's (K, d) block or an (S, K, d) stack, and
+        caption i belongs to scene scene[i] (None: the one scene).  The
+        encoder pools over each scene's captions and the teacher decoder is
+        teacher-forced over every caption from its scene's pooled state.
+        Runs untaped: the teacher is frozen.
         """
         with no_grad():
             ctx = self.decoder.begin(features)
-            init = self.encode_pooled(caption_id_lists, ctx.feats)
+            init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
+            if scene is not None:
+                init = [(row(h, scene), row(c, scene)) for h, c in init]
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False, self.bos_id).trace_rows()
+                                  False, self.bos_id, scene).trace_rows()
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as

@@ -17,7 +17,7 @@ from .autodiff import (
     Tensor, Tape, ContractError, backward, mul, neg, no_grad, squared_l2,
     sum_terms, tensor_sum,
 )
-from .metrics import bleu4, cider, rouge_l
+from .metrics import CiderRefs, bleu4, cider, rouge_l
 from .student import (
     StateTransformNet, beam_search, greedy_decode, sample_decode,
     teacher_forced,
@@ -30,6 +30,12 @@ __all__ = [
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
     "zero_gradients", "collect_gradients",
 ]
+
+# The most decode or encode rows one cross-scene pass runs at once: a split
+# is cut into chunks of whole scenes under it, so a step's temporaries stay
+# bounded however many scenes the split holds.  512 beam-decodes 100 scenes
+# at width 5 in one pass.
+MAX_PASS_ROWS = 512
 
 
 def state_loss_trace(student_trace, teacher_trace, match_cell=False):
@@ -194,6 +200,23 @@ def collect_gradients(named_params):
             for name, p in named_params.items()}
 
 
+def _state_net_targets(records, teacher, vocab):
+    """Per record, the teacher's pooled initial h rows from its gold
+    captions; each chunk of scenes (_scene_chunks, one row per caption)
+    runs as one encoder pass."""
+    contents = [[vocab.encode(cap)[1:-1] for cap in rec.captions] for rec in records]
+    targets = [None] * len(records)
+    with no_grad():
+        for idx in _scene_chunks(records, lambda rec: len(rec.captions)):
+            scene = np.repeat(np.arange(len(idx)), [len(contents[i]) for i in idx])
+            init = teacher.encode_pooled(
+                [ids for i in idx for ids in contents[i]],
+                Tensor(np.stack([records[i].features for i in idx])), scene)
+            for s, i in enumerate(idx):
+                targets[i] = [h.data[s:s + 1] for h, _c in init]
+    return targets
+
+
 def pretrain_state_net(records, teacher, vocab, cfg, log=print):
     """Fit the state transformation network to the teacher's initial states.
 
@@ -205,13 +228,7 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
                             teacher.decoder.layer_dims, rng)
     params = list(net.named_parameters().values())
 
-    targets = []
-    for rec in records:
-        content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
-        with no_grad():
-            init = teacher.encode_pooled(content, Tensor(rec.features[None]))
-        targets.append([h.data.copy() for h, _c in init])
-
+    targets = _state_net_targets(records, teacher, vocab)
     order = rng.permutation(len(records))
     final_loss = 0.0
     for step in range(cfg.statenet_steps):
@@ -282,48 +299,107 @@ def build_student(teacher, statenet, seed):
     return StudentModel(student_dec, net_copy)
 
 
-def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max):
-    """Beam-decode a split and average the sentence-level metrics.
-
-    Scenes with the same feature shape (K objects) are beam-decoded together
-    as the scenes of one context; the metrics add up in record order.
-    """
-    if not records:
-        raise ContractError("evaluate_split: no records to evaluate")
+def _scene_chunks(records, rows_per_scene):
+    """Lists of record indices that one cross-scene pass each can take: the
+    scenes of a list share their feature shape (K objects), and their rows,
+    rows_per_scene(record) each, add up to at most MAX_PASS_ROWS unless one
+    scene alone has more.  Indices ascend within a list."""
     groups = {}
     for i, rec in enumerate(records):
         groups.setdefault(rec.features.shape, []).append(i)
+    for idx in groups.values():
+        chunk, rows = [], 0
+        for i in idx:
+            n = rows_per_scene(records[i])
+            if chunk and rows + n > MAX_PASS_ROWS:
+                yield chunk
+                chunk, rows = [], 0
+            chunk.append(i)
+            rows += n
+        yield chunk
+
+
+def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
+                   refs=None):
+    """Beam-decode a split and average the sentence-level metrics.
+
+    Scenes with the same feature shape (K objects) are beam-decoded together
+    as the scenes of one context, at most MAX_PASS_ROWS beam rows at once;
+    the metrics add up in record order.  refs holds each record's reference
+    set prepared for CIDEr (CiderRefs under doc_freq); without it each set
+    is prepared where it is scored.
+    """
+    if not records:
+        raise ContractError("evaluate_split: no records to evaluate")
     best = [None] * len(records)
     with no_grad():
-        for idx in groups.values():
+        for idx in _scene_chunks(records, lambda _rec: beam_width):
             ctx = student.decoder.begin(np.stack([records[i].features for i in idx]))
             found = beam_search(student.decoder, ctx, student.initial_state(ctx),
                                 t_max, width=beam_width, bos_id=vocab.BOS)
             for i, hyp in zip(idx, found):
                 best[i] = hyp
     sums = {"bleu4": 0.0, "rouge_l": 0.0, "cider": 0.0}
-    for rec, hyp in zip(records, best):
+    for i, (rec, hyp) in enumerate(zip(records, best)):
         words = vocab.decode(hyp.tokens)
         sums["bleu4"] += bleu4(words, rec.captions)
         sums["rouge_l"] += rouge_l(words, rec.captions)
-        sums["cider"] += cider(words, rec.captions, doc_freq)
+        sums["cider"] += cider(words, rec.captions if refs is None else refs[i],
+                               doc_freq)
     return {k: v / len(records) for k, v in sums.items()}
 
 
-def _mean_state_loss(student, teacher, records, t_max, vocab, match_cell=False):
-    """Mean per-step hidden-state loss of greedy rollouts on a split."""
-    total = 0.0
+def _row_state_losses(student_state, teacher_state, match_cell):
+    """state_loss_trace's per-step loss for each row of one step's states."""
+    terms = []
+    for (sh, sc), (th, tc) in zip(student_state, teacher_state):
+        d = sh.data - th.data
+        term = np.einsum("ij,ij->i", d, d)
+        if match_cell:
+            d = sc.data - tc.data
+            term = term + np.einsum("ij,ij->i", d, d)
+        terms.append(term)
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
+def _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell=False):
+    """Per record, in record order: the content ids of the greedy caption
+    and the mean per-step hidden-state loss against the teacher's trace of
+    that caption.
+
+    Each chunk of scenes with the same K (_scene_chunks, one row per scene)
+    runs as one greedy rollout whose rows retire at eos and one teacher pass
+    in which each scene's greedy caption is its sole encoder input.
+    """
+    out = [None] * len(records)
     with no_grad():
-        for rec in records:
-            ctx = student.decoder.begin(rec.features)
-            init = student.initial_state(ctx)
-            rollout = greedy_decode(student.decoder, ctx, init, t_max,
-                                    bos_id=vocab.BOS)
-            teacher_trace = teacher.trace_for_tokens(rollout.tokens, rec.features)
-            losses = state_loss_trace(rollout.trace_rows(), teacher_trace,
-                                      match_cell=match_cell)
-            total += sum(loss.item() for loss in losses) / len(losses)
-    return total / len(records)
+        for idx in _scene_chunks(records, lambda _rec: 1):
+            features = np.stack([records[i].features for i in idx])
+            scene = np.arange(len(idx))
+            ctx = student.decoder.begin(features)
+            greedy = greedy_decode(student.decoder, ctx, student.initial_state(ctx),
+                                   t_max, bos_id=vocab.BOS, scene=scene)
+            captions = greedy.captions
+            teacher_trace = teacher.traces(captions, features, scene)
+            # both passes lay their rows out in greedy.order
+            sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
+            for s_state, t_state in zip(greedy.trace_rows(), teacher_trace):
+                rows = greedy.order[:s_state[0][0].data.shape[0]]
+                sums[rows] += _row_state_losses(s_state, t_state, match_cell)
+                steps[rows] += 1
+            for s, i in enumerate(idx):
+                out[i] = (captions[s], float(sums[s] / steps[s]))
+    return out
+
+
+def _mean_state_loss(student, teacher, records, t_max, vocab, match_cell=False):
+    """Mean over a split's scenes of _greedy_state_losses, added in record
+    order."""
+    losses = _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell)
+    return sum(loss for _tokens, loss in losses) / len(records)
 
 
 def train_student(train_records, val_records, teacher, statenet, vocab,
@@ -355,6 +431,12 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     content_cache = {
         rec.scene_id: [vocab.encode(cap)[1:-1] for cap in rec.captions]
         for rec in train_records}
+    # every CIDEr score of the run reads reference sets prepared here, once
+    val_refs = [CiderRefs(rec.captions, doc_freq) for rec in val_records]
+    reward_refs = {rec.scene_id: rec.captions for rec in train_records}
+    if cfg.reward_metric == "cider" and cfg.mode.startswith("scst"):
+        reward_refs = {scene_id: CiderRefs(refs, doc_freq)
+                       for scene_id, refs in reward_refs.items()}
     trace_cache = {}
     if cfg.mode == "mle_hsg" and lam > 0:
         for rec in train_records:
@@ -374,10 +456,10 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
                               trace_cache.get(rec.scene_id), phase_lam, vocab,
                               params, cfg)
                 else:
-                    _rl_step(student, teacher, rec, reward_fn, phase_lam, vocab,
-                             params, cfg, rng)
+                    _rl_step(student, teacher, rec, reward_refs[rec.scene_id],
+                             reward_fn, phase_lam, vocab, params, cfg, rng)
             metrics = evaluate_split(student, val_records, vocab, doc_freq,
-                                     cfg.beam_width, cfg.t_max)
+                                     cfg.beam_width, cfg.t_max, val_refs)
             msl = _mean_state_loss(student, teacher, val_records, cfg.t_max,
                                    vocab, cfg.match_cell_states)
             line = {"epoch": epoch, "split": "val",
@@ -418,7 +500,7 @@ def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
     zero_gradients(params)
 
 
-def _rl_step(student, teacher, rec, reward_fn, lam, vocab, params, cfg, rng):
+def _rl_step(student, teacher, rec, refs, reward_fn, lam, vocab, params, cfg, rng):
     with Tape() as tape:
         ctx = student.decoder.begin(rec.features)
         init = student.initial_state(ctx)
@@ -427,12 +509,12 @@ def _rl_step(student, teacher, rec, reward_fn, lam, vocab, params, cfg, rng):
         greedy = greedy_decode(student.decoder, ctx, init, cfg.t_max,
                                bos_id=vocab.BOS)
         if lam > 0:
-            hsg_gradients(tape, rollout, greedy, rec.captions, reward_fn,
+            hsg_gradients(tape, rollout, greedy, refs, reward_fn,
                           teacher, lam, features=rec.features,
                           match_cell=cfg.match_cell_states,
                           discount=cfg.discount)
         else:
-            scst_gradients(tape, rollout, greedy, rec.captions, reward_fn)
+            scst_gradients(tape, rollout, greedy, refs, reward_fn)
     clip_gradients(params, cfg.grad_clip)
     sgd_update(params, cfg.rl_lr)
     zero_gradients(params)

@@ -7,6 +7,9 @@ candidate tuple, against which the row-batched search is checked.  The
 teacher-forcing oracles run a scene's captions one at a time, each as a
 batch of one row (encoder, pooling chain, decoder replay and the
 per-caption losses), against which the row-batched passes are checked.
+The one-scene oracles run each scene of a split alone (its state-net
+target, and its greedy rollout with the teacher trace of that caption),
+against which the cross-scene passes are checked.
 """
 
 import math
@@ -222,7 +225,7 @@ def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
     """One caption replayed through the one-row rollout loop."""
     emissions = list(tokens) + ([decoder.eos_id] if ended else [])
     return rollout(decoder, ctx, init_state, bos_id, len(emissions),
-                   lambda t, _lp: emissions[t])
+                   lambda t, _lp: [emissions[t]])
 
 
 def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=None,
@@ -241,3 +244,41 @@ def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=N
             ll = joint_mle_loss(ll, losses, lam)
         terms.append(ll)
     return sum_terms(terms) * (1.0 / len(captions)), replays
+
+
+def greedy_oracle(decoder, ctx, init_state, t_max, bos_id):
+    """One-row argmax decoding, one decode_step per emission and ties to the
+    lowest id: (content ids, ended, states after each step, init first)."""
+    state, states, emitted, prev = init_state, [init_state], [], bos_id
+    with no_grad():
+        for _ in range(t_max):
+            logits, state = decode_step(decoder, ctx, state, np.array([prev]))
+            prev = int(np.argmax(log_softmax(logits).data[0]))
+            states.append(state)
+            emitted.append(prev)
+            if prev == decoder.eos_id:
+                return emitted[:-1], True, states
+    return emitted, False, states
+
+
+def state_net_target_oracle(teacher, vocab, rec):
+    """One scene's state-net target: the h rows of its pooled gold captions."""
+    content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
+    with no_grad():
+        init = encode_pooled_oracle(teacher, content, Tensor(rec.features[None]))
+    return [h.data for h, _c in init]
+
+
+def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id, match_cell=False):
+    """One scene alone: its greedy caption and the mean per-step state loss
+    against the teacher's trace of that caption, its sole encoder input."""
+    with no_grad():
+        ctx = student.decoder.begin(rec.features)
+        tokens, _ended, states = greedy_oracle(
+            student.decoder, ctx, student.initial_state(ctx), t_max, bos_id)
+        tctx = teacher.decoder.begin(rec.features)
+        init = encode_pooled_oracle(teacher, [tokens], tctx.feats)
+        target = forced_oracle(teacher.decoder, tctx, init, tokens, False, bos_id)
+        losses = state_loss_trace(states[:len(tokens) + 1], target.states,
+                                  match_cell=match_cell)
+    return tokens, sum(loss.item() for loss in losses) / len(losses)

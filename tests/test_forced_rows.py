@@ -77,7 +77,8 @@ def assert_same_replay(forced, replays):
     for i, want in enumerate(replays):
         p = int(np.flatnonzero(forced.order == i)[0])
         n = len(want.logits)
-        assert forced.emissions[i] == want.emissions[0] and forced.ended == want.ended
+        assert forced.emissions[i] == want.emissions[0]
+        assert forced.ended[i] == want.ended[0]
         assert sum(k > p for k in counts) == n
         for t in range(n):
             assert_close(forced.logits[t].data[p], want.logits[t].data[0],

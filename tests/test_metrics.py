@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hsg.autodiff import ContractError
-from hsg.metrics import DocFreq, bleu4, build_doc_freq, cider, rouge_l
+from hsg.metrics import CiderRefs, DocFreq, bleu4, build_doc_freq, cider, rouge_l
 
 from oracles import bleu4_oracle, cider_oracle, handcrafted_pairs
 
@@ -63,6 +63,13 @@ def test_cider_self_similarity_single_image_corpus():
     ref4 = ["a", "b", "c", "d"]
     df4 = build_doc_freq([[ref4]])
     assert cider(ref4, [ref4], df4) == pytest.approx(10.0, abs=1e-12)
+    # prepared references keep the all-zero-idf fallback
+    for cand in (ref4, ["a", "b"], ["d", "c", "b"], ["x"], []):
+        for refs in ([ref4], [ref4, ["a", "b", "x"]]):
+            prepared = CiderRefs(refs, df4)
+            assert cider(cand, prepared, df4) == pytest.approx(
+                cider_oracle(cand, refs, df4.m, df4.df), abs=1e-10)
+            assert cider(cand, prepared, df4) == cider(cand, refs, df4)
 
 
 def test_cider_three_image_corpus_matches_bruteforce():
@@ -72,10 +79,12 @@ def test_cider_three_image_corpus_matches_bruteforce():
         [["a", "red", "dog"], ["a", "red", "dog", "runs"]],
     ]
     df = build_doc_freq(sets)
+    prepared = [CiderRefs(refs, df) for refs in sets]
     for cand in (["a", "red", "dog"], ["a", "cat"], ["the", "dog"], ["cat"]):
-        for refs in sets:
+        for refs, ready in zip(sets, prepared):
             expected = cider_oracle(cand, refs, df.m, df.df)
             assert cider(cand, refs, df) == pytest.approx(expected, abs=1e-10)
+            assert cider(cand, ready, df) == pytest.approx(expected, abs=1e-10)
 
 
 def test_cider_contract_errors():
@@ -84,6 +93,13 @@ def test_cider_contract_errors():
         cider(["a"], [], df)
     with pytest.raises(ContractError):
         cider(["a"], [["a"]], DocFreq(0, {}))
+    with pytest.raises(ContractError):
+        CiderRefs([], df)
+    with pytest.raises(ContractError):
+        CiderRefs([["a"]], DocFreq(0, {}))
+    # references prepared under one table cannot be scored under another
+    with pytest.raises(ContractError):
+        cider(["a"], CiderRefs([["a"]], df), build_doc_freq([[["a"]], [["b"]]]))
 
 
 def test_cider_invariant_under_corpus_duplication():
@@ -137,6 +153,21 @@ def test_score_ranges_on_handcrafted_suite():
         assert 0.0 <= bleu4(cand, refs, smooth=True) <= 1.0
         assert 0.0 <= rouge_l(cand, refs) <= 1.0
         assert cider(cand, refs, df) >= 0.0
+
+
+def test_prepared_cider_matches_oracle_on_handcrafted_suite():
+    # every candidate is scored twice against one prepared set, as an RL step
+    # scores its sample and its greedy caption; each score equals the
+    # unprepared call float for float
+    pairs = handcrafted_pairs()
+    df = build_doc_freq([refs for _cand, refs in pairs])
+    for cand, refs in pairs:
+        prepared = CiderRefs(refs, df)
+        first = cider(cand, prepared, df)
+        assert first == pytest.approx(cider_oracle(cand, refs, df.m, df.df), abs=1e-10)
+        assert cider(cand, prepared, df) == first == cider(cand, refs, df)
+        other = pairs[0][0]
+        assert cider(other, prepared, df) == cider(other, refs, df)
 
 
 def test_docfreq_json_round_trip():
