@@ -27,7 +27,7 @@ from .training import (StudentModel, evaluate_split, pretrain_state_net,
                        train_student)
 
 USER_ERRORS = (ConfigError, ContractError, DimensionError, CheckpointError,
-               CorpusFormatError, TrainingDiverged, FileNotFoundError)
+               CorpusFormatError, TrainingDiverged, OSError)
 
 
 def _sha256_file(path):

@@ -138,11 +138,12 @@ def load_config(path=None, overrides=(), env=None):
     env = os.environ if env is None else env
     data = {}
     if path is not None:
-        with open(path) as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as err:
-                raise ConfigError(f"{path}: not valid JSON ({err})") from err
+        with open(path, "rb") as fh:
+            text = fh.read()
+        try:
+            loaded = json.loads(text)
+        except (ValueError, RecursionError) as err:  # not UTF-8, not JSON, too deep
+            raise ConfigError(f"{path}: not valid JSON ({err!r})") from err
         if not isinstance(loaded, dict):
             raise ConfigError(f"{path}: config must be a JSON object")
         data.update(loaded)

@@ -21,8 +21,8 @@ from .layers import AttentionHead, Embedding, Linear, LstmCell
 __all__ = [
     "FcDecoder", "UpDownDecoder", "StateTransformNet", "DecodedRows",
     "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
-    "rows_by_length", "teacher_forced", "greedy_decode", "sample_decode",
-    "beam_search", "sample_categorical",
+    "teacher_forced", "greedy_decode", "sample_decode", "beam_search",
+    "sample_categorical",
 ]
 
 
@@ -207,19 +207,15 @@ class DecodedRows:
     """C captions decoded as one row batch: a sampled or greedy rollout or a
     teacher-forced pass.
 
-    The rows are sorted by emission count, longest first, then unended
-    captions first and ties in caption order, so the rows still emitting at
-    step t are a prefix that only shrinks, and so are the rows of the
-    captions with at least t content tokens: row p of every step carries
-    caption order[p].  logits[t] is (n_t, V) and states[t + 1] the state
-    after step t with the same rows; states[0] is the initial state on all C
-    rows.  emissions holds each caption's emitted ids, in caption order,
-    ending in eos where ended[i]; targets lists them in the order of
-    stack_rows(logits).
+    The rows of step t are the captions with more than t emissions, in
+    caption order; a caption's row leaves after its last emission.
+    logits[t] is (n_t, V) and states[t + 1] the state after step t with the
+    same rows; states[0] is the initial state on all C rows.  emissions
+    holds each caption's emitted ids, ending in eos where ended[i]; targets
+    lists them in the order of stack_rows(logits).
     """
     emissions: list
     ended: np.ndarray
-    order: np.ndarray
     logits: list
     states: list
     targets: np.ndarray
@@ -250,18 +246,17 @@ class DecodedRows:
 
     def trace_rows(self):
         """The traces [s_0 .. s_T] of all captions as row batches: the state
-        at step t keeps the rows of the captions with at least t content
-        tokens.  Two passes over the same captions have the same rows."""
-        content = [len(e) - end for e, end in zip(self.emissions, self.ended)]
-        out = []
-        for t, state in enumerate(self.states):
-            m = sum(n >= t for n in content)
-            if m == 0:
-                break
-            if m < state[0][0].data.shape[0]:
-                keep = np.arange(m)
-                state = _rows(state, keep)
-            out.append(state)
+        at step t keeps the captions with at least t content tokens, in
+        caption order.  Two passes over the same captions have the same
+        rows."""
+        emitted = np.array([len(e) for e in self.emissions])
+        content = emitted - self.ended
+        out = self.states[:content.max() + 1]
+        # states[t] still holds the rows of the captions whose eos was
+        # emission t
+        for t in set(emitted[self.ended].tolist()):
+            if t < len(out):
+                out[t] = _rows(out[t], np.flatnonzero(content[emitted >= t] >= t))
         return out
 
 
@@ -273,61 +268,51 @@ def sample_categorical(probs, rng):
 
 
 def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
-    """The decode loop: one caption per row of init_state, each up to t_max
-    emissions starting from bos_id.
+    """The decode loop: one caption per row of init_state, starting from
+    bos_id, with at most t_max emissions (one limit, or one per caption).
 
-    choose(t, log_probs) picks emission t of every running row, as a list,
-    from the step's (n, V) log-softmax rows.  A row stops after eos and the
-    rows that go on are compacted; the loop ends when none is left.  Row i
-    decodes scene scene[i] of the context (None: every row the one scene).
-    Each step records its logits and state on the active tape; the
-    log-probabilities are taken afterwards, from all steps at once
-    (DecodedRows.log_prob_rows).  The result is laid out as a
-    teacher-forced pass over the same emissions.
+    choose(t, logits, live) picks emission t of the running captions live
+    (ascending caption indices) from the step's (n, V) logits.  A caption
+    stops after eos or at its limit and its row is dropped; the loop ends
+    when none is left.  Caption i decodes scene scene[i] of the context
+    (None: every caption the one scene).  Each step records its logits and
+    state on the active tape; log-probabilities are taken afterwards, from
+    all steps at once (DecodedRows.log_prob_rows).
     """
     eos_id = decoder.eos_id
-    live = list(range(init_state[0][0].data.shape[0]))  # caption of each row
-    emissions = [[] for _ in live]
-    state = init_state
-    steps = []
-    prev = np.full(len(live), bos_id)
-    for t in range(t_max):
+    n = init_state[0][0].data.shape[0]
+    limit = np.empty(n, dtype=np.intp)
+    limit[:] = t_max
+    limit_steps = set(limit.tolist())
+    if scene is not None:
+        scene = np.asarray(scene)
+    live = np.flatnonzero(limit > 0)
+    state = init_state if live.size in (0, n) else _rows(init_state, live)
+    prev = np.full(live.size, bos_id)
+    states, logits, steps = [init_state], [], []
+    t = 0
+    while live.size:
         step_logits, state = decode_step(
             decoder, ctx, state, prev, None if scene is None else scene[live])
-        with no_grad():
-            lp = log_softmax(step_logits).data
-        tokens = choose(t, lp)
-        steps.append((live, step_logits, state, tokens))
-        for i, tok in zip(live, tokens):
-            emissions[i].append(tok)
-        keep = [p for p, tok in enumerate(tokens) if tok != eos_id]
-        if not keep:
-            break
-        if len(keep) < len(live):
-            state = _rows(state, np.array(keep))
-            live = [live[p] for p in keep]
-        prev = np.array([tokens[p] for p in keep])
-    # row order: emission count descending, then unended captions, then
-    # caption order; a step's rows are ascending by caption, so they need
-    # reordering only when that order is not caption order
-    ended = np.array([bool(e) and e[-1] == eos_id for e in emissions])
-    order = sorted(range(len(emissions)), key=lambda i: (-len(emissions[i]), ended[i]))
-    in_order = order == list(range(len(order)))
-    order = np.array(order, dtype=np.intp)
-    states, logits, targets = [init_state], [], []
-    if not in_order:
-        states[0] = _rows(init_state, order)
-        position = np.empty(order.size, dtype=np.intp)
-        position[order] = np.arange(order.size)
-    for live, step_logits, state, tokens in steps:
-        if not in_order:
-            perm = np.argsort(position[live])
-            step_logits, state = row(step_logits, perm), _rows(state, perm)
-            tokens = [tokens[p] for p in perm.tolist()]
+        tokens = np.asarray(choose(t, step_logits, live), dtype=np.intp)
         logits.append(step_logits)
         states.append(state)
-        targets.extend(tokens)
-    return DecodedRows(emissions, ended, order, logits, states, np.array(targets))
+        steps.append((live, tokens))
+        t += 1
+        if t in limit_steps or eos_id in tokens.tolist():
+            keep = ((tokens != eos_id) & (limit[live] > t)).nonzero()[0]
+            if keep.size:
+                state = _rows(state, keep)
+            live, tokens = live[keep], tokens[keep]
+        prev = tokens
+    emissions = [[] for _ in range(n)]
+    for rows, tokens in steps:
+        for i, tok in zip(rows.tolist(), tokens.tolist()):
+            emissions[i].append(tok)
+    ended = np.array([bool(e) and e[-1] == eos_id for e in emissions])
+    targets = np.concatenate([tokens for _live, tokens in steps]
+                             or [np.zeros(0, dtype=np.intp)])
+    return DecodedRows(emissions, ended, logits, states, targets)
 
 
 def greedy_decode(decoder, ctx, init_state, t_max, bos_id, scene=None):
@@ -336,9 +321,12 @@ def greedy_decode(decoder, ctx, init_state, t_max, bos_id, scene=None):
     untaped."""
     if t_max < 1:
         raise ContractError("greedy_decode: t_max must be >= 1")
+
+    def choose(_t, logits, _live):
+        return np.argmax(log_softmax(logits).data, axis=1)
+
     with no_grad():
-        return rollout(decoder, ctx, init_state, bos_id, t_max,
-                       lambda _t, lp: np.argmax(lp, axis=1).tolist(), scene)
+        return rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene)
 
 
 def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
@@ -347,24 +335,13 @@ def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
     log-probabilities."""
     if t_max < 1:
         raise ContractError("sample_decode: t_max must be >= 1")
-    return rollout(decoder, ctx, init_state, bos_id, t_max,
-                   lambda _t, lp: [sample_categorical(np.exp(p), rng) for p in lp])
 
+    def choose(_t, logits, _live):
+        with no_grad():
+            lp = log_softmax(logits).data
+        return [sample_categorical(np.exp(p), rng) for p in lp]
 
-def rows_by_length(sequences):
-    """Lay id sequences out as rows, longest first and ties in input order.
-
-    Returns (order, lengths, ids): row p holds sequences[order[p]], of
-    length lengths[p], left-aligned in the zero-padded id matrix.  The rows
-    still running at position t are then the prefix lengths > t.
-    """
-    order = np.array(sorted(range(len(sequences)), key=lambda i: -len(sequences[i])),
-                     dtype=np.intp)
-    lengths = np.array([len(sequences[i]) for i in order], dtype=np.intp)
-    ids = np.zeros((len(order), lengths.max(initial=0)), dtype=np.intp)
-    for p, i in enumerate(order):
-        ids[p, :lengths[p]] = sequences[i]
-    return order, lengths, ids
+    return rollout(decoder, ctx, init_state, bos_id, t_max, choose)
 
 
 def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None):
@@ -373,46 +350,34 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None
     all captions share or from one initial row per caption (caption order).
     Caption i decodes scene scene[i] of the context (None: the one scene).
 
-    Each caption's rows compute the same values as decoding it alone, so
+    This is a rollout whose chooser returns the given words, so each
+    caption's rows compute the same values as decoding it alone, and
     replaying a sampled caption reproduces its log-probabilities and states.
     The pass records logits and states only; DecodedRows.log_likelihood adds
     the log-softmax for the callers that need it.
     """
     if not captions:
         raise ContractError("teacher_forced: no captions given")
-    emissions = []
-    for tokens in captions:
-        if decoder.eos_id in tokens:
-            raise ContractError("teacher_forced: content tokens contain eos")
-        emissions.append(list(tokens) + ([decoder.eos_id] if ended else []))
-    order, lengths, ids = rows_by_length(emissions)
-    emitting = lengths > np.arange(ids.shape[1])[:, None]  # step x row
-    counts = emitting.sum(axis=1).tolist()
+    if any(decoder.eos_id in tokens for tokens in captions):
+        raise ContractError("teacher_forced: content tokens contain eos")
     if len(init_state) != len(decoder.layer_dims):
         raise ContractError(
             f"teacher_forced: state has {len(init_state)} layers, decoder expects "
             f"{len(decoder.layer_dims)}")
     n_init = init_state[0][0].data.shape[0]
-    if n_init not in (1, len(order)):
+    if n_init not in (1, len(captions)):
         raise DimensionError(
-            f"teacher_forced: {n_init} initial rows for {len(order)} captions")
-    state = init_state
-    if len(order) > 1:
-        state = _rows(state, order if n_init > 1 else np.zeros(len(order), dtype=np.intp))
-    if scene is not None:
-        scene = np.asarray(scene)[order]
-    states, logits = [state], []
-    for t, n in enumerate(counts):
-        if n < (counts[t - 1] if t else len(order)):
-            keep = np.arange(n)
-            state = _rows(state, keep)
-        prev = np.full(n, bos_id) if t == 0 else ids[:n, t - 1]
-        step_logits, state = decode_step(decoder, ctx, state, prev,
-                                         None if scene is None else scene[:n])
-        logits.append(step_logits)
-        states.append(state)
-    return DecodedRows(emissions, np.full(len(order), bool(ended)), order, logits,
-                       states, ids.T[emitting])
+            f"teacher_forced: {n_init} initial rows for {len(captions)} captions")
+    if n_init < len(captions):
+        init_state = _rows(init_state, np.zeros(len(captions), dtype=np.intp))
+    lengths = np.array([len(tokens) + bool(ended) for tokens in captions])
+    # step x caption; eos past each caption's content: an ended caption's
+    # last emission
+    ids = np.full((lengths.max(), len(captions)), decoder.eos_id)
+    for i, tokens in enumerate(captions):
+        ids[:len(tokens), i] = tokens
+    return rollout(decoder, ctx, init_state, bos_id, lengths,
+                   lambda t, _logits, live: ids[t][live], scene)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
                        max_rows, neg, no_grad, row, scale_rows, scene_attention,
                        stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
-from .student import FcDecoder, UpDownDecoder, rows_by_length, teacher_forced
+from .student import FcDecoder, UpDownDecoder, teacher_forced
 
 __all__ = [
     "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
@@ -55,10 +55,10 @@ class CaptionEncoder:
         (S, K, d) feature stack of S scenes; caption i belongs to scene
         scene[i] (None: every caption to the only scene).
 
-        The captions run as rows, longest first, so the rows still reading
-        form a prefix that shrinks; a caption's final state is taken when
-        its row leaves.  Returns (C, H) finals in caption order.  Gate values
-        are appended to collect_gates step by step, in that row order.
+        Step t runs the captions with more than t ids as rows, in caption
+        order; a caption's final state is taken when its row leaves.
+        Returns (C, H) finals in caption order.  Gate values are appended to
+        collect_gates step by step, in that row order.
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
@@ -74,35 +74,39 @@ class CaptionEncoder:
         elif np.shape(scene) != (len(captions),):
             raise DimensionError(
                 f"caption encoder: {np.size(scene)} scene ids for {len(captions)} captions")
+        scene = np.asarray(scene)
         keys = self.attention.keys(feats)
-        order, lengths, ids = rows_by_length(captions)
-        scene = np.asarray(scene)[order]
-        zeros = Tensor(np.zeros((len(order), self.hidden_dim)))
+        lengths = np.array([len(ids) for ids in captions])
+        ids = np.zeros((lengths.max(), len(captions)), dtype=np.intp)  # step x caption
+        for i, caption in enumerate(captions):
+            ids[:len(caption), i] = caption
+        zeros = Tensor(np.zeros((len(captions), self.hidden_dim)))
         state = (zeros, zeros, zeros, zeros)
-        # counts[t]: rows still reading at position t
-        counts = np.count_nonzero(lengths > np.arange(ids.shape[1] + 1)[:, None], axis=1)
+        live = np.arange(len(captions))
+        leave_steps = set(lengths.tolist())
         leaving, left = [], []
-        for t in range(ids.shape[1]):
-            n, stay = int(counts[t]), int(counts[t + 1])
-            if n < state[0].data.shape[0]:
-                keep = np.arange(n)
-                state = tuple(row(s, keep) for s in state)
+        for t in range(ids.shape[0]):
             h1, c1, h2, c2 = state
-            e = self.embedding.lookup(ids[:n, t])
+            e = self.embedding.lookup(ids[t][live])
             h1, c1 = self.word_lstm.step(e, h1, c1)
-            gate = vec_max(scene_attention(h1, keys, feats, scene[:n])[0])
+            gate = vec_max(scene_attention(h1, keys, feats, scene[live])[0])
             if collect_gates is not None:
                 collect_gates.extend(gate.data.tolist())
             h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
             state = (h1, c1, h2, c2)
-            if stay < n:
-                gone = np.arange(stay, n)
-                left.append(gone)
-                leaving.append(state if stay == 0 else
+            if t + 1 in leave_steps:
+                stay = lengths[live] > t + 1
+                gone = np.flatnonzero(~stay)
+                left.append(live[gone])
+                leaving.append(state if gone.size == live.size else
                                tuple(row(s, gone) for s in state))
-        # the shortest captions leave first: put the finals in caption order
+                keep = np.flatnonzero(stay)
+                if keep.size:
+                    state = tuple(row(s, keep) for s in state)
+                live = live[keep]
+        # captions leave shortest first: put the finals in caption order
         finals = [stack_rows(parts) for parts in zip(*leaving)]
-        perm = np.argsort(order[np.concatenate(left)])
+        perm = np.argsort(np.concatenate(left))
         if np.any(perm != np.arange(perm.size)):
             finals = [row(f, perm) for f in finals]
         return EncoderFinal(*finals)

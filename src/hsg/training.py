@@ -248,13 +248,10 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
         zero_gradients(params)
         final_loss = loss.item()
 
-    mean_loss = 0.0
     with no_grad():
-        for rec, target in zip(records, targets):
-            hs = net(Tensor(rec.features.mean(axis=0, keepdims=True)))
-            mean_loss += sum(
-                float(np.sum((h.data - t) ** 2)) for h, t in zip(hs, target))
-    mean_loss /= len(records)
+        hs = net(Tensor(np.stack([rec.features.mean(axis=0) for rec in records])))
+    mean_loss = sum(float(np.sum((h.data - np.concatenate(layer)) ** 2))
+                    for h, layer in zip(hs, zip(*targets))) / len(records)
     log(f"state net: final step loss {final_loss:.6f}, mean loss {mean_loss:.6f}")
     return net
 
@@ -384,10 +381,12 @@ def _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell=Fal
                                    t_max, bos_id=vocab.BOS, scene=scene)
             captions = greedy.captions
             teacher_trace = teacher.traces(captions, features, scene)
-            # both passes lay their rows out in greedy.order
+            # both traces keep, at step t, the captions with >= t content ids
+            content = np.array([len(tokens) for tokens in captions])
             sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
-            for s_state, t_state in zip(greedy.trace_rows(), teacher_trace):
-                rows = greedy.order[:s_state[0][0].data.shape[0]]
+            student_trace = greedy.trace_rows()
+            for t, (s_state, t_state) in enumerate(zip(student_trace, teacher_trace)):
+                rows = np.flatnonzero(content >= t)
                 sums[rows] += _row_state_losses(s_state, t_state, match_cell)
                 steps[rows] += 1
             for s, i in enumerate(idx):

@@ -20,7 +20,7 @@ import numpy as np
 from hsg.autodiff import (Tensor, accumulate, log_softmax, mul, neg, no_grad,
                           record, scene_attention, sum_terms, vec_max,
                           _binary_prep, _tracing, _unbroadcast)
-from hsg.student import BeamHypothesis, decode_step, rollout
+from hsg.student import BeamHypothesis, DecodedRows, decode_step
 from hsg.training import joint_mle_loss, state_loss_trace
 
 
@@ -222,10 +222,16 @@ def encode_pooled_oracle(teacher, caption_id_lists, feats):
 
 
 def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
-    """One caption replayed through the one-row rollout loop."""
+    """One caption replayed with one one-row decode_step per emission, into
+    DecodedRows built by hand."""
     emissions = list(tokens) + ([decoder.eos_id] if ended else [])
-    return rollout(decoder, ctx, init_state, bos_id, len(emissions),
-                   lambda t, _lp: [emissions[t]])
+    state, states, logits = init_state, [init_state], []
+    for prev in ([bos_id] + emissions)[:len(emissions)]:
+        step_logits, state = decode_step(decoder, ctx, state, np.array([prev]))
+        logits.append(step_logits)
+        states.append(state)
+    return DecodedRows([emissions], np.array([bool(ended)]), logits, states,
+                       np.array(emissions, dtype=np.intp))
 
 
 def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=None,

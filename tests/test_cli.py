@@ -402,6 +402,37 @@ def last_json_line(out):
     return json.loads(out.strip().splitlines()[-1], parse_constant=reject)
 
 
+@pytest.mark.parametrize("fault,want", [
+    ("config_is_directory", "IsADirectoryError"),
+    ("config_not_utf8", "ConfigError"),
+    ("config_nested_too_deep", "ConfigError"),
+    ("corpus_dir_is_file", "FileExistsError"),
+    ("output_dir_is_file", "FileExistsError"),
+])
+def test_unreadable_config_or_blocked_directory_ends_in_one_json_line(
+        tmp_path, capsys, fault, want):
+    # each of these ended in a traceback
+    cfg_path = write_config(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    command, flags, named = "gen-corpus", [], cfg_path
+    if fault == "config_is_directory":
+        cfg_path = named = str(tmp_path)
+    elif fault == "config_not_utf8":
+        (tmp_path / "config.json").write_bytes(b'{"mode": "\xff"}')
+    elif fault == "config_nested_too_deep":
+        (tmp_path / "config.json").write_bytes(b"[" * 100000)
+    elif fault == "corpus_dir_is_file":
+        flags, named = ["--set", f"corpus_dir={blocker}"], str(blocker)
+    else:
+        command = "train-teacher"
+        flags, named = ["--set", f"output_dir={blocker}"], str(blocker)
+    code = cli.main([command, "--config", cfg_path, *flags])
+    err = last_json_line(capsys.readouterr().out)
+    assert code == 1 and err["error"] == want
+    assert named in err["message"]
+
+
 @pytest.mark.parametrize("command,setting,want", [
     ("train-teacher", "teacher_epochs=0", "final_token_accuracy"),
     ("train-student", "epochs=0", "best_val_cider"),

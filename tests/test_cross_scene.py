@@ -117,9 +117,9 @@ def test_greedy_state_losses_match_one_scene_oracle(tmp_path, family, match_cell
 
 @pytest.mark.parametrize("family", ["fc", "updown"])
 def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
-    # a greedy rollout over S scenes retires rows at eos; its rows come back
-    # in the layout of a teacher-forced pass over the same emissions, and
-    # every scene's tokens and log-probabilities are its one-row rollout's
+    # a greedy rollout over S scenes retires rows at eos; its rows have the
+    # layout of a teacher-forced pass over the same emissions, and every
+    # scene's tokens and log-probabilities are its one-row rollout's
     records, vocab = mixed_split(tmp_path, n_scenes=30, seed=1)
     _teacher, student = world(family, vocab, seed=10)
     end_some_at_step_zero(student, records, vocab)
@@ -140,20 +140,22 @@ def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
             tokens, ended, _states = greedy_oracle(
                 student.decoder, one, student.initial_state(one), 4, vocab.BOS)
         assert rows.captions[s] == tokens and rows.ended[s] == ended
-    # the rows with at least t content tokens are the same prefix in both
+    # both keep, at step t, the captions with at least t content tokens
     for got, want in zip(rows.trace_rows(), forced.trace_rows()):
         for (h, c), (wh, wc) in zip(got, want):
             assert_rows_close(h.data, wh.data, "h")
             assert_rows_close(c.data, wc.data, "c")
     lp = rows.log_prob_rows().data
     offsets = np.cumsum([0] + [lg.data.shape[0] for lg in rows.logits])
+    lengths = np.array([len(e) for e in rows.emissions])
     for s, rec in enumerate(group):
         with no_grad():
             one = student.decoder.begin(rec.features)
             alone = greedy_decode(student.decoder, one, student.initial_state(one), 4,
                                   vocab.BOS)
-        p = int(np.flatnonzero(rows.order == s)[0])
-        n = len(rows.emissions[s])
+        # scene s's row at step t: the earlier scenes still running
+        n = lengths[s]
+        p = np.array([np.count_nonzero(lengths[:s] > t) for t in range(n)], dtype=np.intp)
         assert abs(lp[offsets[:n] + p].sum() - alone.total_log_prob()) <= TOL
 
 

@@ -70,25 +70,30 @@ def assert_same_grads(got, want):
 
 def assert_same_replay(forced, replays):
     """Every caption's row of logits, log-probabilities and states matches
-    its one-caption replay."""
+    its one-caption replay.  Step t runs the captions with more than t
+    emissions in caption order, so caption i's row at step t is the count of
+    earlier captions still running."""
     counts = [lg.data.shape[0] for lg in forced.logits]
     offsets = np.cumsum([0] + counts)
     lp = forced.log_prob_rows().data
+    lengths = np.array([len(e) for e in forced.emissions])
+    assert counts == [int(np.count_nonzero(lengths > t)) for t in range(len(counts))]
     for i, want in enumerate(replays):
-        p = int(np.flatnonzero(forced.order == i)[0])
         n = len(want.logits)
         assert forced.emissions[i] == want.emissions[0]
         assert forced.ended[i] == want.ended[0]
-        assert sum(k > p for k in counts) == n
+        assert lengths[i] == n
+        p = np.array([np.count_nonzero(lengths[:i] > t) for t in range(n)], dtype=np.intp)
         for t in range(n):
-            assert_close(forced.logits[t].data[p], want.logits[t].data[0],
+            assert_close(forced.logits[t].data[p[t]], want.logits[t].data[0],
                          f"logits of caption {i}")
         assert abs(lp[offsets[:n] + p].sum() - want.total_log_prob()) <= TOL
         assert len(want.states) == n + 1
-        for s_got, s_want in zip(forced.states, want.states):
+        # states[0] holds every caption; states[t + 1] the rows of step t
+        for q, s_got, s_want in zip([i, *p], forced.states, want.states):
             for (h, c), (wh, wc) in zip(s_got, s_want):
-                assert_close(h.data[p], wh.data[0], f"h of caption {i}")
-                assert_close(c.data[p], wc.data[0], f"c of caption {i}")
+                assert_close(h.data[q], wh.data[0], f"h of caption {i}")
+                assert_close(c.data[q], wc.data[0], f"c of caption {i}")
 
 
 @pytest.mark.parametrize("family", ["fc", "updown"])
@@ -176,10 +181,10 @@ def test_teacher_traces_match_per_caption_oracle(family):
                                encode_pooled_oracle(teacher, [caps[2]], ctx.feats),
                                caps[2], False, BOS).trace_rows()
     rows = teacher.traces(caps, feats)
-    order = sorted(range(5), key=lambda i: -len(caps[i]))
     assert len(rows) == 1 + max(len(c) for c in caps)
     for t, state in enumerate(rows):
-        alive = [i for i in order if len(caps[i]) >= t]
+        # the captions with at least t content words, in caption order
+        alive = [i for i in range(5) if len(caps[i]) >= t]
         for layer, (h, c) in enumerate(state):
             want_h = np.concatenate([want[i][t][layer][0].data for i in alive])
             want_c = np.concatenate([want[i][t][layer][1].data for i in alive])
@@ -195,9 +200,9 @@ def test_teacher_traces_match_per_caption_oracle(family):
 
 
 def test_encoder_finals_come_back_in_caption_order():
-    # rows run longest first; the finals return in caption order, so the
-    # max over rows gives ties to the earliest caption, as the chain of
-    # elementwise maxima did
+    # captions leave the row batch as they end, shortest first; the finals
+    # return in caption order, so the max over rows gives ties to the
+    # earliest caption, as the chain of elementwise maxima did
     teacher, feats = world("updown", seed=41)
     caps = [[1, 4, 2], [1, 6, 7, 8, 2], [1, 4, 2], [1, 5, 5, 2]]
     with no_grad():
