@@ -9,7 +9,7 @@ match exactly or one operand must have a single element.
 
 Everything a decoder computes is a (B, d) row batch, one independent row per
 caption, hypothesis or beam; a single caption is a batch of one row.  The
-matrix ops (matmul, affine, concat, pick, row) take rows only.  Per-scene
+matrix ops (affine, concat, log_softmax, pick, row) take rows only.  Per-scene
 constants are stacked as (S, ...) arrays and reach the rows through a
 row->scene index (row, scene_attention); an operand that several rows read
 receives the sum of their gradients.
@@ -22,8 +22,8 @@ import numpy as np
 __all__ = [
     "Tensor", "Tape", "DimensionError", "ContractError",
     "parameter", "no_grad", "backward", "grad_check",
-    "add", "mul", "neg", "matmul", "concat", "tensor_sum", "sum_terms",
-    "tanh", "exp", "softmax", "log_softmax",
+    "add", "mul", "neg", "concat", "tensor_sum", "sum_terms",
+    "tanh", "exp", "log_softmax",
     "vec_max", "max_rows", "pick", "row", "stack_rows", "scale_rows",
     "affine", "squared_l2", "reshape", "scene_attention",
     "check_index", "defer",
@@ -287,27 +287,6 @@ def neg(a):
     return out
 
 
-def matmul(a, b):
-    """Product of two matrices."""
-    a = _as_tensor(a)
-    b = _as_tensor(b)
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise DimensionError(
-            f"matmul: expected matrices with matching inner dimensions, got "
-            f"{a.data.shape} and {b.data.shape}")
-    out = Tensor(a.data @ b.data)
-    if _tracing(a, b):
-        ad, bd = a.data, b.data
-        def bwd():
-            g = out.grad
-            if a.requires_grad:
-                accumulate(a, g @ bd.T)
-            if b.requires_grad:
-                accumulate(b, ad.T @ g)
-        record(bwd, out)
-    return out
-
-
 def concat(parts):
     """Join (B, d_i) row batches side by side into (B, sum d_i) rows."""
     parts = [_as_tensor(p) for p in parts]
@@ -388,43 +367,20 @@ def exp(a):
     return out
 
 
-def _last_axis_prep(a, opname):
-    """Validate a vector or (B, n) row batch for a reduction over its last axis."""
-    a = _as_tensor(a)
-    if a.data.ndim not in (1, 2):
-        raise DimensionError(
-            f"{opname}: expected a vector or (B, n) rows, got shape {a.data.shape}")
-    if a.data.shape[-1] == 0:
-        raise DimensionError(f"{opname}: empty axis")
-    return a
-
-
-def softmax(a):
-    """Stable softmax over the last axis (max subtraction before exp)."""
-    a = _last_axis_prep(a, "softmax")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-    if _tracing(a):
-        def bwd():
-            g = out.grad
-            accumulate(a, (g - (g * y).sum(axis=-1, keepdims=True)) * y)
-        record(bwd, out)
-    return out
-
-
 def log_softmax(a):
-    """Stable log-softmax over the last axis."""
-    a = _last_axis_prep(a, "log_softmax")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    y = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    """Stable log-softmax over each row of a (B, n) batch."""
+    a = _as_tensor(a)
+    if a.data.ndim != 2 or a.data.shape[1] == 0:
+        raise DimensionError(
+            f"log_softmax: expected (B, n) rows with n >= 1, got shape {a.data.shape}")
+    z = a.data - a.data.max(axis=1, keepdims=True)
+    y = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
     out = Tensor(y)
     if _tracing(a):
         sm = np.exp(y)
         def bwd():
             g = out.grad
-            accumulate(a, g - sm * g.sum(axis=-1, keepdims=True))
+            accumulate(a, g - sm * g.sum(axis=1, keepdims=True))
         record(bwd, out)
     return out
 

@@ -46,8 +46,6 @@ def _op_cases(seed):
     yield ("scalar_broadcast",
            lambda a, s: ad.tensor_sum(ad.mul(a, s) + ad.add(a, s)),
            (_rand(rng, 5), _rand(rng, ())))
-    yield ("matmul", lambda a, b: ad.tensor_sum(ad.matmul(a, b)),
-           (_rand(rng, (3, 4)), _rand(rng, (4, 2))))
     yield ("concat", lambda m, v, n: ad.tensor_sum(ad.tanh(ad.concat([m, v, n]))),
            (_rand(rng, (3, 2)), _rand(rng, (3, 4)), _rand(rng, (3, 1))))
     yield "tensor_sum", ad.tensor_sum, (_rand(rng, (3, 3)),)
@@ -56,8 +54,6 @@ def _op_cases(seed):
            (_rand(rng, 4), _rand(rng, 4), _rand(rng, 4)))
     yield "tanh", lambda a: ad.tensor_sum(ad.tanh(a)), (_rand(rng, 6),)
     yield "exp", lambda a: ad.tensor_sum(ad.exp(a)), (_rand(rng, 6),)
-    yield ("softmax", lambda a: ad.tensor_sum(ad.mul(ad.softmax(a), a)),
-           (_rand(rng, (3, 5)),))
     yield ("log_softmax", lambda a: ad.tensor_sum(ad.mul(ad.log_softmax(a), a)),
            (_rand(rng, (3, 5)),))
     yield "vec_max", lambda a: ad.tensor_sum(ad.tanh(ad.vec_max(a))), (_rand(rng, (3, 5)),)
@@ -71,8 +67,8 @@ def _op_cases(seed):
            (_rand(rng, 3), _rand(rng, (3, 4))))
     yield ("affine", lambda w, m, b: ad.tensor_sum(ad.tanh(ad.affine(w, m, b))),
            (_rand(rng, (3, 4)), _rand(rng, (5, 4)), _rand(rng, 3)))
-    yield ("reshape", lambda a, b: ad.tensor_sum(ad.tanh(ad.matmul(ad.reshape(a, (3, 4)), b))),
-           (_rand(rng, (2, 6)), _rand(rng, (4, 2))))
+    yield ("reshape", lambda a, b: ad.tensor_sum(ad.tanh(ad.mul(ad.reshape(a, (3, 4)), b))),
+           (_rand(rng, (2, 6)), _rand(rng, (3, 4))))
     mix_weights = Tensor(rng.uniform(-1, 1, (3, 4)))
 
     def scene_attention_f(q, keys, values):
@@ -132,12 +128,6 @@ def _composite_cases(seed):
 
     net_params = tuple(net.named_parameters().values())
     yield "state_transform", transform_f, (vbar, *net_params)
-
-    def composite_f(a, b):
-        return ad.tensor_sum(ad.tanh(ad.matmul(a, b)))
-
-    yield ("matmul_tanh_sum", composite_f,
-           (_rand(rng, (3, 4)), _rand(rng, (4, 2))))
 
     emb = Embedding(5, 3, rng)
     out = Linear(3, 5, rng)

@@ -35,7 +35,6 @@ class RunConfig:
     mle_warmup_epochs: int = 5
     statenet_steps: int = 2000
     statenet_lr: float = 0.05
-    discount: float = 1.0
     match_cell_states: bool = False
     beam_width: int = 5
     t_max: int = 16
@@ -53,7 +52,7 @@ class RunConfig:
         for f in dataclasses.fields(self):
             value = getattr(self, f.name)
             # json.load accepts NaN and Infinity
-            if f.type in (float, "float") and not math.isfinite(value):
+            if f.type is float and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be a finite number, got {value!r}")
         if min(self.lr, self.rl_lr, self.statenet_lr) <= 0:
             raise ConfigError("lr, rl_lr and statenet_lr must be > 0")
@@ -85,8 +84,6 @@ class RunConfig:
             raise ConfigError("captions_per_scene must be >= 1")
         if self.k_objects < 2:
             raise ConfigError("k_objects must be >= 2: captions name objects 0 and 1")
-        if not 0.0 <= self.discount <= 1.0:
-            raise ConfigError("discount must be in [0, 1]")
         return self
 
     def to_dict(self):
@@ -100,15 +97,15 @@ def _coerce(key, value):
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
     want = _FIELDS[key]
-    if want is bool or want == "bool":
+    if want is bool:
         if isinstance(value, bool):
             return value
         raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
-    if want is int or want == "int":
+    if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {key!r} expects an integer, got {value!r}")
         return value
-    if want is float or want == "float":
+    if want is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"config key {key!r} expects a number, got {value!r}")
         return float(value)

@@ -264,7 +264,8 @@ def sample_categorical(probs, rng):
     """Draw an index from a probability vector with a single uniform draw."""
     cum = np.cumsum(probs)
     u = rng.random() * cum[-1]
-    return int(np.searchsorted(cum, u, side="right").clip(0, len(probs) - 1))
+    # u can round up to cum[-1], past the last index
+    return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
 def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):

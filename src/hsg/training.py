@@ -8,6 +8,7 @@ rewards: each emission's coefficient gets the suffix sum of the hidden-state
 losses, and the fully differentiable state-loss pathway is added on top.
 """
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -115,7 +116,7 @@ def _check_teacher_match(teacher, rollout):
 
 
 def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
-                  features=None, match_cell=False, discount=1.0):
+                  features=None, match_cell=False):
     """Policy gradients with hidden-state guidance.
 
     The sampled caption is fed to the frozen teacher autoencoder (as the sole
@@ -138,7 +139,7 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
     vals = [loss.item() for loss in losses]
     suffix = [0.0] * (len(vals) + 1)
     for t in range(len(vals) - 1, -1, -1):
-        suffix[t] = vals[t] + discount * suffix[t + 1]
+        suffix[t] = vals[t] + suffix[t + 1]
     coeffs = [lam * suffix[m] - adv for m in range(rollout.targets.size)]
 
     _policy_backward(tape, rollout, coeffs,
@@ -272,28 +273,18 @@ class StudentModel:
         return self.statenet.initial_state(ctx.vbar)
 
 
-def build_student(teacher, statenet, seed):
+def build_student(teacher, statenet):
     """Fresh student initialized with the teacher decoder's parameters.
 
-    The state transformation network is copied too, so training the student
-    never mutates the pretrained network handed in.
+    The decoder and the state transformation network are deep copies, so
+    training the student never mutates the teacher or the pretrained network
+    handed in.  The copied decoder is trainable, though the teacher's is
+    frozen.
     """
-    rng = np.random.default_rng([seed, 733])
-    dec = teacher.decoder
-    cls = type(dec)
-    student_dec = cls(dec.vocab_size, dec.embedding.embed_dim, dec.hidden_dim,
-                      dec.feature_dim, dec.eos_id, rng)
-    src = dec.named_parameters("decoder")
-    for name, p in student_dec.named_parameters("decoder").items():
-        p.data[...] = src[name].data
-    net_copy = None
-    if statenet is not None:
-        net_copy = StateTransformNet(statenet.feature_dim, statenet.layer_dims,
-                                     rng)
-        src_net = statenet.named_parameters("statenet")
-        for name, p in net_copy.named_parameters("statenet").items():
-            p.data[...] = src_net[name].data
-    return StudentModel(student_dec, net_copy)
+    student = copy.deepcopy(StudentModel(teacher.decoder, statenet))
+    for p in student.decoder.named_parameters("decoder").values():
+        p.requires_grad = True
+    return student
 
 
 def _scene_chunks(records, rows_per_scene):
@@ -415,7 +406,7 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     if cfg.mode not in ("mle", "mle_hsg", "scst", "scst_hsg"):
         raise ContractError(f"train_student: unknown mode {cfg.mode!r}")
 
-    student = build_student(teacher, statenet, cfg.seed)
+    student = build_student(teacher, statenet)
     params_named = student.named_parameters()
     params = list(params_named.values())
     rng = np.random.default_rng([cfg.seed, 101])
@@ -507,13 +498,8 @@ def _rl_step(student, teacher, rec, refs, reward_fn, lam, vocab, params, cfg, rn
                                 bos_id=vocab.BOS)
         greedy = greedy_decode(student.decoder, ctx, init, cfg.t_max,
                                bos_id=vocab.BOS)
-        if lam > 0:
-            hsg_gradients(tape, rollout, greedy, refs, reward_fn,
-                          teacher, lam, features=rec.features,
-                          match_cell=cfg.match_cell_states,
-                          discount=cfg.discount)
-        else:
-            scst_gradients(tape, rollout, greedy, refs, reward_fn)
+        hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
+                      features=rec.features, match_cell=cfg.match_cell_states)
     clip_gradients(params, cfg.grad_clip)
     sgd_update(params, cfg.rl_lr)
     zero_gradients(params)

@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hsg import autodiff as ad
 from hsg.autodiff import (ContractError, DimensionError, Tape, Tensor,
@@ -12,58 +10,11 @@ def tensors(*arrays):
     return [ad.parameter(np.asarray(a, dtype=np.float64)) for a in arrays]
 
 
-def test_matmul_identity():
-    a = Tensor(np.eye(2))
-    b = Tensor([[1.0, 2.0], [3.0, 4.0]])
-    assert np.array_equal(ad.matmul(a, b).data, b.data)
-
-
-def test_matmul_orthogonal_rows():
-    a = Tensor([[1.0, 0.0]])
-    b = Tensor([[0.0], [5.0]])
-    assert ad.matmul(a, b).data.tolist() == [[0.0]]
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(DimensionError) as err:
-        ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
-    assert "(2, 3)" in str(err.value)
-
-
-def test_matmul_gradient_matches_finite_differences():
-    rng = np.random.default_rng(0)
-    a, b = tensors(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-    err = grad_check(lambda x, y: ad.tensor_sum(ad.matmul(x, y)), [a, b])
-    assert err <= 1e-6
-
-
-def test_softmax_symmetry_and_stability():
-    assert ad.softmax(Tensor([0.0, 0.0])).data.tolist() == [0.5, 0.5]
-    out = ad.softmax(Tensor([1000.0, 0.0])).data
-    assert abs(out[0] - 1.0) < 1e-12 and abs(out[1]) < 1e-12
-    assert np.all(np.isfinite(out))
-
-
-def test_softmax_matches_direct_formula():
-    x = np.array([1.0, 2.0, 3.0])
-    e = np.exp(x)
-    assert np.allclose(ad.softmax(Tensor(x)).data, e / e.sum(), atol=1e-15)
-
-
-@given(st.lists(st.floats(-50, 50), min_size=1, max_size=8))
-@settings(max_examples=50, deadline=None)
-def test_softmax_sums_to_one_and_permutation_equivariant(values):
-    x = np.array(values)
-    y = ad.softmax(Tensor(x)).data
-    assert abs(y.sum() - 1.0) <= 1e-12
-    perm = np.argsort(x, kind="stable")
-    y_perm = ad.softmax(Tensor(x[perm])).data
-    assert np.allclose(y[perm], y_perm, atol=1e-15)
-
-
-def test_softmax_empty_rejected():
-    with pytest.raises(DimensionError):
-        ad.softmax(Tensor(np.zeros(0)))
+def test_log_softmax_symmetry_and_stability():
+    half = np.log(0.5)
+    assert ad.log_softmax(Tensor([[0.0, 0.0]])).data.tolist() == [[half, half]]
+    out = ad.log_softmax(Tensor([[1000.0, 0.0], [0.0, -1000.0]])).data
+    assert out.tolist() == [[0.0, -1000.0], [0.0, -1000.0]]
 
 
 def test_max_rows_values_and_tie_gradient():
@@ -123,7 +74,9 @@ def test_incompatible_shapes_rejected():
     with pytest.raises(DimensionError):
         ad.affine(Tensor(np.zeros((3, 4))), Tensor(np.zeros(4)), Tensor(np.zeros(3)))
     with pytest.raises(DimensionError):
-        ad.matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
+        ad.log_softmax(Tensor(np.zeros(3)))
+    with pytest.raises(DimensionError):
+        ad.log_softmax(Tensor(np.zeros((2, 0))))
     with pytest.raises(DimensionError):
         ad.concat([Tensor(np.zeros(3)), Tensor(np.zeros((2, 3)))])
     with pytest.raises(DimensionError):
@@ -194,8 +147,8 @@ def test_backward_squared_l2_closed_form():
 
 def test_backward_composite_matches_finite_differences():
     rng = np.random.default_rng(4)
-    a, b = tensors(rng.normal(size=(3, 4)), rng.normal(size=(4, 2)))
-    err = grad_check(lambda x, y: ad.tensor_sum(ad.tanh(ad.matmul(x, y))), [a, b])
+    w, m, b = tensors(rng.normal(size=(3, 4)), rng.normal(size=(5, 4)), rng.normal(size=3))
+    err = grad_check(lambda *args: ad.tensor_sum(ad.tanh(ad.affine(*args))), [w, m, b])
     assert err <= 1e-6
 
 

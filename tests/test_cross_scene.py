@@ -58,7 +58,7 @@ def world(family, vocab, seed):
     teacher.freeze()
     net = StateTransformNet(FEATURE_DIM, teacher.decoder.layer_dims,
                             np.random.default_rng(seed + 1))
-    return teacher, build_student(teacher, net, seed + 2)
+    return teacher, build_student(teacher, net)
 
 
 def end_some_at_step_zero(student, records, vocab):

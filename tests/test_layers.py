@@ -157,7 +157,7 @@ def test_embedding_lookup_equals_one_hot_matmul():
     for tid in range(6):
         one_hot = np.zeros((1, 6))
         one_hot[0, tid] = 1.0
-        via_matmul = ad.matmul(Tensor(one_hot), emb.w).data
+        via_matmul = one_hot @ emb.w.data
         assert np.allclose(emb.lookup(np.array([tid])).data, via_matmul, atol=1e-15)
 
 

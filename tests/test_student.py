@@ -61,7 +61,7 @@ def test_decode_step_probabilities_sum_to_one():
         ctx, state = fresh(decoder, net, features)
         with no_grad():
             logits, _ = decode_step(decoder, ctx, state, np.array([BOS]))
-        probs = ad.softmax(logits).data
+        probs = np.exp(ad.log_softmax(logits).data)
         assert abs(probs.sum() - 1.0) <= 1e-12
 
 

@@ -184,7 +184,7 @@ def test_architecture_identity_with_student_decoder():
     from hsg.training import build_student
     teacher = tiny_teacher(seed=21)
     teacher.freeze()
-    student = build_student(teacher, statenet=None, seed=4)
+    student = build_student(teacher, statenet=None)
     v = feats(seed=5)
     caption = [4, 5, 6]
     with no_grad():

@@ -383,7 +383,7 @@ def test_train_student_constant_reward_keeps_parameters(tiny_pipeline):
     try:
         student2, _ = train_student(train, val, teacher, statenet, vocab, df,
                                     run_cfg, log=lambda *a: None)
-        fresh = build_student(teacher, statenet, run_cfg.seed)
+        fresh = build_student(teacher, statenet)
         for name, p in student2.named_parameters().items():
             if name.startswith("decoder."):
                 assert np.array_equal(p.data, fresh.named_parameters()[name].data)
@@ -414,6 +414,15 @@ def test_teacher_untouched_by_student_training(tiny_pipeline):
     train_student(train, val, teacher, statenet, vocab, df, run_cfg,
                   log=lambda *a: None)
     assert teacher.frozen_hash() == digest_before
+    # the student is a trainable copy of the frozen decoder and the state net
+    student = build_student(teacher, statenet)
+    sources = {**teacher.decoder.named_parameters("decoder"),
+               **statenet.named_parameters("statenet")}
+    owned = [*sources.values(), *teacher.named_parameters().values()]
+    for name, p in student.named_parameters().items():
+        assert p.requires_grad
+        assert not any(np.shares_memory(p.data, q.data) for q in owned)
+        assert np.array_equal(p.data, sources[name].data)
 
 
 def test_train_student_requires_teacher(tiny_pipeline):
