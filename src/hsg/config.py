@@ -35,7 +35,6 @@ class RunConfig:
     mle_warmup_epochs: int = 5
     statenet_steps: int = 2000
     statenet_lr: float = 0.05
-    match_cell_states: bool = False
     beam_width: int = 5
     t_max: int = 16
     hidden_dim: int = 64

@@ -347,9 +347,9 @@ def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
 
 def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None):
     """Run the decoder over C known captions (lists of content ids, eos
-    appended when ended) as a row batch, from a one-row initial state that
-    all captions share or from one initial row per caption (caption order).
-    Caption i decodes scene scene[i] of the context (None: the one scene).
+    appended when ended) as a row batch, from init_state's rows, one per
+    scene of the context (as beam_search takes them).  Caption i decodes
+    scene scene[i] from that scene's row (None: every caption the one scene).
 
     This is a rollout whose chooser returns the given words, so each
     caption's rows compute the same values as decoding it alone, and
@@ -366,18 +366,21 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None
             f"teacher_forced: state has {len(init_state)} layers, decoder expects "
             f"{len(decoder.layer_dims)}")
     n_init = init_state[0][0].data.shape[0]
-    if n_init not in (1, len(captions)):
+    if n_init != ctx.n_scenes:
         raise DimensionError(
-            f"teacher_forced: {n_init} initial rows for {len(captions)} captions")
-    if n_init < len(captions):
-        init_state = _rows(init_state, np.zeros(len(captions), dtype=np.intp))
+            f"teacher_forced: {n_init} initial rows for {ctx.n_scenes} scenes")
+    if scene is not None and np.shape(scene) != (len(captions),):
+        raise DimensionError(
+            f"teacher_forced: {np.size(scene)} scene ids for {len(captions)} captions")
+    init_rows = _rows(init_state, np.zeros(len(captions), dtype=np.intp)
+                      if scene is None else np.asarray(scene))
     lengths = np.array([len(tokens) + bool(ended) for tokens in captions])
     # step x caption; eos past each caption's content: an ended caption's
     # last emission
     ids = np.full((lengths.max(), len(captions)), decoder.eos_id)
     for i, tokens in enumerate(captions):
         ids[:len(tokens), i] = tokens
-    return rollout(decoder, ctx, init_state, bos_id, lengths,
+    return rollout(decoder, ctx, init_rows, bos_id, lengths,
                    lambda t, _logits, live: ids[t][live], scene)
 
 

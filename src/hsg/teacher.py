@@ -168,15 +168,13 @@ class TeacherAutoencoder:
 
         features holds one scene's (K, d) block or an (S, K, d) stack, and
         caption i belongs to scene scene[i] (None: the one scene).  The
-        encoder pools over each scene's captions and the teacher decoder is
-        teacher-forced over every caption from its scene's pooled state.
-        Runs untaped: the teacher is frozen.
+        encoder pools over each scene's captions into one row per scene,
+        and the teacher decoder is teacher-forced over every caption from
+        its scene's row.  Runs untaped: the teacher is frozen.
         """
         with no_grad():
             ctx = self.decoder.begin(features)
             init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
-            if scene is not None:
-                init = [(row(h, scene), row(c, scene)) for h, c in init]
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
                                   False, self.bos_id, scene).trace_rows()
 
@@ -230,7 +228,7 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
     references, each decoded from the shared pooled initial state while the
     encoder consumes all references.  The returned teacher is frozen.
     """
-    from .training import clip_gradients, sgd_update, zero_gradients
+    from .training import sgd_step
 
     teacher = build_teacher(len(vocab), cfg.family, cfg.embed_dim, cfg.hidden_dim,
                             train_records[0].features.shape[1], cfg.seed,
@@ -262,9 +260,7 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
                     raise TrainingDiverged(
                         f"teacher loss became {loss.item()} at epoch {epoch}")
                 backward(tape, loss)
-            clip_gradients(params, cfg.grad_clip)
-            sgd_update(params, cfg.lr)
-            zero_gradients(params)
+            sgd_step(params, cfg.lr, cfg.grad_clip)
             total_loss += loss.item()
         acc = correct / max(1, emitted)
         mean_loss = total_loss / len(train_records)

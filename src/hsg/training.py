@@ -29,7 +29,7 @@ __all__ = [
     "RewardTrace", "state_loss_trace", "joint_mle_loss",
     "scst_gradients", "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
-    "zero_gradients", "collect_gradients",
+    "zero_gradients", "sgd_step", "collect_gradients",
 ]
 
 # The most decode or encode rows one cross-scene pass runs at once: a split
@@ -39,8 +39,8 @@ __all__ = [
 MAX_PASS_ROWS = 512
 
 
-def state_loss_trace(student_trace, teacher_trace, match_cell=False):
-    """Per-step squared L2 between student and teacher hidden states.
+def state_loss_trace(student_trace, teacher_trace):
+    """Per-step squared L2 between student and teacher hidden states h.
 
     Both traces are lists (over t) of per-layer (h, c) row batches
     (DecodedRows.trace_rows), one row per caption; a step's loss sums over
@@ -58,13 +58,8 @@ def state_loss_trace(student_trace, teacher_trace, match_cell=False):
             raise ContractError(
                 f"state_loss_trace: layer counts {len(s_state)} and "
                 f"{len(t_state)} differ")
-        terms = []
-        for (sh, sc), (th, tc) in zip(s_state, t_state):
-            term = squared_l2(sh, Tensor(th.data))
-            if match_cell:
-                term = term + squared_l2(sc, Tensor(tc.data))
-            terms.append(term)
-        losses.append(sum_terms(terms))
+        losses.append(sum_terms([squared_l2(sh, Tensor(th.data))
+                                 for (sh, _sc), (th, _tc) in zip(s_state, t_state)]))
     return losses
 
 
@@ -115,8 +110,7 @@ def _check_teacher_match(teacher, rollout):
             "hsg_gradients: teacher and student decoder architectures differ")
 
 
-def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
-                  features=None, match_cell=False):
+def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features):
     """Policy gradients with hidden-state guidance.
 
     The sampled caption is fed to the frozen teacher autoencoder (as the sole
@@ -134,8 +128,7 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
     teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
-    losses = state_loss_trace(rollout.trace_rows(), teacher_trace,
-                              match_cell=match_cell)
+    losses = state_loss_trace(rollout.trace_rows(), teacher_trace)
     vals = [loss.item() for loss in losses]
     suffix = [0.0] * (len(vals) + 1)
     for t in range(len(vals) - 1, -1, -1):
@@ -147,14 +140,14 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
     return RewardTrace(r, b, adv, vals, coeffs)
 
 
-def make_reward_fn(metric, vocab, doc_freq, smooth_bleu=True):
+def make_reward_fn(metric, vocab, doc_freq):
     """Sentence reward over word sequences; candidate ids are decoded first."""
     if metric == "cider":
         def fn(tokens, refs):
             return cider(vocab.decode(tokens), refs, doc_freq)
     elif metric == "bleu4":
         def fn(tokens, refs):
-            return bleu4(vocab.decode(tokens), refs, smooth=smooth_bleu)
+            return bleu4(vocab.decode(tokens), refs, smooth=True)
     elif metric == "rouge_l":
         def fn(tokens, refs):
             return rouge_l(vocab.decode(tokens), refs)
@@ -193,6 +186,14 @@ def sgd_update(params, lr):
 def zero_gradients(params):
     for p in params:
         p.grad = None
+
+
+def sgd_step(params, lr, max_norm):
+    """The one update rule of every training loop: clip the gradients to a
+    global norm of max_norm, take an SGD step of size lr, zero them."""
+    clip_gradients(params, max_norm)
+    sgd_update(params, lr)
+    zero_gradients(params)
 
 
 def collect_gradients(named_params):
@@ -244,9 +245,7 @@ def pretrain_state_net(records, teacher, vocab, cfg, log=print):
             if not math.isfinite(loss.item()):
                 raise TrainingDiverged(f"state net loss became {loss.item()}")
             backward(tape, loss)
-        clip_gradients(params, cfg.grad_clip)
-        sgd_update(params, cfg.statenet_lr)
-        zero_gradients(params)
+        sgd_step(params, cfg.statenet_lr, cfg.grad_clip)
         final_loss = loss.item()
 
     with no_grad():
@@ -337,23 +336,16 @@ def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
     return {k: v / len(records) for k, v in sums.items()}
 
 
-def _row_state_losses(student_state, teacher_state, match_cell):
+def _row_state_losses(student_state, teacher_state):
     """state_loss_trace's per-step loss for each row of one step's states."""
-    terms = []
-    for (sh, sc), (th, tc) in zip(student_state, teacher_state):
+    total = 0.0
+    for (sh, _sc), (th, _tc) in zip(student_state, teacher_state):
         d = sh.data - th.data
-        term = np.einsum("ij,ij->i", d, d)
-        if match_cell:
-            d = sc.data - tc.data
-            term = term + np.einsum("ij,ij->i", d, d)
-        terms.append(term)
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
+        total = total + np.einsum("ij,ij->i", d, d)
     return total
 
 
-def _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell=False):
+def _greedy_state_losses(student, teacher, records, t_max, vocab):
     """Per record, in record order: the content ids of the greedy caption
     and the mean per-step hidden-state loss against the teacher's trace of
     that caption.
@@ -378,17 +370,17 @@ def _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell=Fal
             student_trace = greedy.trace_rows()
             for t, (s_state, t_state) in enumerate(zip(student_trace, teacher_trace)):
                 rows = np.flatnonzero(content >= t)
-                sums[rows] += _row_state_losses(s_state, t_state, match_cell)
+                sums[rows] += _row_state_losses(s_state, t_state)
                 steps[rows] += 1
             for s, i in enumerate(idx):
                 out[i] = (captions[s], float(sums[s] / steps[s]))
     return out
 
 
-def _mean_state_loss(student, teacher, records, t_max, vocab, match_cell=False):
+def _mean_state_loss(student, teacher, records, t_max, vocab):
     """Mean over a split's scenes of _greedy_state_losses, added in record
     order."""
-    losses = _greedy_state_losses(student, teacher, records, t_max, vocab, match_cell)
+    losses = _greedy_state_losses(student, teacher, records, t_max, vocab)
     return sum(loss for _tokens, loss in losses) / len(records)
 
 
@@ -450,8 +442,7 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
                              reward_fn, phase_lam, vocab, params, cfg, rng)
             metrics = evaluate_split(student, val_records, vocab, doc_freq,
                                      cfg.beam_width, cfg.t_max, val_refs)
-            msl = _mean_state_loss(student, teacher, val_records, cfg.t_max,
-                                   vocab, cfg.match_cell_states)
+            msl = _mean_state_loss(student, teacher, val_records, cfg.t_max, vocab)
             line = {"epoch": epoch, "split": "val",
                     "bleu4": metrics["bleu4"], "rouge_l": metrics["rouge_l"],
                     "cider": metrics["cider"], "mean_state_loss": msl}
@@ -478,16 +469,13 @@ def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
                                 vocab.BOS)
         loss = neg(forced.log_likelihood())
         if lam > 0:
-            losses = state_loss_trace(forced.trace_rows(), teacher_traces,
-                                      match_cell=cfg.match_cell_states)
-            loss = joint_mle_loss(loss, losses, lam)
+            loss = joint_mle_loss(
+                loss, state_loss_trace(forced.trace_rows(), teacher_traces), lam)
         loss = loss * (1.0 / len(content_lists))
         if not math.isfinite(loss.item()):
             raise TrainingDiverged(f"student loss became {loss.item()}")
         backward(tape, loss)
-    clip_gradients(params, cfg.grad_clip)
-    sgd_update(params, cfg.lr)
-    zero_gradients(params)
+    sgd_step(params, cfg.lr, cfg.grad_clip)
 
 
 def _rl_step(student, teacher, rec, refs, reward_fn, lam, vocab, params, cfg, rng):
@@ -499,7 +487,5 @@ def _rl_step(student, teacher, rec, refs, reward_fn, lam, vocab, params, cfg, rn
         greedy = greedy_decode(student.decoder, ctx, init, cfg.t_max,
                                bos_id=vocab.BOS)
         hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
-                      features=rec.features, match_cell=cfg.match_cell_states)
-    clip_gradients(params, cfg.grad_clip)
-    sgd_update(params, cfg.rl_lr)
-    zero_gradients(params)
+                      features=rec.features)
+    sgd_step(params, cfg.rl_lr, cfg.grad_clip)

@@ -235,7 +235,7 @@ def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
 
 
 def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=None,
-                    lam=0.0, match_cell=False):
+                    lam=0.0):
     """Mean over captions of the negative log-likelihood, plus lam times the
     state losses against each caption's one-row teacher trace; also returns
     the per-caption replays."""
@@ -245,8 +245,7 @@ def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=N
         replays.append(forced)
         ll = neg(forced.log_likelihood())
         if lam > 0:
-            losses = state_loss_trace(forced.trace_rows(), teacher_traces[i],
-                                      match_cell=match_cell)
+            losses = state_loss_trace(forced.trace_rows(), teacher_traces[i])
             ll = joint_mle_loss(ll, losses, lam)
         terms.append(ll)
     return sum_terms(terms) * (1.0 / len(captions)), replays
@@ -275,7 +274,7 @@ def state_net_target_oracle(teacher, vocab, rec):
     return [h.data for h, _c in init]
 
 
-def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id, match_cell=False):
+def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id):
     """One scene alone: its greedy caption and the mean per-step state loss
     against the teacher's trace of that caption, its sole encoder input."""
     with no_grad():
@@ -285,6 +284,5 @@ def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id, match_cell=Fa
         tctx = teacher.decoder.begin(rec.features)
         init = encode_pooled_oracle(teacher, [tokens], tctx.feats)
         target = forced_oracle(teacher.decoder, tctx, init, tokens, False, bos_id)
-        losses = state_loss_trace(states[:len(tokens) + 1], target.states,
-                                  match_cell=match_cell)
+        losses = state_loss_trace(states[:len(tokens) + 1], target.states)
     return tokens, sum(loss.item() for loss in losses) / len(losses)

@@ -1,6 +1,6 @@
 """The benchmark's tracer patches hsg functions by the names their callers
-look them up under; a rename in src/hsg must fail here, not only in a traced
-benchmark run."""
+look them up under, and its workloads build RunConfigs by field name; a
+rename or removal in src/hsg must fail here, not only in a benchmark run."""
 
 import os
 import sys
@@ -33,3 +33,13 @@ def test_blas_thread_count_follows_the_environment():
     if threads is None:
         pytest.skip("this BLAS does not report its thread count")
     assert threads == int(os.environ["OPENBLAS_NUM_THREADS"])
+
+
+def test_benchmark_configs_build():
+    from hsg.config import RunConfig
+    from perfbench.workloads import ArmFcScstHsg, EvalUpdownBeam
+
+    arm = ArmFcScstHsg()
+    arm.pre_cfg.validate()
+    arm.student_cfg.validate()
+    RunConfig(**EvalUpdownBeam().config).validate()

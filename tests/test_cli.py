@@ -452,6 +452,8 @@ def test_unreadable_config_or_blocked_directory_ends_in_one_json_line(
     ("train-teacher", "file:rl_lr=0", "ConfigError"),
     ("train-teacher", "file:statenet_lr=-0.05", "ConfigError"),
     ("train-teacher", "file:grad_clip=0", "ConfigError"),
+    # a removed key is an unknown key
+    ("train-teacher", "file:match_cell_states=true", "ConfigError"),
 ])
 def test_degenerate_config_ends_in_one_json_line(pipeline_dir, tmp_path, capsys,
                                                  command, setting, want):

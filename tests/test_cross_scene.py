@@ -97,21 +97,20 @@ def test_state_net_targets_match_one_scene_oracle(tmp_path, family):
 
 
 @pytest.mark.parametrize("family", ["fc", "updown"])
-@pytest.mark.parametrize("match_cell", [False, True])
-def test_greedy_state_losses_match_one_scene_oracle(tmp_path, family, match_cell):
+def test_greedy_state_losses_match_one_scene_oracle(tmp_path, family):
     records, vocab = mixed_split(tmp_path, n_scenes=30, seed=1)
     teacher, student = world(family, vocab, seed=10)
     end_some_at_step_zero(student, records, vocab)
-    got = _greedy_state_losses(student, teacher, records, T_MAX, vocab, match_cell)
-    want = [greedy_state_loss_oracle(student, teacher, rec, T_MAX, vocab.BOS,
-                                     match_cell) for rec in records]
+    got = _greedy_state_losses(student, teacher, records, T_MAX, vocab)
+    want = [greedy_state_loss_oracle(student, teacher, rec, T_MAX, vocab.BOS)
+            for rec in records]
     lengths = [len(tokens) for tokens, _loss in want]
     # scenes end at step 0, retire at different later steps or run to t_max
     assert {0, T_MAX} <= set(lengths) and len(set(lengths) - {0, T_MAX}) >= 2
     for rec, (tokens, loss), (want_tokens, want_loss) in zip(records, got, want):
         assert tokens == want_tokens, f"scene {rec.scene_id}"
         assert abs(loss - want_loss) <= TOL, f"scene {rec.scene_id}"
-    mean = _mean_state_loss(student, teacher, records, T_MAX, vocab, match_cell)
+    mean = _mean_state_loss(student, teacher, records, T_MAX, vocab)
     assert abs(mean - sum(loss for _t, loss in want) / len(records)) <= TOL
 
 

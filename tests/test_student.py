@@ -330,6 +330,12 @@ def test_scene_index_contracts():
         decode_step(decoder, ctx, state, np.array([BOS, BOS]), np.array([0, 2]))
     with pytest.raises(ad.DimensionError):
         decode_step(decoder, ctx, state, np.array([BOS, BOS]), np.array([0]))
+    # teacher_forced takes one initial row per scene and a scene id per caption
+    with pytest.raises(ad.DimensionError):
+        teacher_forced(decoder, ctx, net.initial_state(Tensor(ctx.vbar.data[:1])),
+                       [[3], [3]], False, BOS, np.array([0, 1]))
+    with pytest.raises(ad.DimensionError):
+        teacher_forced(decoder, ctx, state, [[3], [3]], False, BOS, np.array([0, 1, 1]))
 
 
 def test_decode_step_rows_match_single_rows():

@@ -128,7 +128,9 @@ def test_teacher_forward_empty_caption_trace_is_init():
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
                                 [[]], True, teacher.bos_id)
     assert len(forced.trace_rows()) == 1
-    assert forced.trace_rows()[0] is init
+    # the pass spreads the scene's row to its caption: a copy of init
+    for (h, c), (ih, ic) in zip(forced.trace_rows()[0], init):
+        assert np.array_equal(h.data, ih.data) and np.array_equal(c.data, ic.data)
     assert len(forced.logits) == 1  # the eos emission
 
 

@@ -86,15 +86,6 @@ def test_state_loss_gradient_only_into_student():
             assert h.grad is None and c.grad is None
 
 
-def test_state_loss_cell_matching_flag():
-    rng = np.random.default_rng(3)
-    student = rand_trace(rng, 2)
-    teacher = rand_trace(rng, 2)
-    plain = [loss.item() for loss in state_loss_trace(student, teacher)]
-    with_c = [loss.item() for loss in state_loss_trace(student, teacher, match_cell=True)]
-    assert all(w >= p for w, p in zip(with_c, plain))
-
-
 def test_state_loss_length_mismatch():
     rng = np.random.default_rng(4)
     with pytest.raises(ContractError):
@@ -376,7 +367,7 @@ def test_train_student_constant_reward_keeps_parameters(tiny_pipeline):
     import hsg.training as training_mod
     original = training_mod.make_reward_fn
 
-    def constant_reward(metric, vocab_, doc_freq, smooth_bleu=True):
+    def constant_reward(metric, vocab_, doc_freq):
         return lambda tokens, refs: 1.0
 
     training_mod.make_reward_fn = constant_reward
