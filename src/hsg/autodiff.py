@@ -63,7 +63,6 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self.backward_visits = 0
 
     def __len__(self):
         return len(self.nodes)
@@ -206,7 +205,6 @@ def backward(tape, root):
     _STATE.deferred = deferred = {}
     try:
         for fn, outs in reversed(tape.nodes):
-            tape.backward_visits += 1
             fired = False
             for o in outs:
                 if o.grad is not None:

@@ -12,8 +12,7 @@ from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward, grad_check, no_grad
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 from .metrics import build_doc_freq, cider
-from .student import (FcDecoder, StateTransformNet, UpDownDecoder,
-                      greedy_decode, teacher_forced)
+from .student import DECODERS, StateTransformNet, greedy_decode, teacher_forced
 from .teacher import build_teacher
 from .training import (
     collect_gradients, hsg_gradients, joint_mle_loss, scst_gradients,
@@ -195,8 +194,8 @@ class _TinyWorld:
         self.t_max = t_max
         self.eos = 0
         self.bos = 1
-        cls = FcDecoder if family == "fc" else UpDownDecoder
-        self.decoder = cls(vocab_size, embed, hidden, feature_dim, self.eos, rng)
+        self.decoder = DECODERS[family](vocab_size, embed, hidden, feature_dim,
+                                        self.eos, rng)
         self.statenet = StateTransformNet(feature_dim, self.decoder.layer_dims, rng)
         self.features = rng.uniform(-1.0, 1.0, size=(k, feature_dim))
 

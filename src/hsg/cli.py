@@ -21,7 +21,7 @@ from .config import FAMILIES, ConfigError, load_config, parse_override
 from .corpus import (CorpusFormatError, Vocabulary, generate_corpus,
                      load_records, save_records)
 from .metrics import DocFreq
-from .student import FcDecoder, StateTransformNet, UpDownDecoder
+from .student import DECODERS, StateTransformNet
 from .teacher import TrainingDiverged, build_teacher, pretrain_teacher
 from .training import (StudentModel, evaluate_split, pretrain_state_net,
                        train_student)
@@ -83,8 +83,7 @@ def cmd_gen_corpus(cfg):
     os.makedirs(cfg.corpus_dir, exist_ok=True)
     train, val, test, vocab, doc_freq = generate_corpus(
         cfg.corpus_seed, cfg.n_train, cfg.n_val, cfg.n_test,
-        captions_per_scene=cfg.captions_per_scene, k_objects=cfg.k_objects,
-        min_count=cfg.min_count)
+        captions_per_scene=cfg.captions_per_scene, k_objects=cfg.k_objects)
     paths = _corpus_paths(cfg)
     save_records(paths["train"], train)
     save_records(paths["val"], val)
@@ -120,8 +119,9 @@ def cmd_train_teacher(cfg):
     return 0
 
 
-def _load_model_checkpoint(path, vocab, kind):
-    """Load a checkpoint of the given kind and check the fields that size the model."""
+def _load_model_checkpoint(path, vocab, kind, feature_dim):
+    """Load a checkpoint of the given kind and check the fields that size the
+    model, its feature dim against the corpus's feature_dim."""
     ckpt = load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
     if ckpt["kind"] != kind:
         raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {ckpt['kind']}")
@@ -132,31 +132,31 @@ def _load_model_checkpoint(path, vocab, kind):
     if not all(type(d) is int and d >= 1 for d in dims):
         raise CheckpointError(
             f"{path}: feature_dim, embed_dim and hidden_dim must be positive integers")
+    if feature_dim != ckpt["feature_dim"]:
+        raise CheckpointError(
+            f"{path}: feature dim {ckpt['feature_dim']} does not match corpus "
+            f"features of dim {feature_dim}")
     return ckpt
 
 
-def load_teacher(path, vocab, feature_dim=None):
-    ckpt = _load_model_checkpoint(path, vocab, "teacher")
+def load_teacher(path, vocab, feature_dim):
+    ckpt = _load_model_checkpoint(path, vocab, "teacher", feature_dim)
     cfgd = ckpt["config"]
     teacher = build_teacher(len(vocab), ckpt["family"], cfgd["embed_dim"],
                             cfgd["hidden_dim"], ckpt["feature_dim"], seed=0,
                             eos_id=vocab.EOS, bos_id=vocab.BOS)
     restore_params(teacher.named_parameters(), ckpt["params"])
     teacher.freeze()
-    if feature_dim is not None and feature_dim != ckpt["feature_dim"]:
-        raise CheckpointError(
-            f"{path}: feature dim {ckpt['feature_dim']} does not match corpus "
-            f"features of dim {feature_dim}")
     return teacher, ckpt
 
 
-def load_student(path, vocab):
-    ckpt = _load_model_checkpoint(path, vocab, "student")
+def load_student(path, vocab, feature_dim):
+    ckpt = _load_model_checkpoint(path, vocab, "student", feature_dim)
     cfgd = ckpt["config"]
     rng = np.random.default_rng(0)
-    cls = FcDecoder if ckpt["family"] == "fc" else UpDownDecoder
-    decoder = cls(len(vocab), cfgd["embed_dim"], cfgd["hidden_dim"],
-                  ckpt["feature_dim"], vocab.EOS, rng)
+    decoder = DECODERS[ckpt["family"]](len(vocab), cfgd["embed_dim"],
+                                       cfgd["hidden_dim"], ckpt["feature_dim"],
+                                       vocab.EOS, rng)
     statenet = StateTransformNet(ckpt["feature_dim"], decoder.layer_dims, rng)
     student = StudentModel(decoder, statenet)
     restore_params(student.named_parameters(), ckpt["params"])
@@ -191,7 +191,8 @@ def cmd_train_student(cfg):
 
 def cmd_evaluate(cfg, checkpoint, split):
     records, vocab, doc_freq, paths = _load_corpus(cfg, splits=(split,))
-    student, _ckpt = load_student(checkpoint, vocab)
+    student, _ckpt = load_student(checkpoint, vocab,
+                                  records[split][0].features.shape[1])
     metrics = evaluate_split(student, records[split], vocab, doc_freq,
                              cfg.beam_width, cfg.t_max)
     result = {"split": split, "n": len(records[split]), **metrics}

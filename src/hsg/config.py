@@ -45,7 +45,6 @@ class RunConfig:
     n_test: int = 200
     captions_per_scene: int = 5
     k_objects: int = 6
-    min_count: int = 1
 
     def validate(self):
         for f in dataclasses.fields(self):
@@ -58,6 +57,8 @@ class RunConfig:
         if self.grad_clip <= 0:
             raise ConfigError("grad_clip must be > 0: a non-positive limit turns "
                               "clipping off")
+        if min(self.seed, self.corpus_seed) < 0:
+            raise ConfigError("seed and corpus_seed must be >= 0")
         if self.family not in FAMILIES:
             raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
         if self.mode not in MODES:
@@ -96,10 +97,6 @@ def _coerce(key, value):
     if key not in _FIELDS:
         raise ConfigError(f"unknown config key {key!r}")
     want = _FIELDS[key]
-    if want is bool:
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"config key {key!r} expects a boolean, got {value!r}")
     if want is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"config key {key!r} expects an integer, got {value!r}")

@@ -88,13 +88,8 @@ class Vocabulary:
         return len(self.tokens)
 
     @classmethod
-    def from_captions(cls, captions, min_count=1):
-        counts = {}
-        for cap in captions:
-            for tok in cap:
-                counts[tok] = counts.get(tok, 0) + 1
-        kept = sorted(t for t, c in counts.items() if c >= min_count)
-        return cls(list(cls.RESERVED) + kept)
+    def from_captions(cls, captions):
+        return cls(list(cls.RESERVED) + sorted({tok for cap in captions for tok in cap}))
 
     def encode(self, words):
         """Map words to ids, framed as [bos, ..., eos]; unknowns become unk."""
@@ -173,7 +168,7 @@ def _make_scene(corpus_seed, scene_id, k_objects, captions_per_scene):
 
 
 def generate_corpus(corpus_seed, n_train, n_val, n_test,
-                    captions_per_scene=5, k_objects=6, min_count=1):
+                    captions_per_scene=5, k_objects=6):
     """Build the three disjoint splits plus vocabulary and document frequencies.
 
     Scene ids are assigned sequentially across train, then val, then test.
@@ -191,8 +186,7 @@ def generate_corpus(corpus_seed, n_train, n_val, n_test,
         next_id += size
         splits.append(records)
     train, val, test = splits
-    vocab = Vocabulary.from_captions(
-        (cap for rec in train for cap in rec.captions), min_count=min_count)
+    vocab = Vocabulary.from_captions(cap for rec in train for cap in rec.captions)
     doc_freq = build_doc_freq([rec.captions for rec in val])
     return train, val, test, vocab, doc_freq
 

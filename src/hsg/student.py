@@ -19,7 +19,7 @@ from .autodiff import (Tensor, ContractError, DimensionError, check_index,
 from .layers import AttentionHead, Embedding, Linear, LstmCell
 
 __all__ = [
-    "FcDecoder", "UpDownDecoder", "StateTransformNet", "DecodedRows",
+    "FcDecoder", "UpDownDecoder", "DECODERS", "StateTransformNet", "DecodedRows",
     "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
     "teacher_forced", "greedy_decode", "sample_decode", "beam_search",
     "sample_categorical",
@@ -136,6 +136,10 @@ class UpDownDecoder:
         params.update(self.lang_lstm.named_parameters(prefix + ".lang_lstm"))
         params.update(self.out.named_parameters(prefix + ".out"))
         return params
+
+
+# decoder class by family name; the teacher decoder is the student's class
+DECODERS = {cls.family: cls for cls in (FcDecoder, UpDownDecoder)}
 
 
 def decode_step(decoder, ctx, state, prev_tokens, scene=None):
@@ -392,8 +396,7 @@ class BeamHypothesis:
     emissions: tuple = field(default=(), repr=False)
 
 
-def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
-                return_pool=False):
+def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5):
     """Length-unnormalized log-prob beam search over the S scenes of ctx,
     from init_state's S rows (row s starts scene s).
 
@@ -401,8 +404,8 @@ def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
     timestep, scene-major, with a row->scene index.  Each scene's candidates
     rank by score, then lexicographically on the token sequence, so width 1
     reproduces greedy decoding exactly; the first `width` go on.  Completed
-    hypotheses (eos) retire into their scene's pool.  Returns one result per
-    scene: the best pool entry, or with return_pool the pool, best first.
+    hypotheses (eos) retire into their scene's pool.  Returns each scene's
+    pool, best first.
     """
     if width < 1:
         raise ContractError("beam_search: width must be >= 1")
@@ -459,6 +462,4 @@ def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5,
                 pools[s].append(BeamHypothesis(tuple(seq), score, False, tuple(seq)))
     for pool in pools:
         pool.sort(key=lambda h: (-h.score, h.emissions))
-    if return_pool:
-        return pools
-    return [pool[0] for pool in pools]
+    return pools

@@ -19,7 +19,7 @@ from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
                        max_rows, neg, no_grad, row, scale_rows, scene_attention,
                        stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
-from .student import FcDecoder, UpDownDecoder, teacher_forced
+from .student import DECODERS, teacher_forced
 
 __all__ = [
     "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
@@ -50,15 +50,14 @@ class CaptionEncoder:
         self.attention = AttentionHead(feature_dim, hidden_dim, rng)
         self.caption_lstm = LstmCell(embedding.embed_dim, hidden_dim, rng)
 
-    def encode(self, captions, feats, scene=None, collect_gates=None):
+    def encode(self, captions, feats, scene=None):
         """Encode C captions (non-empty id sequences) grounded in feats, the
         (S, K, d) feature stack of S scenes; caption i belongs to scene
         scene[i] (None: every caption to the only scene).
 
         Step t runs the captions with more than t ids as rows, in caption
         order; a caption's final state is taken when its row leaves.
-        Returns (C, H) finals in caption order.  Gate values are appended to
-        collect_gates step by step, in that row order.
+        Returns (C, H) finals in caption order.
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
@@ -90,8 +89,6 @@ class CaptionEncoder:
             e = self.embedding.lookup(ids[t][live])
             h1, c1 = self.word_lstm.step(e, h1, c1)
             gate = vec_max(scene_attention(h1, keys, feats, scene[live])[0])
-            if collect_gates is not None:
-                collect_gates.extend(gate.data.tolist())
             h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
             state = (h1, c1, h2, c2)
             if t + 1 in leave_steps:
@@ -195,14 +192,6 @@ class TeacherAutoencoder:
         for p in self.named_parameters().values():
             p.requires_grad = False
 
-    def frozen_hash(self):
-        import hashlib
-        digest = hashlib.sha256()
-        for name, p in sorted(self.named_parameters().items()):
-            digest.update(name.encode())
-            digest.update(p.data.tobytes())
-        return digest.hexdigest()
-
 
 def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
                   eos_id=2, bos_id=1):
@@ -210,14 +199,10 @@ def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
     rng = np.random.default_rng(seed)
     embedding = Embedding(vocab_size, embed_dim, rng)
     encoder = CaptionEncoder(embedding, hidden_dim, feature_dim, rng)
-    if family == "fc":
-        decoder = FcDecoder(vocab_size, embed_dim, hidden_dim, feature_dim,
-                            eos_id, rng, embedding=embedding)
-    elif family == "updown":
-        decoder = UpDownDecoder(vocab_size, embed_dim, hidden_dim, feature_dim,
-                                eos_id, rng, embedding=embedding)
-    else:
+    if family not in DECODERS:
         raise ContractError(f"unknown decoder family {family!r}")
+    decoder = DECODERS[family](vocab_size, embed_dim, hidden_dim, feature_dim,
+                               eos_id, rng, embedding=embedding)
     return TeacherAutoencoder(embedding, encoder, decoder, bos_id=bos_id)
 
 

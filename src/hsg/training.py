@@ -324,8 +324,8 @@ def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
             ctx = student.decoder.begin(np.stack([records[i].features for i in idx]))
             found = beam_search(student.decoder, ctx, student.initial_state(ctx),
                                 t_max, width=beam_width, bos_id=vocab.BOS)
-            for i, hyp in zip(idx, found):
-                best[i] = hyp
+            for i, pool in zip(idx, found):
+                best[i] = pool[0]
     sums = {"bleu4": 0.0, "rouge_l": 0.0, "cider": 0.0}
     for i, (rec, hyp) in enumerate(zip(records, best)):
         words = vocab.decode(hyp.tokens)

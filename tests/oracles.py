@@ -9,9 +9,11 @@ batch of one row (encoder, pooling chain, decoder replay and the
 per-caption losses), against which the row-batched passes are checked.
 The one-scene oracles run each scene of a split alone (its state-net
 target, and its greedy rollout with the teacher trace of that caption),
-against which the cross-scene passes are checked.
+against which the cross-scene passes are checked.  param_hash digests a
+named parameter set, so a test can show that a frozen model did not change.
 """
 
+import hashlib
 import math
 from collections import Counter
 
@@ -286,3 +288,12 @@ def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id):
         target = forced_oracle(teacher.decoder, tctx, init, tokens, False, bos_id)
         losses = state_loss_trace(states[:len(tokens) + 1], target.states)
     return tokens, sum(loss.item() for loss in losses) / len(losses)
+
+
+def param_hash(named_params):
+    """sha256 over the parameters in name order: each name, then its bytes."""
+    digest = hashlib.sha256()
+    for name, p in sorted(named_params.items()):
+        digest.update(name.encode())
+        digest.update(p.data.tobytes())
+    return digest.hexdigest()

@@ -107,8 +107,8 @@ def test_criterion_3_reduction_identities():
                 greedy = greedy_decode(world.decoder, ctx, world.init(ctx), 6,
                                        bos_id=world.bos)
                 ctx2 = world.make_ctx()
-                (best,) = beam_search(world.decoder, ctx2, world.init(ctx2), 6,
-                                      width=1, bos_id=world.bos)
+                ((best, *_),) = beam_search(world.decoder, ctx2, world.init(ctx2),
+                                            6, width=1, bos_id=world.bos)
             beam_equal &= list(best.tokens) == greedy.tokens
             beam_equal &= abs(best.score - greedy.total_log_prob()) < 1e-12
 
@@ -159,8 +159,8 @@ def test_criterion_5_beam_search_exactness():
                     if best_key is None or key < best_key:
                         best_key, best_tokens = key, tokens
                 ctx = world.make_ctx()
-                (found,) = beam_search(world.decoder, ctx, world.init(ctx), 3,
-                                       width=64, bos_id=world.bos)
+                ((found, *_),) = beam_search(world.decoder, ctx, world.init(ctx),
+                                             3, width=64, bos_id=world.bos)
             ok &= list(found.tokens) == best_tokens
             checked += 1
     report(5, ok, f"beam width 64 equals exhaustive argmax over all "

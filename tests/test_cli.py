@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 from hsg import cli
 from hsg.checkpoint import (CheckpointError, atomic_open, load_checkpoint,
                             restore_params, save_checkpoint)
-from hsg.config import ConfigError, RunConfig, load_config
+from hsg.config import FAMILIES, ConfigError, RunConfig, load_config
 from hsg.corpus import Vocabulary, generate_corpus, save_records
 from hsg.layers import Linear
+from hsg.student import DECODERS
 
 
 BASE = {
@@ -378,11 +379,15 @@ def test_atomic_write_syncs_file_then_replaces_then_syncs_directory(
 def test_student_checkpoint_rejects_foreign_vocab(pipeline_dir, tmp_path):
     src, cfg_path = pipeline_dir
     other = generate_corpus(99, 2, 1, 1)[3]
+    path = src / "out" / "student.json"
+    dim = json.loads(path.read_text())["feature_dim"]
     with pytest.raises(CheckpointError):
-        cli.load_student(str(src / "out" / "student.json"), other)
+        cli.load_student(str(path), other, dim)
 
 
 def test_checkpoint_unknown_family_rejected(pipeline_dir, tmp_path):
+    # every family the config accepts has a decoder class to build
+    assert set(DECODERS) == set(FAMILIES)
     src, _cfg_path = pipeline_dir
     vocab = Vocabulary.from_json((src / "corpus" / "vocab.json").read_text())
     for name, load in (("student", cli.load_student), ("teacher", cli.load_teacher)):
@@ -391,7 +396,26 @@ def test_checkpoint_unknown_family_rejected(pipeline_dir, tmp_path):
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(obj))
         with pytest.raises(CheckpointError, match="family"):
-            load(str(path), vocab)
+            load(str(path), vocab, obj["feature_dim"])
+
+
+def test_checkpoint_feature_dim_must_match_corpus(pipeline_dir, monkeypatch):
+    src, _cfg_path = pipeline_dir
+    vocab = Vocabulary.from_json((src / "corpus" / "vocab.json").read_text())
+    dim = json.loads((src / "out" / "student.json").read_text())["feature_dim"]
+
+    def fail(*_args, **_kwargs):
+        raise AssertionError("the feature dim is checked before a model is built")
+
+    # neither model may be built, let alone restored, before the check
+    for name in ("build_teacher", "StateTransformNet", "restore_params"):
+        monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(cli, "DECODERS", {family: fail for family in FAMILIES})
+    for name, load in (("student", cli.load_student), ("teacher", cli.load_teacher)):
+        with pytest.raises(CheckpointError,
+                           match=f"feature dim {dim} does not match corpus "
+                                 f"features of dim {dim + 1}"):
+            load(str(src / "out" / f"{name}.json"), vocab, dim + 1)
 
 
 def last_json_line(out):
@@ -452,14 +476,17 @@ def test_unreadable_config_or_blocked_directory_ends_in_one_json_line(
     ("train-teacher", "file:rl_lr=0", "ConfigError"),
     ("train-teacher", "file:statenet_lr=-0.05", "ConfigError"),
     ("train-teacher", "file:grad_clip=0", "ConfigError"),
+    ("train-teacher", "seed=-1", "ConfigError"),
+    ("gen-corpus", "corpus_seed=-1", "ConfigError"),
     # a removed key is an unknown key
     ("train-teacher", "file:match_cell_states=true", "ConfigError"),
+    ("gen-corpus", "file:min_count=1", "ConfigError"),
 ])
 def test_degenerate_config_ends_in_one_json_line(pipeline_dir, tmp_path, capsys,
                                                  command, setting, want):
     # zero epochs is a legal run whose empty history prints null; a dim
-    # below one, a negative count, a non-finite number, a learning rate
-    # <= 0 or a grad_clip <= 0 is a ConfigError
+    # below one, a negative count or seed, a non-finite number, a learning
+    # rate <= 0 or a grad_clip <= 0 is a ConfigError
     src, cfg_path = pipeline_dir
     flags = ["--set", setting]
     if setting.startswith("file:"):

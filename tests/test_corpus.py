@@ -76,14 +76,6 @@ def test_encode_decode_round_trip(small_corpus):
     assert unk[1] == vocab.UNK
 
 
-def test_min_count_filters_rare_words():
-    caps = [["hello", "world"], ["hello", "there"]]
-    vocab = Vocabulary.from_captions(caps, min_count=2)
-    assert "hello" in vocab.index
-    assert "world" not in vocab.index
-    assert "there" not in vocab.index
-
-
 def test_save_load_round_trip(tmp_path, small_corpus):
     train, _, _, _, _ = small_corpus
     path = tmp_path / "train.jsonl"

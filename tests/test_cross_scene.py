@@ -171,7 +171,7 @@ def test_row_cap_leaves_every_scene_unchanged(tmp_path, monkeypatch, family):
     def beam_spy(decoder, ctx, init_state, t_max, bos_id, width):
         passes.append(ctx.n_scenes * width)
         found = real_beam(decoder, ctx, init_state, t_max, bos_id, width)
-        passes_found.extend((h.tokens, h.score) for h in found)
+        passes_found.extend((pool[0].tokens, pool[0].score) for pool in found)
         return found
 
     monkeypatch.setattr(hsg.training, "beam_search", beam_spy)

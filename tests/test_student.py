@@ -4,9 +4,9 @@ import pytest
 from hsg import autodiff as ad
 from hsg.autodiff import (ContractError, Tape, Tensor, backward, grad_check,
                           no_grad)
-from hsg.student import (FcDecoder, StateTransformNet, UpDownDecoder,
-                         beam_search, decode_step, greedy_decode,
-                         sample_decode, sample_categorical, teacher_forced)
+from hsg.student import (DECODERS, StateTransformNet, beam_search,
+                         decode_step, greedy_decode, sample_decode,
+                         sample_categorical, teacher_forced)
 
 from oracles import beam_search_oracle
 
@@ -16,8 +16,7 @@ BOS = 1
 
 def make_world(family="fc", vocab=5, embed=4, hidden=3, feat=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
-    cls = FcDecoder if family == "fc" else UpDownDecoder
-    decoder = cls(vocab, embed, hidden, feat, EOS, rng)
+    decoder = DECODERS[family](vocab, embed, hidden, feat, EOS, rng)
     net = StateTransformNet(feat, decoder.layer_dims, rng)
     features = rng.normal(size=(k, feat))
     return decoder, net, features
@@ -212,7 +211,7 @@ def test_beam_width_one_equals_greedy():
             ctx, state = fresh(decoder, net, features)
             greedy = greedy_decode(decoder, ctx, state, t_max=5, bos_id=BOS)
             state2 = net.initial_state(ctx.vbar)
-            (best,) = beam_search(decoder, ctx, state2, t_max=5, width=1, bos_id=BOS)
+            ((best, *_),) = beam_search(decoder, ctx, state2, t_max=5, width=1, bos_id=BOS)
             assert list(best.tokens) == greedy.tokens
             assert best.score == pytest.approx(greedy.total_log_prob(), abs=1e-12)
 
@@ -233,21 +232,20 @@ def test_beam_exhaustive_matches_enumeration():
     decoder, net, features = make_world(vocab=4, seed=13)
     ctx, state = fresh(decoder, net, features)
     expected = brute_force_best(decoder, ctx, net.initial_state(ctx.vbar), 3)
-    (best,) = beam_search(decoder, ctx, state, t_max=3, width=64, bos_id=BOS)
+    ((best, *_),) = beam_search(decoder, ctx, state, t_max=3, width=64, bos_id=BOS)
     assert list(best.tokens) == expected
 
 
 def test_beam_pool_scores_non_increasing_and_width_monotone():
     decoder, net, features = make_world(seed=14)
     ctx, state = fresh(decoder, net, features)
-    (pool,) = beam_search(decoder, ctx, state, t_max=4, width=3, bos_id=BOS,
-                          return_pool=True)
+    (pool,) = beam_search(decoder, ctx, state, t_max=4, width=3, bos_id=BOS)
     scores = [h.score for h in pool]
     assert scores == sorted(scores, reverse=True)
     prev_best = None
     for width in (1, 2, 3, 5):
         state_w = net.initial_state(ctx.vbar)
-        (best,) = beam_search(decoder, ctx, state_w, t_max=4, width=width, bos_id=BOS)
+        ((best, *_),) = beam_search(decoder, ctx, state_w, t_max=4, width=width, bos_id=BOS)
         if prev_best is not None:
             assert best.score >= prev_best - 1e-15
         prev_best = best.score
@@ -293,8 +291,7 @@ def test_beam_rows_match_scalar_oracle():
                     for t_max in (1, 6):
                         ctx = decoder.begin(scenes)
                         pools = beam_search(decoder, ctx, net.initial_state(ctx.vbar),
-                                            t_max, width=width, bos_id=BOS,
-                                            return_pool=True)
+                                            t_max, width=width, bos_id=BOS)
                         assert len(pools) == n_scenes
                         steps = set()
                         for pool, scene in zip(pools, scenes):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hsg.teacher
 from hsg import autodiff as ad
 from hsg.autodiff import ContractError, Tensor, grad_check, no_grad
 from hsg.corpus import generate_corpus
@@ -8,6 +9,8 @@ from hsg.config import RunConfig
 from hsg.teacher import (EncoderFinal, build_teacher, pool_captions,
                          pretrain_teacher)
 from hsg.student import teacher_forced
+
+from oracles import param_hash
 
 
 def tiny_teacher(family="fc", vocab=7, embed=4, hidden=3, feat=4, seed=0):
@@ -19,21 +22,34 @@ def feats(k=3, d=4, seed=1):
     return np.random.default_rng(seed).normal(size=(k, d))
 
 
-def test_single_object_gate_is_one():
-    teacher = tiny_teacher()
+def record_gates(monkeypatch):
+    """Collect the encoder's gates: the outputs of its one vec_max per step."""
     gates = []
+    real_vec_max = hsg.teacher.vec_max
+
+    def spy(weights):
+        gate = real_vec_max(weights)
+        gates.extend(gate.data.tolist())
+        return gate
+
+    monkeypatch.setattr(hsg.teacher, "vec_max", spy)
+    return gates
+
+
+def test_single_object_gate_is_one(monkeypatch):
+    teacher = tiny_teacher()
+    gates = record_gates(monkeypatch)
     with no_grad():
-        teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats(k=1)[None]),
-                               collect_gates=gates)
+        teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats(k=1)[None]))
     assert gates == [1.0] * 4
 
 
-def test_gate_in_unit_interval():
+def test_gate_in_unit_interval(monkeypatch):
     teacher = tiny_teacher(seed=5)
-    gates = []
+    gates = record_gates(monkeypatch)
     with no_grad():
-        teacher.encoder.encode([[1, 4, 5, 6, 2]], Tensor(feats(k=4, seed=2)[None]),
-                               collect_gates=gates)
+        teacher.encoder.encode([[1, 4, 5, 6, 2]], Tensor(feats(k=4, seed=2)[None]))
+    assert len(gates) == 5
     assert all(0.0 < g <= 1.0 for g in gates)
 
 
@@ -176,8 +192,8 @@ def test_pretrained_teacher_is_frozen():
     cfg = RunConfig(teacher_epochs=1, seed=0, hidden_dim=8, embed_dim=6)
     teacher, _ = pretrain_teacher(train, vocab, cfg, log=lambda *a: None)
     assert all(not p.requires_grad for p in teacher.named_parameters().values())
-    digest = teacher.frozen_hash()
-    assert teacher.frozen_hash() == digest
+    digest = param_hash(teacher.named_parameters())
+    assert param_hash(teacher.named_parameters()) == digest
 
 
 def test_architecture_identity_with_student_decoder():
