@@ -75,7 +75,10 @@ def _decode_array(name, entry):
         raw = bytes.fromhex(text)
     except ValueError as err:
         raise CheckpointError(f"parameter {name}: payload is not hex ({err})") from err
-    return np.array(struct.unpack(f"<{n}d", raw)).reshape(shape)
+    arr = np.array(struct.unpack(f"<{n}d", raw)).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise CheckpointError(f"parameter {name}: values must be finite")
+    return arr
 
 
 def save_checkpoint(path, kind, family, feature_dim, named_params, config,

@@ -154,9 +154,8 @@ def _hsg_pathway_case(seed):
             with no_grad():
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
             ctx = world.decoder.begin(world.features)
-            replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
-                                    True, world.bos)
-            losses = state_loss_trace(replay.trace_rows(), t_trace)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens], True)
+            losses = state_loss_trace(replay.states, t_trace)
             terms += [term * (1.0 + 0.37 * t) for t, term in enumerate(losses)]
         return ad.sum_terms(terms) * 0.5
 
@@ -195,13 +194,13 @@ class _TinyWorld:
         self.eos = 0
         self.bos = 1
         self.decoder = DECODERS[family](vocab_size, embed, hidden, feature_dim,
-                                        self.eos, rng)
+                                        self.bos, self.eos, rng)
         self.statenet = StateTransformNet(feature_dim, self.decoder.layer_dims, rng)
         self.features = rng.uniform(-1.0, 1.0, size=(k, feature_dim))
 
         self.teacher = build_teacher(vocab_size, family, embed, hidden,
                                      feature_dim, seed + 1,
-                                     eos_id=self.eos, bos_id=self.bos)
+                                     bos_id=self.bos, eos_id=self.eos)
         # A constant encoder output keeps every state loss a function of the
         # caption prefix only, which the suffix-sum credit assignment needs
         # to be an exact unbiased estimator.
@@ -257,8 +256,7 @@ def _expected_estimator_grads(world, leaves, greedy, lam):
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
-            replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    [tokens], ended, world.bos)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens], ended)
             prob = float(np.exp(replay.total_log_prob()))
             if lam == 0:
                 scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
@@ -282,15 +280,14 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
         terms = []
         for tokens, ended in leaves:
             ctx = world.make_ctx()
-            replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                    [tokens], ended, world.bos)
+            replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens], ended)
             prob = ad.exp(replay.log_likelihood())
             adv = world.reward_fn(tokens, world.refs) - r_base
             if lam == 0:
                 obj = Tensor(-adv)
             else:
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
-                losses = state_loss_trace(replay.trace_rows(), t_trace)
+                losses = state_loss_trace(replay.states, t_trace)
                 obj = ad.sum_terms(losses) * lam + (-adv)
             terms.append(ad.mul(prob, obj))
         backward(tape, ad.sum_terms(terms))
@@ -305,8 +302,7 @@ def enum_check(family="fc", seed=0, lam=0.8, tol=ENUM_TOL):
     leaves = enumerate_rollouts(world.vocab_size, world.eos, world.t_max)
     with no_grad():
         ctx = world.make_ctx()
-        greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                               world.t_max, bos_id=world.bos)
+        greedy = greedy_decode(world.decoder, ctx, world.init(ctx), world.t_max)
 
     report = {"family": family, "n_rollouts": len(leaves), "tol": tol}
     for label, lam_value in (("scst", 0.0), ("hsg", lam)):

@@ -22,9 +22,9 @@ from .corpus import (CorpusFormatError, Vocabulary, generate_corpus,
                      load_records, save_records)
 from .metrics import DocFreq
 from .student import DECODERS, StateTransformNet
-from .teacher import TrainingDiverged, build_teacher, pretrain_teacher
-from .training import (StudentModel, evaluate_split, pretrain_state_net,
-                       train_student)
+from .teacher import build_teacher, pretrain_teacher
+from .training import (StudentModel, TrainingDiverged, evaluate_split,
+                       pretrain_state_net, train_student)
 
 USER_ERRORS = (ConfigError, ContractError, DimensionError, CheckpointError,
                CorpusFormatError, TrainingDiverged, OSError)
@@ -144,7 +144,7 @@ def load_teacher(path, vocab, feature_dim):
     cfgd = ckpt["config"]
     teacher = build_teacher(len(vocab), ckpt["family"], cfgd["embed_dim"],
                             cfgd["hidden_dim"], ckpt["feature_dim"], seed=0,
-                            eos_id=vocab.EOS, bos_id=vocab.BOS)
+                            bos_id=vocab.BOS, eos_id=vocab.EOS)
     restore_params(teacher.named_parameters(), ckpt["params"])
     teacher.freeze()
     return teacher, ckpt
@@ -156,7 +156,7 @@ def load_student(path, vocab, feature_dim):
     rng = np.random.default_rng(0)
     decoder = DECODERS[ckpt["family"]](len(vocab), cfgd["embed_dim"],
                                        cfgd["hidden_dim"], ckpt["feature_dim"],
-                                       vocab.EOS, rng)
+                                       vocab.BOS, vocab.EOS, rng)
     statenet = StateTransformNet(ckpt["feature_dim"], decoder.layer_dims, rng)
     student = StudentModel(decoder, statenet)
     restore_params(student.named_parameters(), ckpt["params"])

@@ -92,8 +92,8 @@ class Vocabulary:
         return cls(list(cls.RESERVED) + sorted({tok for cap in captions for tok in cap}))
 
     def encode(self, words):
-        """Map words to ids, framed as [bos, ..., eos]; unknowns become unk."""
-        return [self.BOS] + [self.index.get(w, self.UNK) for w in words] + [self.EOS]
+        """Map words to content ids (no bos or eos); unknowns become unk."""
+        return [self.index.get(w, self.UNK) for w in words]
 
     def decode(self, ids):
         """Inverse of encode for in-vocabulary words; drops reserved ids."""

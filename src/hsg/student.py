@@ -2,11 +2,12 @@
 and the state transformation network.
 
 The same decoder classes serve both the autoencoding teacher and the deployed
-student; only the initial hidden states differ.  Decoder states are lists of
-(h, c) pairs, one per LSTM layer, each a (B, H) row batch: one row per
-caption or beam, and a batch of one row when a single caption is decoded.
-A decode context holds the constants of S scenes; each decode row reaches
-its own scene's constants through a row->scene index.
+student; only the initial hidden states differ.  A decoder holds its reserved
+ids: every caption starts from bos_id and ends at eos_id.  Decoder states are
+lists of (h, c) pairs, one per LSTM layer, each a (B, H) row batch: one row
+per caption or beam, and a batch of one row when a single caption is decoded.
+A decode context holds the constants of S scenes; each decode row reaches its
+own scene's constants through a row->scene index.
 """
 
 from dataclasses import dataclass, field
@@ -56,11 +57,12 @@ class FcDecoder:
 
     family = "fc"
 
-    def __init__(self, vocab_size, embed_dim, hidden_dim, feature_dim, eos_id, rng,
-                 embedding=None):
+    def __init__(self, vocab_size, embed_dim, hidden_dim, feature_dim, bos_id, eos_id,
+                 rng, embedding=None):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.feature_dim = feature_dim
+        self.bos_id = bos_id
         self.eos_id = eos_id
         self.embedding = embedding or Embedding(vocab_size, embed_dim, rng)
         self.lstm = LstmCell(self.embedding.embed_dim + feature_dim, hidden_dim, rng)
@@ -95,11 +97,12 @@ class UpDownDecoder:
 
     family = "updown"
 
-    def __init__(self, vocab_size, embed_dim, hidden_dim, feature_dim, eos_id, rng,
-                 embedding=None):
+    def __init__(self, vocab_size, embed_dim, hidden_dim, feature_dim, bos_id, eos_id,
+                 rng, embedding=None):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
         self.feature_dim = feature_dim
+        self.bos_id = bos_id
         self.eos_id = eos_id
         self.embedding = embedding or Embedding(vocab_size, embed_dim, rng)
         self.att_lstm = LstmCell(
@@ -212,11 +215,11 @@ class DecodedRows:
     teacher-forced pass.
 
     The rows of step t are the captions with more than t emissions, in
-    caption order; a caption's row leaves after its last emission.
-    logits[t] is (n_t, V) and states[t + 1] the state after step t with the
-    same rows; states[0] is the initial state on all C rows.  emissions
-    holds each caption's emitted ids, ending in eos where ended[i]; targets
-    lists them in the order of stack_rows(logits).
+    caption order; logits[t] is their (n_t, V) logits.  states is the trace:
+    states[t] holds the captions with at least t content ids, in caption
+    order, after t emissions (states[0]: all C rows).  emissions holds each
+    caption's emitted ids, ending in eos where ended[i]; targets lists them
+    in the order of stack_rows(logits).
     """
     emissions: list
     ended: np.ndarray
@@ -248,21 +251,6 @@ class DecodedRows:
         with no_grad():
             return self.log_likelihood().item()
 
-    def trace_rows(self):
-        """The traces [s_0 .. s_T] of all captions as row batches: the state
-        at step t keeps the captions with at least t content tokens, in
-        caption order.  Two passes over the same captions have the same
-        rows."""
-        emitted = np.array([len(e) for e in self.emissions])
-        content = emitted - self.ended
-        out = self.states[:content.max() + 1]
-        # states[t] still holds the rows of the captions whose eos was
-        # emission t
-        for t in set(emitted[self.ended].tolist()):
-            if t < len(out):
-                out[t] = _rows(out[t], np.flatnonzero(content[emitted >= t] >= t))
-        return out
-
 
 def sample_categorical(probs, rng):
     """Draw an index from a probability vector with a single uniform draw."""
@@ -272,17 +260,18 @@ def sample_categorical(probs, rng):
     return min(int(np.searchsorted(cum, u, side="right")), len(probs) - 1)
 
 
-def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
-    """The decode loop: one caption per row of init_state, starting from
-    bos_id, with at most t_max emissions (one limit, or one per caption).
+def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
+    """The decode loop: one caption per row of init_state, from
+    decoder.bos_id, with at most t_max emissions (one limit or one per caption).
 
     choose(t, logits, live) picks emission t of the running captions live
     (ascending caption indices) from the step's (n, V) logits.  A caption
     stops after eos or at its limit and its row is dropped; the loop ends
     when none is left.  Caption i decodes scene scene[i] of the context
-    (None: every caption the one scene).  Each step records its logits and
-    state on the active tape; log-probabilities are taken afterwards, from
-    all steps at once (DecodedRows.log_prob_rows).
+    (None: every caption the one scene).  Each step records its logits, and
+    its state on the rows that did not emit eos (DecodedRows.states), on the
+    active tape; log-probabilities are taken afterwards, from all steps at
+    once (DecodedRows.log_prob_rows).
     """
     eos_id = decoder.eos_id
     n = init_state[0][0].data.shape[0]
@@ -293,7 +282,7 @@ def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
         scene = np.asarray(scene)
     live = np.flatnonzero(limit > 0)
     state = init_state if live.size in (0, n) else _rows(init_state, live)
-    prev = np.full(live.size, bos_id)
+    prev = np.full(live.size, decoder.bos_id)
     states, logits, steps = [init_state], [], []
     t = 0
     while live.size:
@@ -301,12 +290,19 @@ def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
             decoder, ctx, state, prev, None if scene is None else scene[live])
         tokens = np.asarray(choose(t, step_logits, live), dtype=np.intp)
         logits.append(step_logits)
-        states.append(state)
         steps.append((live, tokens))
         t += 1
-        if t in limit_steps or eos_id in tokens.tolist():
-            keep = ((tokens != eos_id) & (limit[live] > t)).nonzero()[0]
+        if eos_id in tokens.tolist():
+            # rows that emit eos leave before their state is recorded
+            keep = np.flatnonzero(tokens != eos_id)
             if keep.size:
+                state = _rows(state, keep)
+            live, tokens = live[keep], tokens[keep]
+        if live.size:
+            states.append(state)
+        if t in limit_steps:
+            keep = np.flatnonzero(limit[live] > t)
+            if 0 < keep.size < live.size:
                 state = _rows(state, keep)
             live, tokens = live[keep], tokens[keep]
         prev = tokens
@@ -320,7 +316,7 @@ def rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene=None):
     return DecodedRows(emissions, ended, logits, states, targets)
 
 
-def greedy_decode(decoder, ctx, init_state, t_max, bos_id, scene=None):
+def greedy_decode(decoder, ctx, init_state, t_max, scene=None):
     """Argmax decoding of one caption per init_state row (row i in scene
     scene[i], as in rollout); ties go to the lowest token id.  Runs
     untaped."""
@@ -331,10 +327,10 @@ def greedy_decode(decoder, ctx, init_state, t_max, bos_id, scene=None):
         return np.argmax(log_softmax(logits).data, axis=1)
 
     with no_grad():
-        return rollout(decoder, ctx, init_state, bos_id, t_max, choose, scene)
+        return rollout(decoder, ctx, init_state, t_max, choose, scene)
 
 
-def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
+def sample_decode(decoder, ctx, init_state, t_max, rng):
     """Multinomial decoding from the per-step softmax; the tape records the
     steps, so log_prob_rows gives the realized tokens' exact
     log-probabilities."""
@@ -346,10 +342,10 @@ def sample_decode(decoder, ctx, init_state, t_max, rng, bos_id):
             lp = log_softmax(logits).data
         return [sample_categorical(np.exp(p), rng) for p in lp]
 
-    return rollout(decoder, ctx, init_state, bos_id, t_max, choose)
+    return rollout(decoder, ctx, init_state, t_max, choose)
 
 
-def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None):
+def teacher_forced(decoder, ctx, init_state, captions, ended, scene=None):
     """Run the decoder over C known captions (lists of content ids, eos
     appended when ended) as a row batch, from init_state's rows, one per
     scene of the context (as beam_search takes them).  Caption i decodes
@@ -384,7 +380,7 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, bos_id, scene=None
     ids = np.full((lengths.max(), len(captions)), decoder.eos_id)
     for i, tokens in enumerate(captions):
         ids[:len(tokens), i] = tokens
-    return rollout(decoder, ctx, init_rows, bos_id, lengths,
+    return rollout(decoder, ctx, init_rows, lengths,
                    lambda t, _logits, live: ids[t][live], scene)
 
 
@@ -396,7 +392,7 @@ class BeamHypothesis:
     emissions: tuple = field(default=(), repr=False)
 
 
-def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5):
+def beam_search(decoder, ctx, init_state, t_max, width=5):
     """Length-unnormalized log-prob beam search over the S scenes of ctx,
     from init_state's S rows (row s starts scene s).
 
@@ -429,7 +425,7 @@ def beam_search(decoder, ctx, init_state, t_max, bos_id, width=5):
         rank = np.arange(n_scenes)
         seqs = np.zeros((n_scenes, 0), dtype=np.intp)
         scores = np.zeros(n_scenes)
-        tokens = np.full(n_scenes, bos_id)
+        tokens = np.full(n_scenes, decoder.bos_id)
         state = init_state
         for _ in range(t_max):
             logits, state = decode_step(decoder, ctx, state, tokens, scene)

@@ -20,15 +20,12 @@ from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
                        stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
 from .student import DECODERS, teacher_forced
+from .training import TrainingDiverged, sgd_step
 
 __all__ = [
     "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
-    "pool_captions", "pretrain_teacher", "TrainingDiverged",
+    "pool_captions", "pretrain_teacher",
 ]
-
-
-class TrainingDiverged(RuntimeError):
-    """Raised when a training loss stops being finite."""
 
 
 @dataclass
@@ -138,18 +135,17 @@ def pool_captions(final, family, scene=None):
 class TeacherAutoencoder:
     """Caption encoder plus a decoder architecturally identical to the student."""
 
-    def __init__(self, embedding, encoder, decoder, bos_id=1):
+    def __init__(self, embedding, encoder, decoder):
         self.embedding = embedding
         self.encoder = encoder
         self.decoder = decoder
-        self.bos_id = bos_id
 
     @property
     def family(self):
         return self.decoder.family
 
     def frame(self, content_ids):
-        return [self.bos_id] + list(content_ids) + [self.decoder.eos_id]
+        return [self.decoder.bos_id] + list(content_ids) + [self.decoder.eos_id]
 
     def encode_pooled(self, caption_id_lists, feats, scene=None):
         """Encode every caption (content ids) and pool each scene's captions
@@ -161,7 +157,7 @@ class TeacherAutoencoder:
 
     def traces(self, caption_id_lists, features, scene=None):
         """Constant teacher state traces [s_0 .. s_T] of all captions, as the
-        row batches of DecodedRows.trace_rows.
+        row batches of DecodedRows.states.
 
         features holds one scene's (K, d) block or an (S, K, d) stack, and
         caption i belongs to scene scene[i] (None: the one scene).  The
@@ -173,7 +169,7 @@ class TeacherAutoencoder:
             ctx = self.decoder.begin(features)
             init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False, self.bos_id, scene).trace_rows()
+                                  False, scene).states
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as
@@ -194,7 +190,7 @@ class TeacherAutoencoder:
 
 
 def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
-                  eos_id=2, bos_id=1):
+                  bos_id, eos_id):
     """Deterministically seeded teacher; identical seeds give identical weights."""
     rng = np.random.default_rng(seed)
     embedding = Embedding(vocab_size, embed_dim, rng)
@@ -202,8 +198,8 @@ def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
     if family not in DECODERS:
         raise ContractError(f"unknown decoder family {family!r}")
     decoder = DECODERS[family](vocab_size, embed_dim, hidden_dim, feature_dim,
-                               eos_id, rng, embedding=embedding)
-    return TeacherAutoencoder(embedding, encoder, decoder, bos_id=bos_id)
+                               bos_id, eos_id, rng, embedding=embedding)
+    return TeacherAutoencoder(embedding, encoder, decoder)
 
 
 def pretrain_teacher(train_records, vocab, cfg, log=print):
@@ -213,11 +209,9 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
     references, each decoded from the shared pooled initial state while the
     encoder consumes all references.  The returned teacher is frozen.
     """
-    from .training import sgd_step
-
     teacher = build_teacher(len(vocab), cfg.family, cfg.embed_dim, cfg.hidden_dim,
                             train_records[0].features.shape[1], cfg.seed,
-                            eos_id=vocab.EOS, bos_id=vocab.BOS)
+                            bos_id=vocab.BOS, eos_id=vocab.EOS)
     params = list(teacher.named_parameters().values())
     rng = np.random.default_rng([cfg.seed, 917])
     history = []
@@ -228,12 +222,11 @@ def pretrain_teacher(train_records, vocab, cfg, log=print):
         emitted = 0
         for idx in order:
             rec = train_records[int(idx)]
-            content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
+            content = [vocab.encode(cap) for cap in rec.captions]
             with Tape() as tape:
                 ctx = teacher.decoder.begin(rec.features)
                 init = teacher.encode_pooled(content, ctx.feats)
-                forced = teacher_forced(teacher.decoder, ctx, init, content,
-                                        True, vocab.BOS)
+                forced = teacher_forced(teacher.decoder, ctx, init, content, True)
                 loss = neg(forced.log_likelihood()) * (1.0 / len(content))
                 # argmax of the logits, not of the log-probs: subtracting the
                 # normalizer can round two logits to a tie

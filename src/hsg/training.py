@@ -23,13 +23,12 @@ from .student import (
     StateTransformNet, beam_search, greedy_decode, sample_decode,
     teacher_forced,
 )
-from .teacher import TrainingDiverged
 
 __all__ = [
     "RewardTrace", "state_loss_trace", "joint_mle_loss",
     "scst_gradients", "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
-    "zero_gradients", "sgd_step", "collect_gradients",
+    "zero_gradients", "sgd_step", "collect_gradients", "TrainingDiverged",
 ]
 
 # The most decode or encode rows one cross-scene pass runs at once: a split
@@ -39,14 +38,17 @@ __all__ = [
 MAX_PASS_ROWS = 512
 
 
+class TrainingDiverged(RuntimeError):
+    """Raised when a training loss or gradient norm stops being finite."""
+
+
 def state_loss_trace(student_trace, teacher_trace):
     """Per-step squared L2 between student and teacher hidden states h.
 
     Both traces are lists (over t) of per-layer (h, c) row batches
-    (DecodedRows.trace_rows), one row per caption; a step's loss sums over
-    the rows.  The teacher side must be constant
-    tensors; gradients flow only into the student states.  Layer losses are
-    summed.
+    (DecodedRows.states), one row per caption; a step's loss sums over the
+    rows.  The teacher side must be constant tensors; gradients flow only
+    into the student states.  Layer losses are summed.
     """
     if len(student_trace) != len(teacher_trace):
         raise ContractError(
@@ -128,7 +130,7 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
     teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
-    losses = state_loss_trace(rollout.trace_rows(), teacher_trace)
+    losses = state_loss_trace(rollout.states, teacher_trace)
     vals = [loss.item() for loss in losses]
     suffix = [0.0] * (len(vals) + 1)
     for t in range(len(vals) - 1, -1, -1):
@@ -206,7 +208,7 @@ def _state_net_targets(records, teacher, vocab):
     """Per record, the teacher's pooled initial h rows from its gold
     captions; each chunk of scenes (_scene_chunks, one row per caption)
     runs as one encoder pass."""
-    contents = [[vocab.encode(cap)[1:-1] for cap in rec.captions] for rec in records]
+    contents = [[vocab.encode(cap) for cap in rec.captions] for rec in records]
     targets = [None] * len(records)
     with no_grad():
         for idx in _scene_chunks(records, lambda rec: len(rec.captions)):
@@ -323,7 +325,7 @@ def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
         for idx in _scene_chunks(records, lambda _rec: beam_width):
             ctx = student.decoder.begin(np.stack([records[i].features for i in idx]))
             found = beam_search(student.decoder, ctx, student.initial_state(ctx),
-                                t_max, width=beam_width, bos_id=vocab.BOS)
+                                t_max, width=beam_width)
             for i, pool in zip(idx, found):
                 best[i] = pool[0]
     sums = {"bleu4": 0.0, "rouge_l": 0.0, "cider": 0.0}
@@ -345,7 +347,7 @@ def _row_state_losses(student_state, teacher_state):
     return total
 
 
-def _greedy_state_losses(student, teacher, records, t_max, vocab):
+def _greedy_state_losses(student, teacher, records, t_max):
     """Per record, in record order: the content ids of the greedy caption
     and the mean per-step hidden-state loss against the teacher's trace of
     that caption.
@@ -361,14 +363,13 @@ def _greedy_state_losses(student, teacher, records, t_max, vocab):
             scene = np.arange(len(idx))
             ctx = student.decoder.begin(features)
             greedy = greedy_decode(student.decoder, ctx, student.initial_state(ctx),
-                                   t_max, bos_id=vocab.BOS, scene=scene)
+                                   t_max, scene=scene)
             captions = greedy.captions
             teacher_trace = teacher.traces(captions, features, scene)
             # both traces keep, at step t, the captions with >= t content ids
             content = np.array([len(tokens) for tokens in captions])
             sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
-            student_trace = greedy.trace_rows()
-            for t, (s_state, t_state) in enumerate(zip(student_trace, teacher_trace)):
+            for t, (s_state, t_state) in enumerate(zip(greedy.states, teacher_trace)):
                 rows = np.flatnonzero(content >= t)
                 sums[rows] += _row_state_losses(s_state, t_state)
                 steps[rows] += 1
@@ -377,10 +378,10 @@ def _greedy_state_losses(student, teacher, records, t_max, vocab):
     return out
 
 
-def _mean_state_loss(student, teacher, records, t_max, vocab):
+def _mean_state_loss(student, teacher, records, t_max):
     """Mean over a split's scenes of _greedy_state_losses, added in record
     order."""
-    losses = _greedy_state_losses(student, teacher, records, t_max, vocab)
+    losses = _greedy_state_losses(student, teacher, records, t_max)
     return sum(loss for _tokens, loss in losses) / len(records)
 
 
@@ -411,7 +412,7 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
         phases = [("mle", cfg.mle_warmup_epochs, 0.0), ("rl", cfg.epochs, lam)]
 
     content_cache = {
-        rec.scene_id: [vocab.encode(cap)[1:-1] for cap in rec.captions]
+        rec.scene_id: [vocab.encode(cap) for cap in rec.captions]
         for rec in train_records}
     # every CIDEr score of the run reads reference sets prepared here, once
     val_refs = [CiderRefs(rec.captions, doc_freq) for rec in val_records]
@@ -434,15 +435,14 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
             for idx in order:
                 rec = train_records[int(idx)]
                 if phase == "mle":
-                    _mle_step(student, teacher, rec, content_cache[rec.scene_id],
-                              trace_cache.get(rec.scene_id), phase_lam, vocab,
-                              params, cfg)
+                    _mle_step(student, rec, content_cache[rec.scene_id],
+                              trace_cache.get(rec.scene_id), phase_lam, params, cfg)
                 else:
                     _rl_step(student, teacher, rec, reward_refs[rec.scene_id],
-                             reward_fn, phase_lam, vocab, params, cfg, rng)
+                             reward_fn, phase_lam, params, cfg, rng)
             metrics = evaluate_split(student, val_records, vocab, doc_freq,
                                      cfg.beam_width, cfg.t_max, val_refs)
-            msl = _mean_state_loss(student, teacher, val_records, cfg.t_max, vocab)
+            msl = _mean_state_loss(student, teacher, val_records, cfg.t_max)
             line = {"epoch": epoch, "split": "val",
                     "bleu4": metrics["bleu4"], "rouge_l": metrics["rouge_l"],
                     "cider": metrics["cider"], "mean_state_loss": msl}
@@ -460,17 +460,15 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     return student, history
 
 
-def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
-              params, cfg):
+def _mle_step(student, rec, content_lists, teacher_traces, lam, params, cfg):
     with Tape() as tape:
         ctx = student.decoder.begin(rec.features)
         init = student.initial_state(ctx)
-        forced = teacher_forced(student.decoder, ctx, init, content_lists, True,
-                                vocab.BOS)
+        forced = teacher_forced(student.decoder, ctx, init, content_lists, True)
         loss = neg(forced.log_likelihood())
         if lam > 0:
             loss = joint_mle_loss(
-                loss, state_loss_trace(forced.trace_rows(), teacher_traces), lam)
+                loss, state_loss_trace(forced.states, teacher_traces), lam)
         loss = loss * (1.0 / len(content_lists))
         if not math.isfinite(loss.item()):
             raise TrainingDiverged(f"student loss became {loss.item()}")
@@ -478,14 +476,12 @@ def _mle_step(student, teacher, rec, content_lists, teacher_traces, lam, vocab,
     sgd_step(params, cfg.lr, cfg.grad_clip)
 
 
-def _rl_step(student, teacher, rec, refs, reward_fn, lam, vocab, params, cfg, rng):
+def _rl_step(student, teacher, rec, refs, reward_fn, lam, params, cfg, rng):
     with Tape() as tape:
         ctx = student.decoder.begin(rec.features)
         init = student.initial_state(ctx)
-        rollout = sample_decode(student.decoder, ctx, init, cfg.t_max, rng,
-                                bos_id=vocab.BOS)
-        greedy = greedy_decode(student.decoder, ctx, init, cfg.t_max,
-                               bos_id=vocab.BOS)
+        rollout = sample_decode(student.decoder, ctx, init, cfg.t_max, rng)
+        greedy = greedy_decode(student.decoder, ctx, init, cfg.t_max)
         hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam,
                       features=rec.features)
     sgd_step(params, cfg.rl_lr, cfg.grad_clip)

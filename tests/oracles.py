@@ -247,7 +247,7 @@ def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=N
         replays.append(forced)
         ll = neg(forced.log_likelihood())
         if lam > 0:
-            losses = state_loss_trace(forced.trace_rows(), teacher_traces[i])
+            losses = state_loss_trace(forced.states[:len(ids) + 1], teacher_traces[i])
             ll = joint_mle_loss(ll, losses, lam)
         terms.append(ll)
     return sum_terms(terms) * (1.0 / len(captions)), replays
@@ -270,7 +270,7 @@ def greedy_oracle(decoder, ctx, init_state, t_max, bos_id):
 
 def state_net_target_oracle(teacher, vocab, rec):
     """One scene's state-net target: the h rows of its pooled gold captions."""
-    content = [vocab.encode(cap)[1:-1] for cap in rec.captions]
+    content = [vocab.encode(cap) for cap in rec.captions]
     with no_grad():
         init = encode_pooled_oracle(teacher, content, Tensor(rec.features[None]))
     return [h.data for h, _c in init]

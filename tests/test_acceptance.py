@@ -65,15 +65,14 @@ def test_criterion_3_reduction_identities():
         with no_grad():
             ctx = world.make_ctx()
             greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                                   world.t_max, bos_id=world.bos)
+                                   world.t_max)
 
         def grads_for(kind):
             zero_gradients(params)
             with Tape() as tape:
                 ctx = world.make_ctx()
                 rollout = sample_decode(world.decoder, ctx, world.init(ctx),
-                                        world.t_max, np.random.default_rng(5),
-                                        bos_id=world.bos)
+                                        world.t_max, np.random.default_rng(5))
                 if kind == "hsg":
                     hsg_gradients(tape, rollout, greedy, world.refs,
                                   world.reward_fn, world.teacher, 0.0,
@@ -93,7 +92,7 @@ def test_criterion_3_reduction_identities():
     world = _TinyWorld("fc", seed=7)
     ctx = world.make_ctx()
     ll = neg(teacher_forced(world.decoder, ctx, world.init(ctx), [[1, 2, 3]],
-                            True, world.bos).log_likelihood())
+                            True).log_likelihood())
     losses = [Tensor(abs(rng.normal())) for _ in range(4)]
     joint_identity = joint_mle_loss(ll, losses, 0.0) is ll
 
@@ -104,11 +103,10 @@ def test_criterion_3_reduction_identities():
             world = _TinyWorld(family, seed=seed, vocab_size=5, t_max=6)
             with no_grad():
                 ctx = world.make_ctx()
-                greedy = greedy_decode(world.decoder, ctx, world.init(ctx), 6,
-                                       bos_id=world.bos)
+                greedy = greedy_decode(world.decoder, ctx, world.init(ctx), 6)
                 ctx2 = world.make_ctx()
                 ((best, *_),) = beam_search(world.decoder, ctx2, world.init(ctx2),
-                                            6, width=1, bos_id=world.bos)
+                                            6, width=1)
             beam_equal &= list(best.tokens) == greedy.tokens
             beam_equal &= abs(best.score - greedy.total_log_prob()) < 1e-12
 
@@ -153,20 +151,21 @@ def test_criterion_5_beam_search_exactness():
                 for tokens, ended in leaves:
                     ctx = world.make_ctx()
                     r = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                       [tokens], ended, world.bos)
+                                       [tokens], ended)
                     key = (-r.total_log_prob(),
                            tuple(tokens) + ((world.eos,) if ended else ()))
                     if best_key is None or key < best_key:
                         best_key, best_tokens = key, tokens
                 ctx = world.make_ctx()
                 ((found, *_),) = beam_search(world.decoder, ctx, world.init(ctx),
-                                             3, width=64, bos_id=world.bos)
+                                             3, width=64)
             ok &= list(found.tokens) == best_tokens
             checked += 1
     report(5, ok, f"beam width 64 equals exhaustive argmax over all "
                   f"4^3-tree rollouts in {checked} model instances")
 
 
+@pytest.mark.slow
 def test_criterion_6_teacher_fidelity():
     t0 = time.time()
     train, _, _, vocab, _ = generate_corpus(11, 200, 1, 1, captions_per_scene=1)
@@ -190,6 +189,7 @@ EFFECT = dict(corpus_seed=97, n_train=1000, n_val=200, n_test=200,
               lam=0.3, reward_metric="cider", beam_width=5, t_max=16)
 
 
+@pytest.mark.slow
 def test_criterion_7_directional_effect():
     t0 = time.time()
     p = EFFECT

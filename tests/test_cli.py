@@ -2,6 +2,7 @@ import json
 import os
 import shutil
 import stat
+import struct
 
 import numpy as np
 import pytest
@@ -142,6 +143,8 @@ MALFORMED = {
     "string shape": put("2x2", "params", "m.w", "shape"),
     "list params": put([], "params"),
     "string feature_dim": put("2", "feature_dim"),
+    "infinite value": put(struct.pack("<4d", 0.5, float("inf"), 0.0, 1.0).hex(),
+                          "params", "m.w", "data"),
 }
 
 
@@ -385,6 +388,32 @@ def test_student_checkpoint_rejects_foreign_vocab(pipeline_dir, tmp_path):
         cli.load_student(str(path), other, dim)
 
 
+def test_loaded_models_decode_with_the_vocabulary_ids(pipeline_dir):
+    src, _cfg_path = pipeline_dir
+    vocab = Vocabulary.from_json((src / "corpus" / "vocab.json").read_text())
+    dim = json.loads((src / "out" / "student.json").read_text())["feature_dim"]
+    student, _ckpt = cli.load_student(str(src / "out" / "student.json"), vocab, dim)
+    teacher, _ckpt = cli.load_teacher(str(src / "out" / "teacher.json"), vocab, dim)
+    for decoder in (student.decoder, teacher.decoder):
+        assert (decoder.bos_id, decoder.eos_id) == (vocab.BOS, vocab.EOS)
+
+
+def test_evaluate_rejects_non_finite_parameter(pipeline_dir, tmp_path, capsys):
+    # NaN logits would leave every beam pool empty; the load names the value
+    src, cfg_path = pipeline_dir
+    obj = json.loads((src / "out" / "student.json").read_text())
+    entry = obj["params"]["decoder.out.w"]
+    entry["data"] = struct.pack("<d", float("nan")).hex() * (len(entry["data"]) // 16)
+    path = tmp_path / "student.json"
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert cli.main(["evaluate", "--config", cfg_path, "--checkpoint", str(path)]) == 1
+    (line,) = capsys.readouterr().out.strip().splitlines()
+    error = json.loads(line)
+    assert error["error"] == "CheckpointError"
+    assert "decoder.out.w" in error["message"] and "finite" in error["message"]
+
+
 def test_checkpoint_unknown_family_rejected(pipeline_dir, tmp_path):
     # every family the config accepts has a decoder class to build
     assert set(DECODERS) == set(FAMILIES)
@@ -606,7 +635,7 @@ def test_evaluate_mixed_k_split_equals_per_scene_sums(tmp_path, capsys, monkeypa
 
     cfg = RunConfig(family="updown", hidden_dim=8, embed_dim=6, beam_width=3,
                     t_max=6, corpus_dir=str(corpus), output_dir=str(tmp_path / "out"))
-    decoder = UpDownDecoder(len(vocab), 6, 8, 5, vocab.EOS, rng)
+    decoder = UpDownDecoder(len(vocab), 6, 8, 5, vocab.BOS, vocab.EOS, rng)
     student = StudentModel(decoder, StateTransformNet(5, decoder.layer_dims, rng))
     ckpt = tmp_path / "student.json"
     save_checkpoint(str(ckpt), "student", "updown", 5, student.named_parameters(),

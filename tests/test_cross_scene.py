@@ -101,7 +101,7 @@ def test_greedy_state_losses_match_one_scene_oracle(tmp_path, family):
     records, vocab = mixed_split(tmp_path, n_scenes=30, seed=1)
     teacher, student = world(family, vocab, seed=10)
     end_some_at_step_zero(student, records, vocab)
-    got = _greedy_state_losses(student, teacher, records, T_MAX, vocab)
+    got = _greedy_state_losses(student, teacher, records, T_MAX)
     want = [greedy_state_loss_oracle(student, teacher, rec, T_MAX, vocab.BOS)
             for rec in records]
     lengths = [len(tokens) for tokens, _loss in want]
@@ -110,7 +110,7 @@ def test_greedy_state_losses_match_one_scene_oracle(tmp_path, family):
     for rec, (tokens, loss), (want_tokens, want_loss) in zip(records, got, want):
         assert tokens == want_tokens, f"scene {rec.scene_id}"
         assert abs(loss - want_loss) <= TOL, f"scene {rec.scene_id}"
-    mean = _mean_state_loss(student, teacher, records, T_MAX, vocab)
+    mean = _mean_state_loss(student, teacher, records, T_MAX)
     assert abs(mean - sum(loss for _t, loss in want) / len(records)) <= TOL
 
 
@@ -128,9 +128,9 @@ def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
     with no_grad():
         ctx = student.decoder.begin(feats)
         init = student.initial_state(ctx)
-        rows = greedy_decode(student.decoder, ctx, init, 4, vocab.BOS, scene)
+        rows = greedy_decode(student.decoder, ctx, init, 4, scene)
         forced = teacher_forced(student.decoder, ctx, init, rows.captions, False,
-                                vocab.BOS, scene)
+                                scene)
     assert len(set(map(len, rows.emissions))) >= 3
     assert not all(rows.ended) and any(rows.ended)
     for s, rec in enumerate(group):
@@ -140,7 +140,7 @@ def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
                 student.decoder, one, student.initial_state(one), 4, vocab.BOS)
         assert rows.captions[s] == tokens and rows.ended[s] == ended
     # both keep, at step t, the captions with at least t content tokens
-    for got, want in zip(rows.trace_rows(), forced.trace_rows()):
+    for got, want in zip(rows.states, forced.states):
         for (h, c), (wh, wc) in zip(got, want):
             assert_rows_close(h.data, wh.data, "h")
             assert_rows_close(c.data, wc.data, "c")
@@ -150,8 +150,7 @@ def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
     for s, rec in enumerate(group):
         with no_grad():
             one = student.decoder.begin(rec.features)
-            alone = greedy_decode(student.decoder, one, student.initial_state(one), 4,
-                                  vocab.BOS)
+            alone = greedy_decode(student.decoder, one, student.initial_state(one), 4)
         # scene s's row at step t: the earlier scenes still running
         n = lengths[s]
         p = np.array([np.count_nonzero(lengths[:s] > t) for t in range(n)], dtype=np.intp)
@@ -168,9 +167,9 @@ def test_row_cap_leaves_every_scene_unchanged(tmp_path, monkeypatch, family):
     passes, passes_found = [], []
     real_beam = hsg.training.beam_search
 
-    def beam_spy(decoder, ctx, init_state, t_max, bos_id, width):
+    def beam_spy(decoder, ctx, init_state, t_max, width):
         passes.append(ctx.n_scenes * width)
-        found = real_beam(decoder, ctx, init_state, t_max, bos_id, width)
+        found = real_beam(decoder, ctx, init_state, t_max, width)
         passes_found.extend((pool[0].tokens, pool[0].score) for pool in found)
         return found
 
@@ -180,7 +179,7 @@ def test_row_cap_leaves_every_scene_unchanged(tmp_path, monkeypatch, family):
         passes.clear()
         passes_found.clear()
         out = (_state_net_targets(records, teacher, vocab),
-               _greedy_state_losses(student, teacher, records, T_MAX, vocab),
+               _greedy_state_losses(student, teacher, records, T_MAX),
                evaluate_split(student, records, vocab, df, width, T_MAX),
                list(passes_found))
         return out, list(passes)

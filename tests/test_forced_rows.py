@@ -72,12 +72,15 @@ def assert_same_replay(forced, replays):
     """Every caption's row of logits, log-probabilities and states matches
     its one-caption replay.  Step t runs the captions with more than t
     emissions in caption order, so caption i's row at step t is the count of
-    earlier captions still running."""
+    earlier captions still running; states[t] holds the captions with at
+    least t content ids, so there caption i's row counts the earlier ones."""
     counts = [lg.data.shape[0] for lg in forced.logits]
     offsets = np.cumsum([0] + counts)
     lp = forced.log_prob_rows().data
     lengths = np.array([len(e) for e in forced.emissions])
+    content = lengths - forced.ended
     assert counts == [int(np.count_nonzero(lengths > t)) for t in range(len(counts))]
+    assert len(forced.states) == content.max() + 1
     for i, want in enumerate(replays):
         n = len(want.logits)
         assert forced.emissions[i] == want.emissions[0]
@@ -89,8 +92,8 @@ def assert_same_replay(forced, replays):
                          f"logits of caption {i}")
         assert abs(lp[offsets[:n] + p].sum() - want.total_log_prob()) <= TOL
         assert len(want.states) == n + 1
-        # states[0] holds every caption; states[t + 1] the rows of step t
-        for q, s_got, s_want in zip([i, *p], forced.states, want.states):
+        rows = [np.count_nonzero(content[:i] >= t) for t in range(content[i] + 1)]
+        for q, s_got, s_want in zip(rows, forced.states, want.states):
             for (h, c), (wh, wc) in zip(s_got, s_want):
                 assert_close(h.data[q], wh.data[0], f"h of caption {i}")
                 assert_close(c.data[q], wc.data[0], f"c of caption {i}")
@@ -105,7 +108,7 @@ def test_teacher_rows_match_per_caption_oracle(family, n_captions):
     with Tape() as tape:
         ctx = teacher.decoder.begin(feats)
         init = teacher.encode_pooled(caps, ctx.feats)
-        forced = teacher_forced(teacher.decoder, ctx, init, caps, True, BOS)
+        forced = teacher_forced(teacher.decoder, ctx, init, caps, True)
         loss = neg(forced.log_likelihood()) * (1.0 / len(caps))
         backward(tape, loss)
     got = take_grads(params)
@@ -147,10 +150,10 @@ def test_mle_rows_match_per_caption_oracle(family, n_captions, lam):
     with Tape() as tape:
         ctx = student.decoder.begin(feats)
         forced = teacher_forced(student.decoder, ctx, student.initial_state(ctx),
-                                caps, True, BOS)
+                                caps, True)
         loss = neg(forced.log_likelihood())
         if lam > 0:
-            loss = joint_mle_loss(loss, state_loss_trace(forced.trace_rows(), traces),
+            loss = joint_mle_loss(loss, state_loss_trace(forced.states, traces),
                                   lam)
         loss = loss * (1.0 / len(caps))
         backward(tape, loss)
@@ -176,10 +179,10 @@ def test_teacher_traces_match_per_caption_oracle(family):
         ctx = teacher.decoder.begin(feats)
         init_o = encode_pooled_oracle(teacher, caps, ctx.feats)
         want = [forced_oracle(teacher.decoder, ctx, init_o, ids, False,
-                              BOS).trace_rows() for ids in caps]
+                              BOS).states for ids in caps]
         single = forced_oracle(teacher.decoder, ctx,
                                encode_pooled_oracle(teacher, [caps[2]], ctx.feats),
-                               caps[2], False, BOS).trace_rows()
+                               caps[2], False, BOS).states
     rows = teacher.traces(caps, feats)
     assert len(rows) == 1 + max(len(c) for c in caps)
     for t, state in enumerate(rows):
@@ -229,8 +232,8 @@ def test_teacher_traces_compute_no_log_softmax(monkeypatch):
     # the spy sees the one log-softmax a likelihood needs
     with no_grad():
         ctx = teacher.decoder.begin(feats)
-        teacher_forced(teacher.decoder, ctx, trace[0], [[4, 5, 6], [7]], True,
-                       BOS).log_likelihood()
+        teacher_forced(teacher.decoder, ctx, trace[0], [[4, 5, 6], [7]],
+                       True).log_likelihood()
     assert calls == [(6, VOCAB)]
 
 

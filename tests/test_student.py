@@ -16,7 +16,7 @@ BOS = 1
 
 def make_world(family="fc", vocab=5, embed=4, hidden=3, feat=4, k=3, seed=0):
     rng = np.random.default_rng(seed)
-    decoder = DECODERS[family](vocab, embed, hidden, feat, EOS, rng)
+    decoder = DECODERS[family](vocab, embed, hidden, feat, BOS, EOS, rng)
     net = StateTransformNet(feat, decoder.layer_dims, rng)
     features = rng.normal(size=(k, feat))
     return decoder, net, features
@@ -104,17 +104,17 @@ def test_greedy_eos_bias_gives_empty_caption():
     decoder.out.b.data[...] = 0.0
     decoder.out.b.data[EOS] = 50.0
     ctx, state = fresh(decoder, net, features)
-    rollout = greedy_decode(decoder, ctx, state, t_max=6, bos_id=BOS)
+    rollout = greedy_decode(decoder, ctx, state, t_max=6)
     assert rollout.tokens == []
     assert rollout.ended
-    assert len(rollout.trace_rows()) == 1
+    assert len(rollout.states) == 1
 
 
 def test_greedy_deterministic_and_locally_optimal():
     decoder, net, features = make_world(seed=8)
     ctx, state = fresh(decoder, net, features)
-    r1 = greedy_decode(decoder, ctx, state, t_max=6, bos_id=BOS)
-    r2 = greedy_decode(decoder, ctx, state, t_max=6, bos_id=BOS)
+    r1 = greedy_decode(decoder, ctx, state, t_max=6)
+    r2 = greedy_decode(decoder, ctx, state, t_max=6)
     assert r1.tokens == r2.tokens
     # every emitted token's log-prob is at least that of any substitution
     with no_grad():
@@ -148,7 +148,7 @@ def test_sample_degenerate_distribution_is_deterministic():
     rng = np.random.default_rng(0)
     with Tape():
         rollout = sample_decode(decoder, ctx, net.initial_state(ctx.vbar),
-                                t_max=4, rng=rng, bos_id=BOS)
+                                t_max=4, rng=rng)
     assert rollout.tokens == [3, 3, 3, 3]
 
 
@@ -159,7 +159,7 @@ def test_sampling_deterministic_given_seed():
     for _ in range(2):
         with Tape():
             r = sample_decode(decoder, ctx, net.initial_state(ctx.vbar),
-                              t_max=6, rng=np.random.default_rng(42), bos_id=BOS)
+                              t_max=6, rng=np.random.default_rng(42))
         outs.append((tuple(r.tokens), r.ended, r.total_log_prob()))
     assert outs[0] == outs[1]
 
@@ -171,13 +171,13 @@ def test_sampled_log_probs_match_replay():
         rng = np.random.default_rng(1)
         with Tape():
             rollout = sample_decode(decoder, ctx, net.initial_state(ctx.vbar),
-                                    t_max=6, rng=rng, bos_id=BOS)
+                                    t_max=6, rng=rng)
         with no_grad():
             ctx2 = decoder.begin(features)
             replay = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                    [rollout.tokens], rollout.ended, BOS)
+                                    [rollout.tokens], rollout.ended)
         assert abs(rollout.total_log_prob() - replay.total_log_prob()) <= 1e-12
-        assert len(rollout.trace_rows()) == len(rollout.tokens) + 1
+        assert len(rollout.states) == len(rollout.tokens) + 1
 
 
 def test_rollout_trace_matches_teacher_forced_states():
@@ -186,12 +186,12 @@ def test_rollout_trace_matches_teacher_forced_states():
     rng = np.random.default_rng(2)
     with Tape():
         rollout = sample_decode(decoder, ctx, net.initial_state(ctx.vbar),
-                                t_max=5, rng=rng, bos_id=BOS)
+                                t_max=5, rng=rng)
     with no_grad():
         ctx2 = decoder.begin(features)
         states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                [rollout.tokens], False, BOS).states
-    for s_roll, s_tf in zip(rollout.trace_rows(), states):
+                                [rollout.tokens], False).states
+    for s_roll, s_tf in zip(rollout.states, states):
         for (h1, c1), (h2, c2) in zip(s_roll, s_tf):
             assert np.array_equal(h1.data, h2.data)
             assert np.array_equal(c1.data, c2.data)
@@ -201,7 +201,7 @@ def test_teacher_forced_rejects_eos_in_content():
     decoder, net, features = make_world(seed=21)
     ctx, state = fresh(decoder, net, features)
     with pytest.raises(ContractError, match="eos"):
-        teacher_forced(decoder, ctx, state, [[3, 2], [3, EOS, 2]], False, BOS)
+        teacher_forced(decoder, ctx, state, [[3, 2], [3, EOS, 2]], False)
 
 
 def test_beam_width_one_equals_greedy():
@@ -209,9 +209,9 @@ def test_beam_width_one_equals_greedy():
         for seed in range(5):
             decoder, net, features = make_world(family, seed=seed)
             ctx, state = fresh(decoder, net, features)
-            greedy = greedy_decode(decoder, ctx, state, t_max=5, bos_id=BOS)
+            greedy = greedy_decode(decoder, ctx, state, t_max=5)
             state2 = net.initial_state(ctx.vbar)
-            ((best, *_),) = beam_search(decoder, ctx, state2, t_max=5, width=1, bos_id=BOS)
+            ((best, *_),) = beam_search(decoder, ctx, state2, t_max=5, width=1)
             assert list(best.tokens) == greedy.tokens
             assert best.score == pytest.approx(greedy.total_log_prob(), abs=1e-12)
 
@@ -221,7 +221,7 @@ def brute_force_best(decoder, ctx, init, t_max):
     best = None
     with no_grad():
         for tokens, ended in enumerate_rollouts(decoder.vocab_size, EOS, t_max):
-            r = teacher_forced(decoder, ctx, init, [tokens], ended, BOS)
+            r = teacher_forced(decoder, ctx, init, [tokens], ended)
             key = (-r.total_log_prob(), tuple(tokens) + ((EOS,) if ended else ()))
             if best is None or key < best[0]:
                 best = (key, tokens)
@@ -232,20 +232,20 @@ def test_beam_exhaustive_matches_enumeration():
     decoder, net, features = make_world(vocab=4, seed=13)
     ctx, state = fresh(decoder, net, features)
     expected = brute_force_best(decoder, ctx, net.initial_state(ctx.vbar), 3)
-    ((best, *_),) = beam_search(decoder, ctx, state, t_max=3, width=64, bos_id=BOS)
+    ((best, *_),) = beam_search(decoder, ctx, state, t_max=3, width=64)
     assert list(best.tokens) == expected
 
 
 def test_beam_pool_scores_non_increasing_and_width_monotone():
     decoder, net, features = make_world(seed=14)
     ctx, state = fresh(decoder, net, features)
-    (pool,) = beam_search(decoder, ctx, state, t_max=4, width=3, bos_id=BOS)
+    (pool,) = beam_search(decoder, ctx, state, t_max=4, width=3)
     scores = [h.score for h in pool]
     assert scores == sorted(scores, reverse=True)
     prev_best = None
     for width in (1, 2, 3, 5):
         state_w = net.initial_state(ctx.vbar)
-        ((best, *_),) = beam_search(decoder, ctx, state_w, t_max=4, width=width, bos_id=BOS)
+        ((best, *_),) = beam_search(decoder, ctx, state_w, t_max=4, width=width)
         if prev_best is not None:
             assert best.score >= prev_best - 1e-15
         prev_best = best.score
@@ -255,7 +255,7 @@ def test_beam_width_contract():
     decoder, net, features = make_world()
     ctx, state = fresh(decoder, net, features)
     with pytest.raises(ContractError):
-        beam_search(decoder, ctx, state, t_max=3, width=0, bos_id=BOS)
+        beam_search(decoder, ctx, state, t_max=3, width=0)
 
 
 def all_ties(decoder):
@@ -291,7 +291,7 @@ def test_beam_rows_match_scalar_oracle():
                     for t_max in (1, 6):
                         ctx = decoder.begin(scenes)
                         pools = beam_search(decoder, ctx, net.initial_state(ctx.vbar),
-                                            t_max, width=width, bos_id=BOS)
+                                            t_max, width=width)
                         assert len(pools) == n_scenes
                         steps = set()
                         for pool, scene in zip(pools, scenes):
@@ -319,7 +319,7 @@ def test_scene_index_contracts():
     ctx = decoder.begin(np.stack([features, features]))
     with pytest.raises(ad.DimensionError):
         beam_search(decoder, ctx, net.initial_state(Tensor(ctx.vbar.data[:1])),
-                    3, width=2, bos_id=BOS)
+                    3, width=2)
     state = net.initial_state(ctx.vbar)
     with pytest.raises(ContractError):
         decode_step(decoder, ctx, state, np.array([BOS, BOS]))
@@ -330,9 +330,9 @@ def test_scene_index_contracts():
     # teacher_forced takes one initial row per scene and a scene id per caption
     with pytest.raises(ad.DimensionError):
         teacher_forced(decoder, ctx, net.initial_state(Tensor(ctx.vbar.data[:1])),
-                       [[3], [3]], False, BOS, np.array([0, 1]))
+                       [[3], [3]], False, np.array([0, 1]))
     with pytest.raises(ad.DimensionError):
-        teacher_forced(decoder, ctx, state, [[3], [3]], False, BOS, np.array([0, 1, 1]))
+        teacher_forced(decoder, ctx, state, [[3], [3]], False, np.array([0, 1, 1]))
 
 
 def test_decode_step_rows_match_single_rows():

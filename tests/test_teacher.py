@@ -142,10 +142,10 @@ def test_teacher_forward_empty_caption_trace_is_init():
     with no_grad():
         init = teacher.encode_pooled([[4, 5]], Tensor(v[None]))
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                                [[]], True, teacher.bos_id)
-    assert len(forced.trace_rows()) == 1
+                                [[]], True)
+    assert len(forced.states) == 1
     # the pass spreads the scene's row to its caption: a copy of init
-    for (h, c), (ih, ic) in zip(forced.trace_rows()[0], init):
+    for (h, c), (ih, ic) in zip(forced.states[0], init):
         assert np.array_equal(h.data, ih.data) and np.array_equal(c.data, ic.data)
     assert len(forced.logits) == 1  # the eos emission
 
@@ -157,11 +157,11 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v[None]))
         a, b = (teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
-                               [caption], True, teacher.bos_id)
+                               [caption], True)
                 for _ in range(2))
     for la, lb in zip(a.logits, b.logits):
         assert np.array_equal(la.data, lb.data)
-    assert len(a.trace_rows()) == len(caption) + 1
+    assert len(a.states) == len(caption) + 1
     # log-likelihood equals the sum of per-step log softmax at the gold ids
     targets = caption + [teacher.decoder.eos_id]
     total = 0.0
@@ -175,7 +175,7 @@ def test_teacher_forward_rejects_wrong_layer_count():
     teacher = tiny_teacher(seed=13)
     with pytest.raises(ContractError):
         teacher_forced(teacher.decoder, teacher.decoder.begin(feats()), [], [[4]],
-                       True, teacher.bos_id)
+                       True)
 
 
 def test_pretrain_overfits_single_scene():
@@ -208,9 +208,11 @@ def test_architecture_identity_with_student_decoder():
     with no_grad():
         init = teacher.encode_pooled([caption], Tensor(v[None]))
         t_run = teacher_forced(teacher.decoder, teacher.decoder.begin(v),
-                               init, [caption], True, 1)
+                               init, [caption], True)
         s_run = teacher_forced(student.decoder, student.decoder.begin(v),
-                               init, [caption], True, 1)
+                               init, [caption], True)
+    # the student decodes with the teacher's reserved ids
+    assert (student.decoder.bos_id, student.decoder.eos_id) == (1, 2)
     for ts, ss in zip(t_run.states, s_run.states):
         for (th, tc), (sh, sc) in zip(ts, ss):
             assert np.array_equal(th.data, sh.data)

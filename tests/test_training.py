@@ -23,12 +23,12 @@ def constant_logits_nll(bias, captions):
     """Negative log-likelihood of captions (no eos) under a decoder whose
     logits are the output bias at every step."""
     rng = np.random.default_rng(0)
-    decoder = FcDecoder(bias.size, 4, 3, 4, 2, rng)
+    decoder = FcDecoder(bias.size, 4, 3, 4, 1, 2, rng)
     decoder.out.w.data[...] = 0.0
     decoder.out.b.data[...] = bias
     ctx = decoder.begin(rng.normal(size=(3, 4)))
     init = StateTransformNet(4, [3], rng).initial_state(ctx.vbar)
-    return neg(teacher_forced(decoder, ctx, init, captions, False, 1).log_likelihood())
+    return neg(teacher_forced(decoder, ctx, init, captions, False).log_likelihood())
 
 
 def test_log_likelihood_perfect_logits_near_zero():
@@ -118,7 +118,7 @@ def world_rollout(world, rng_seed=0, t_max=None):
     with Tape() as tape:
         ctx = world.make_ctx()
         rollout = sample_decode(world.decoder, ctx, world.init(ctx),
-                                t_max or world.t_max, rng, bos_id=world.bos)
+                                t_max or world.t_max, rng)
     return tape, rollout
 
 
@@ -127,13 +127,13 @@ def test_scst_zero_advantage_zero_gradients():
     with no_grad():
         ctx = world.make_ctx()
         greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                               world.t_max, bos_id=world.bos)
+                               world.t_max)
     params = list(world.student_params.values())
     zero_gradients(params)
     with Tape() as tape:
         ctx = world.make_ctx()
         replay = teacher_forced(world.decoder, ctx, world.init(ctx),
-                                [greedy.tokens], greedy.ended, world.bos)
+                                [greedy.tokens], greedy.ended)
         trace = scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
     assert trace.advantage == 0.0
     grads = collect_gradients(world.student_params)
@@ -146,7 +146,7 @@ def test_scst_gradients_scale_linearly_with_reward():
     with no_grad():
         ctx = world.make_ctx()
         greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                               world.t_max, bos_id=world.bos)
+                               world.t_max)
     params = list(world.student_params.values())
 
     def run(scale):
@@ -154,8 +154,7 @@ def test_scst_gradients_scale_linearly_with_reward():
         with Tape() as tape:
             ctx = world.make_ctx()
             rollout = sample_decode(world.decoder, ctx, world.init(ctx),
-                                    world.t_max, np.random.default_rng(7),
-                                    bos_id=world.bos)
+                                    world.t_max, np.random.default_rng(7))
             scst_gradients(tape, rollout, greedy, world.refs,
                            lambda t, r: scale * world.reward_fn(t, r))
         out = collect_gradients(world.student_params)
@@ -173,7 +172,7 @@ def test_hsg_lambda_zero_equals_scst_exactly():
         with no_grad():
             ctx = world.make_ctx()
             greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                                   world.t_max, bos_id=world.bos)
+                                   world.t_max)
         params = list(world.student_params.values())
 
         def run(use_hsg):
@@ -181,8 +180,7 @@ def test_hsg_lambda_zero_equals_scst_exactly():
             with Tape() as tape:
                 ctx = world.make_ctx()
                 rollout = sample_decode(world.decoder, ctx, world.init(ctx),
-                                        world.t_max, np.random.default_rng(3),
-                                        bos_id=world.bos)
+                                        world.t_max, np.random.default_rng(3))
                 if use_hsg:
                     hsg_gradients(tape, rollout, greedy, world.refs,
                                   world.reward_fn, world.teacher, 0.0,
@@ -213,16 +211,14 @@ def test_hsg_matched_traces_reduce_to_scst():
     with no_grad():
         t_init = teacher.encode_pooled([tokens], Tensor(world.features[None]))
         ctx0 = world.make_ctx()
-        greedy = greedy_decode(world.decoder, ctx0, t_init, world.t_max,
-                               bos_id=world.bos)
+        greedy = greedy_decode(world.decoder, ctx0, t_init, world.t_max)
     params = list(world.decoder.named_parameters("decoder").values())
 
     def run(lam, fn):
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
-            replay = teacher_forced(world.decoder, ctx, t_init, [tokens], True,
-                                    world.bos)
+            replay = teacher_forced(world.decoder, ctx, t_init, [tokens], True)
             if fn is hsg_gradients:
                 trace = fn(tape, replay, greedy, world.refs, world.reward_fn,
                            teacher, lam, features=world.features)
@@ -249,7 +245,7 @@ def test_hsg_architecture_mismatch_rejected():
     with no_grad():
         ctx = fc_world.make_ctx()
         greedy = greedy_decode(fc_world.decoder, ctx, fc_world.init(ctx),
-                               fc_world.t_max, bos_id=fc_world.bos)
+                               fc_world.t_max)
     with pytest.raises(ContractError):
         hsg_gradients(tape, rollout, greedy, fc_world.refs, fc_world.reward_fn,
                       world.teacher, 0.5, features=fc_world.features)
@@ -260,13 +256,12 @@ def test_suffix_sums_non_increasing():
     with no_grad():
         ctx = world.make_ctx()
         greedy = greedy_decode(world.decoder, ctx, world.init(ctx),
-                               world.t_max, bos_id=world.bos)
+                               world.t_max)
     params = list(world.student_params.values())
     with Tape() as tape:
         ctx = world.make_ctx()
         rollout = sample_decode(world.decoder, ctx, world.init(ctx),
-                                world.t_max, np.random.default_rng(11),
-                                bos_id=world.bos)
+                                world.t_max, np.random.default_rng(11))
         trace = hsg_gradients(tape, rollout, greedy, world.refs,
                               world.reward_fn, world.teacher, 1.0,
                               features=world.features)
@@ -294,7 +289,7 @@ def test_enumeration_covers_probability_space():
         for tokens, ended in leaves:
             ctx = world.make_ctx()
             r = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens],
-                               ended, world.bos)
+                               ended)
             total += math.exp(r.total_log_prob())
     assert total == pytest.approx(1.0, abs=1e-9)
 
@@ -318,7 +313,7 @@ def test_pretrain_state_net_overfits_single_scene():
     net = pretrain_state_net(train, teacher, vocab, cfg, log=lambda *a: None)
     with no_grad():
         target = teacher.encode_pooled(
-            [vocab.encode(c)[1:-1] for c in train[0].captions],
+            [vocab.encode(c) for c in train[0].captions],
             Tensor(train[0].features[None]))
         got = net(Tensor(train[0].features.mean(axis=0, keepdims=True)))
     loss = sum(float(np.sum((h.data - t.data) ** 2))
@@ -350,9 +345,8 @@ def test_train_student_memorizes_single_scene():
             ctx = student.decoder.begin(rec.features)
             init = student.initial_state(ctx)
             for cap in rec.captions:
-                ids = vocab.encode(cap)[1:-1]
-                forced = teacher_forced(student.decoder, ctx, init, [ids], True,
-                                        vocab.BOS)
+                ids = vocab.encode(cap)
+                forced = teacher_forced(student.decoder, ctx, init, [ids], True)
                 for lg, t in zip(forced.logits, ids + [vocab.EOS]):
                     correct += int(np.argmax(lg.data[0])) == t
                     total += 1
