@@ -15,7 +15,7 @@ from .metrics import build_doc_freq, cider
 from .student import DECODERS, StateTransformNet, greedy_decode, teacher_forced
 from .teacher import build_teacher
 from .training import (
-    collect_gradients, hsg_gradients, joint_mle_loss, scst_gradients,
+    collect_gradients, hsg_gradients, joint_mle_loss,
     state_loss_trace, zero_gradients,
 )
 
@@ -258,11 +258,8 @@ def _expected_estimator_grads(world, leaves, greedy, lam):
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens], ended)
             prob = float(np.exp(replay.total_log_prob()))
-            if lam == 0:
-                scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
-            else:
-                hsg_gradients(tape, replay, greedy, world.refs, world.reward_fn,
-                              world.teacher, lam, features=world.features)
+            hsg_gradients(tape, replay, greedy, world.refs, world.reward_fn,
+                          world.teacher, lam, features=world.features)
         grads = collect_gradients(world.student_params)
         for name in acc:
             acc[name] += prob * grads[name]

@@ -17,7 +17,7 @@ from .autodiff import ContractError, DimensionError
 from .checkpoint import (CheckpointError, atomic_open, load_checkpoint,
                          restore_params, save_checkpoint)
 from .checks import enum_check, grad_check_suite
-from .config import FAMILIES, ConfigError, load_config, parse_override
+from .config import ConfigError, load_config, parse_override
 from .corpus import (CorpusFormatError, Vocabulary, generate_corpus,
                      load_records, save_records)
 from .metrics import DocFreq
@@ -125,9 +125,9 @@ def _load_model_checkpoint(path, vocab, kind, feature_dim):
     ckpt = load_checkpoint(path, expect_vocab_hash=vocab.content_hash())
     if ckpt["kind"] != kind:
         raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {ckpt['kind']}")
-    if ckpt["family"] not in FAMILIES:
+    if ckpt["family"] not in DECODERS:
         raise CheckpointError(
-            f"{path}: family {ckpt['family']!r} is not one of {FAMILIES}")
+            f"{path}: family {ckpt['family']!r} is not one of {tuple(DECODERS)}")
     dims = [ckpt["feature_dim"]] + [ckpt["config"].get(k) for k in ("embed_dim", "hidden_dim")]
     if not all(type(d) is int and d >= 1 for d in dims):
         raise CheckpointError(
@@ -169,7 +169,14 @@ def cmd_train_student(cfg):
         raise ConfigError("train-student requires teacher_checkpoint in the config")
     records, vocab, doc_freq, paths = _load_corpus(cfg, splits=("train", "val"))
     feature_dim = records["train"][0].features.shape[1]
-    teacher, _ckpt = load_teacher(cfg.teacher_checkpoint, vocab, feature_dim)
+    teacher, ckpt = load_teacher(cfg.teacher_checkpoint, vocab, feature_dim)
+    # the student is built from the teacher but saved and reloaded from cfg
+    built = dict(ckpt["config"], family=ckpt["family"])
+    for key in ("family", "embed_dim", "hidden_dim"):
+        if built[key] != getattr(cfg, key):
+            raise ConfigError(
+                f"{key} is {getattr(cfg, key)!r} but the teacher checkpoint "
+                f"{cfg.teacher_checkpoint} has {built[key]!r}")
     statenet = pretrain_state_net(records["train"], teacher, vocab, cfg)
     student, history = train_student(records["train"], records["val"], teacher,
                                      statenet, vocab, doc_freq, cfg)

@@ -6,9 +6,10 @@ import math
 import os
 from dataclasses import dataclass
 
+from .student import DECODERS
+
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
 
-FAMILIES = ("fc", "updown")
 MODES = ("mle", "mle_hsg", "scst", "scst_hsg")
 REWARD_METRICS = ("cider", "bleu4", "rouge_l")
 
@@ -59,8 +60,9 @@ class RunConfig:
                               "clipping off")
         if min(self.seed, self.corpus_seed) < 0:
             raise ConfigError("seed and corpus_seed must be >= 0")
-        if self.family not in FAMILIES:
-            raise ConfigError(f"family must be one of {FAMILIES}, got {self.family!r}")
+        if self.family not in DECODERS:
+            raise ConfigError(
+                f"family must be one of {tuple(DECODERS)}, got {self.family!r}")
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.reward_metric not in REWARD_METRICS:

@@ -23,7 +23,7 @@ __all__ = [
     "FcDecoder", "UpDownDecoder", "DECODERS", "StateTransformNet", "DecodedRows",
     "BeamHypothesis", "DecoderContext", "decode_step", "rollout",
     "teacher_forced", "greedy_decode", "sample_decode", "beam_search",
-    "sample_categorical",
+    "sample_categorical", "state_rows",
 ]
 
 
@@ -204,7 +204,7 @@ class StateTransformNet:
         return params
 
 
-def _rows(state, perm):
+def state_rows(state, perm):
     """A decoder state's rows taken in the order perm."""
     return [(row(h, perm), row(c, perm)) for h, c in state]
 
@@ -281,7 +281,7 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
     if scene is not None:
         scene = np.asarray(scene)
     live = np.flatnonzero(limit > 0)
-    state = init_state if live.size in (0, n) else _rows(init_state, live)
+    state = init_state if live.size in (0, n) else state_rows(init_state, live)
     prev = np.full(live.size, decoder.bos_id)
     states, logits, steps = [init_state], [], []
     t = 0
@@ -296,14 +296,14 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
             # rows that emit eos leave before their state is recorded
             keep = np.flatnonzero(tokens != eos_id)
             if keep.size:
-                state = _rows(state, keep)
+                state = state_rows(state, keep)
             live, tokens = live[keep], tokens[keep]
         if live.size:
             states.append(state)
         if t in limit_steps:
             keep = np.flatnonzero(limit[live] > t)
             if 0 < keep.size < live.size:
-                state = _rows(state, keep)
+                state = state_rows(state, keep)
             live, tokens = live[keep], tokens[keep]
         prev = tokens
     emissions = [[] for _ in range(n)]
@@ -372,8 +372,8 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, scene=None):
     if scene is not None and np.shape(scene) != (len(captions),):
         raise DimensionError(
             f"teacher_forced: {np.size(scene)} scene ids for {len(captions)} captions")
-    init_rows = _rows(init_state, np.zeros(len(captions), dtype=np.intp)
-                      if scene is None else np.asarray(scene))
+    init_rows = state_rows(init_state, np.zeros(len(captions), dtype=np.intp)
+                           if scene is None else np.asarray(scene))
     lengths = np.array([len(tokens) + bool(ended) for tokens in captions])
     # step x caption; eos past each caption's content: an ended caption's
     # last emission

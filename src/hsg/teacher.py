@@ -3,38 +3,29 @@
 The encoder is a two-layer LSTM: a Word LSTM reads the caption, an attention
 head grounds each word against the K object features, the resulting scalar
 gate (the max attention weight) scales the word embedding, and a Caption
-LSTM consumes the gated embeddings.  The decoder is the same class as the
-student decoder; only its initial state differs, coming from max pooling the
-encoder's final states over the C references into one row.  Both run a
-scene's C captions as one (C, d) row batch; a single caption is a batch of
-one row.
+LSTM consumes the gated embeddings.  The encoder's finals have the layout of
+a decoder state, [(h1, c1), (h2, c2)] with the Word LSTM first.  The decoder
+is the same class as the student decoder; only its initial state differs: a
+decoder with n layers starts from the max over the C references of the
+encoder's top n layers, pooled into one row.  Both run a scene's C captions
+as one (C, d) row batch; a single caption is a batch of one row.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
-                       max_rows, neg, no_grad, row, scale_rows, scene_attention,
+                       max_rows, neg, no_grad, scale_rows, scene_attention,
                        stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell
-from .student import DECODERS, teacher_forced
+from .student import DECODERS, state_rows, teacher_forced
 from .training import TrainingDiverged, sgd_step
 
 __all__ = [
-    "CaptionEncoder", "EncoderFinal", "TeacherAutoencoder", "build_teacher",
-    "pool_captions", "pretrain_teacher",
+    "CaptionEncoder", "TeacherAutoencoder", "build_teacher", "pool_captions",
+    "pretrain_teacher",
 ]
-
-
-@dataclass
-class EncoderFinal:
-    """Final (h, c) of both encoder layers, one row per caption."""
-    h1: Tensor
-    c1: Tensor
-    h2: Tensor
-    c2: Tensor
 
 
 class CaptionEncoder:
@@ -54,7 +45,8 @@ class CaptionEncoder:
 
         Step t runs the captions with more than t ids as rows, in caption
         order; a caption's final state is taken when its row leaves.
-        Returns (C, H) finals in caption order.
+        Returns the finals as a decoder state [(h1, c1), (h2, c2)] of (C, H)
+        rows in caption order, the Word LSTM first.
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
@@ -77,33 +69,34 @@ class CaptionEncoder:
         for i, caption in enumerate(captions):
             ids[:len(caption), i] = caption
         zeros = Tensor(np.zeros((len(captions), self.hidden_dim)))
-        state = (zeros, zeros, zeros, zeros)
+        state = [(zeros, zeros), (zeros, zeros)]
         live = np.arange(len(captions))
         leave_steps = set(lengths.tolist())
         leaving, left = [], []
         for t in range(ids.shape[0]):
-            h1, c1, h2, c2 = state
+            (h1, c1), (h2, c2) = state
             e = self.embedding.lookup(ids[t][live])
             h1, c1 = self.word_lstm.step(e, h1, c1)
             gate = vec_max(scene_attention(h1, keys, feats, scene[live])[0])
             h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
-            state = (h1, c1, h2, c2)
+            state = [(h1, c1), (h2, c2)]
             if t + 1 in leave_steps:
                 stay = lengths[live] > t + 1
                 gone = np.flatnonzero(~stay)
                 left.append(live[gone])
                 leaving.append(state if gone.size == live.size else
-                               tuple(row(s, gone) for s in state))
+                               state_rows(state, gone))
                 keep = np.flatnonzero(stay)
                 if keep.size:
-                    state = tuple(row(s, keep) for s in state)
+                    state = state_rows(state, keep)
                 live = live[keep]
         # captions leave shortest first: put the finals in caption order
-        finals = [stack_rows(parts) for parts in zip(*leaving)]
+        final = [tuple(stack_rows(parts) for parts in zip(*layer))
+                 for layer in zip(*leaving)]
         perm = np.argsort(np.concatenate(left))
         if np.any(perm != np.arange(perm.size)):
-            finals = [row(f, perm) for f in finals]
-        return EncoderFinal(*finals)
+            final = state_rows(final, perm)
+        return final
 
     def named_parameters(self, prefix="encoder"):
         params = {}
@@ -113,36 +106,24 @@ class CaptionEncoder:
         return params
 
 
-def pool_captions(final, family, scene=None):
-    """Elementwise max over each scene's captions' encoder finals -> (S, H)
-    decoder init states, one row per scene; ties take the scene's earliest
+def pool_captions(final, n_layers, scene=None):
+    """The init state of a decoder with n_layers layers: the elementwise max
+    over each scene's captions of the encoder's top n_layers layers of
+    finals, as (S, H) rows, one per scene; ties take the scene's earliest
     caption.  Caption i belongs to scene scene[i] (None: all to one scene).
 
-    The single-LSTM decoder is initialized from the Caption LSTM finals; the
-    two-layer decoder additionally initializes its first layer from the Word
-    LSTM finals.
+    So the single-LSTM decoder starts from the Caption LSTM, and the
+    two-layer decoder's first layer from the Word LSTM.
     """
-    if final.h2.data.shape[0] == 0:
-        raise ContractError("pool_captions: no encoder outputs to pool")
-    if family == "fc":
-        return [(max_rows(final.h2, scene), max_rows(final.c2, scene))]
-    if family == "updown":
-        return [(max_rows(final.h1, scene), max_rows(final.c1, scene)),
-                (max_rows(final.h2, scene), max_rows(final.c2, scene))]
-    raise ContractError(f"pool_captions: unknown decoder family {family!r}")
+    return [(max_rows(h, scene), max_rows(c, scene)) for h, c in final[-n_layers:]]
 
 
 class TeacherAutoencoder:
     """Caption encoder plus a decoder architecturally identical to the student."""
 
-    def __init__(self, embedding, encoder, decoder):
-        self.embedding = embedding
+    def __init__(self, encoder, decoder):
         self.encoder = encoder
         self.decoder = decoder
-
-    @property
-    def family(self):
-        return self.decoder.family
 
     def frame(self, content_ids):
         return [self.decoder.bos_id] + list(content_ids) + [self.decoder.eos_id]
@@ -153,7 +134,7 @@ class TeacherAutoencoder:
         with caption i in scene scene[i] (None: one scene)."""
         final = self.encoder.encode([self.frame(ids) for ids in caption_id_lists],
                                     feats, scene)
-        return pool_captions(final, self.family, scene)
+        return pool_captions(final, len(self.decoder.layer_dims), scene)
 
     def traces(self, caption_id_lists, features, scene=None):
         """Constant teacher state traces [s_0 .. s_T] of all captions, as the
@@ -177,7 +158,7 @@ class TeacherAutoencoder:
         return self.traces([list(tokens)], features)
 
     def named_parameters(self):
-        params = {"embedding.w": self.embedding.w}
+        params = {"embedding.w": self.decoder.embedding.w}
         params.update(self.encoder.named_parameters("encoder"))
         for name, p in self.decoder.named_parameters("decoder").items():
             if name != "decoder.embedding.w":  # shared with the encoder
@@ -199,7 +180,7 @@ def build_teacher(vocab_size, family, embed_dim, hidden_dim, feature_dim, seed,
         raise ContractError(f"unknown decoder family {family!r}")
     decoder = DECODERS[family](vocab_size, embed_dim, hidden_dim, feature_dim,
                                bos_id, eos_id, rng, embedding=embedding)
-    return TeacherAutoencoder(embedding, encoder, decoder)
+    return TeacherAutoencoder(encoder, decoder)
 
 
 def pretrain_teacher(train_records, vocab, cfg, log=print):

@@ -103,15 +103,6 @@ def scst_gradients(tape, rollout, greedy, refs, reward_fn):
     return RewardTrace(r, b, adv, [], coeffs)
 
 
-def _check_teacher_match(teacher, rollout):
-    dims = teacher.decoder.layer_dims
-    state0 = rollout.states[0]
-    if len(state0) != len(dims) or any(
-            h.data.shape != (1, d) for (h, _c), d in zip(state0, dims)):
-        raise ContractError(
-            "hsg_gradients: teacher and student decoder architectures differ")
-
-
 def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features):
     """Policy gradients with hidden-state guidance.
 
@@ -123,7 +114,6 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features
     lam * sum_t L_t is added separately.  With lam = 0 this reduces exactly
     to scst_gradients.
     """
-    _check_teacher_match(teacher, rollout)
     if lam == 0:
         return scst_gradients(tape, rollout, greedy, refs, reward_fn)
     r = reward_fn(rollout.tokens, refs)

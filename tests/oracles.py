@@ -218,7 +218,7 @@ def encode_pooled_oracle(teacher, caption_id_lists, feats):
             acc = max_elementwise(acc, f[k])
         return acc
 
-    if teacher.family == "fc":
+    if teacher.decoder.family == "fc":
         return [(pooled(2), pooled(3))]
     return [(pooled(0), pooled(1)), (pooled(2), pooled(3))]
 

@@ -210,8 +210,11 @@ def test_encoder_finals_come_back_in_caption_order():
     caps = [[1, 4, 2], [1, 6, 7, 8, 2], [1, 4, 2], [1, 5, 5, 2]]
     with no_grad():
         final = teacher.encoder.encode(caps, Tensor(feats[None]))
+        assert len(final) == 2
+        assert all(t.data.shape == (len(caps), teacher.encoder.hidden_dim)
+                   for layer in final for t in layer)
         for i, ids in enumerate(caps):
-            for got, want in zip((final.h1, final.c1, final.h2, final.c2),
+            for got, want in zip([t for layer in final for t in layer],
                                  encode_oracle(teacher.encoder, ids, Tensor(feats[None]))):
                 assert_close(got.data[i:i + 1], want.data, f"final of caption {i}")
 

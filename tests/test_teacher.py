@@ -3,11 +3,10 @@ import pytest
 
 import hsg.teacher
 from hsg import autodiff as ad
-from hsg.autodiff import ContractError, Tensor, grad_check, no_grad
+from hsg.autodiff import ContractError, DimensionError, Tensor, grad_check, no_grad
 from hsg.corpus import generate_corpus
 from hsg.config import RunConfig
-from hsg.teacher import (EncoderFinal, build_teacher, pool_captions,
-                         pretrain_teacher)
+from hsg.teacher import build_teacher, pool_captions, pretrain_teacher
 from hsg.student import teacher_forced
 
 from oracles import param_hash
@@ -60,7 +59,8 @@ def test_zero_caption_lstm_weights_zero_final():
         p.data[...] = 0.0
     with no_grad():
         final = teacher.encoder.encode([[1, 4, 5, 2]], Tensor(feats()[None]))
-    assert np.all(final.h2.data == 0.0) and np.all(final.c2.data == 0.0)
+    (h2, c2) = final[1]
+    assert np.all(h2.data == 0.0) and np.all(c2.data == 0.0)
 
 
 def test_empty_caption_rejected():
@@ -76,64 +76,72 @@ def test_encoder_gradient_check():
     v = ad.parameter(np.random.default_rng(8).normal(size=(1, 2, 3)))
 
     def f(*_):
-        final = teacher.encoder.encode([[1, 3, 2], [1, 4, 3, 3, 2]], v)
-        return ad.tensor_sum(final.h2) + ad.tensor_sum(ad.mul(final.h1, final.h1))
+        (h1, _c1), (h2, _c2) = teacher.encoder.encode([[1, 3, 2], [1, 4, 3, 3, 2]], v)
+        return ad.tensor_sum(h2) + ad.tensor_sum(ad.mul(h1, h1))
 
     params = [v] + [p for name, p in teacher.encoder.named_parameters("e").items()
                     if not name.endswith("attention.proj.b")] \
-        + [teacher.embedding.w]
+        + [teacher.decoder.embedding.w]
     assert grad_check(f, params) <= 1e-5
 
 
 def _random_finals(rng, n, h=3):
-    return EncoderFinal(*(Tensor(rng.normal(size=(n, h))) for _ in range(4)))
+    return [(Tensor(rng.normal(size=(n, h))), Tensor(rng.normal(size=(n, h))))
+            for _ in range(2)]
 
 
 def _select(final, rows):
-    return EncoderFinal(*(Tensor(t.data[rows]) for t in
-                          (final.h1, final.c1, final.h2, final.c2)))
+    return [(Tensor(h.data[rows]), Tensor(c.data[rows])) for h, c in final]
 
 
 def test_pool_single_caption_is_identity():
     rng = np.random.default_rng(0)
     f = _random_finals(rng, 1)
-    [(h, c)] = pool_captions(f, "fc")
-    assert np.array_equal(h.data, f.h2.data)
-    assert np.array_equal(c.data, f.c2.data)
+    [(h, c)] = pool_captions(f, 1)
+    assert np.array_equal(h.data, f[1][0].data)
+    assert np.array_equal(c.data, f[1][1].data)
 
 
 def test_pool_idempotent_and_dominates():
     rng = np.random.default_rng(1)
     finals = _random_finals(rng, 5)
-    [(h, c)] = pool_captions(finals, "fc")
-    [(h2, c2)] = pool_captions(_select(finals, [0, 1, 2, 3, 4] * 2), "fc")
+    [(h, c)] = pool_captions(finals, 1)
+    [(h2, c2)] = pool_captions(_select(finals, [0, 1, 2, 3, 4] * 2), 1)
     assert np.array_equal(h.data, h2.data) and np.array_equal(c.data, c2.data)
     for i in range(5):
-        assert np.all(h.data >= finals.h2.data[i])
-        assert np.all(c.data >= finals.c2.data[i])
+        assert np.all(h.data >= finals[1][0].data[i])
+        assert np.all(c.data >= finals[1][1].data[i])
 
 
 def test_pool_updown_uses_both_layers():
     rng = np.random.default_rng(2)
     finals = _random_finals(rng, 3)
-    [(h1, _), (h2, _)] = pool_captions(finals, "updown")
-    assert np.array_equal(h1.data, np.max(finals.h1.data, axis=0, keepdims=True))
-    assert np.array_equal(h2.data, np.max(finals.h2.data, axis=0, keepdims=True))
+    [(h1, _), (h2, _)] = pool_captions(finals, 2)
+    assert np.array_equal(h1.data, np.max(finals[0][0].data, axis=0, keepdims=True))
+    assert np.array_equal(h2.data, np.max(finals[1][0].data, axis=0, keepdims=True))
+
+
+def test_pool_one_layer_is_top_layer_of_two():
+    # a decoder with n layers starts from the encoder's top n layers
+    finals = _random_finals(np.random.default_rng(3), 4)
+    [(h, c)] = pool_captions(finals, 1)
+    [_, (h2, c2)] = pool_captions(finals, 2)
+    assert np.array_equal(h.data, h2.data) and np.array_equal(c.data, c2.data)
 
 
 def test_pool_commutative():
     rng = np.random.default_rng(7)
     finals = _random_finals(rng, 4)
-    [(h, c)] = pool_captions(finals, "fc")
+    [(h, c)] = pool_captions(finals, 1)
     for perm in ([3, 1, 0, 2], [2, 3, 1, 0]):
-        [(hp, cp)] = pool_captions(_select(finals, perm), "fc")
+        [(hp, cp)] = pool_captions(_select(finals, perm), 1)
         assert np.array_equal(h.data, hp.data)
         assert np.array_equal(c.data, cp.data)
 
 
 def test_pool_empty_rejected():
-    with pytest.raises(ContractError):
-        pool_captions(_random_finals(np.random.default_rng(0), 0), "fc")
+    with pytest.raises(DimensionError):
+        pool_captions(_random_finals(np.random.default_rng(0), 0), 1)
 
 
 def test_teacher_forward_empty_caption_trace_is_init():

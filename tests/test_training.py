@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from hsg import autodiff as ad
-from hsg.autodiff import ContractError, Tape, Tensor, backward, neg, no_grad
+from hsg.autodiff import (ContractError, DimensionError, Tape, Tensor, backward,
+                          neg, no_grad)
 from hsg.checks import _TinyWorld, enum_check, enumerate_rollouts
 from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
@@ -247,6 +248,19 @@ def test_hsg_architecture_mismatch_rejected():
         greedy = greedy_decode(fc_world.decoder, ctx, fc_world.init(ctx),
                                fc_world.t_max)
     with pytest.raises(ContractError):
+        hsg_gradients(tape, rollout, greedy, fc_world.refs, fc_world.reward_fn,
+                      world.teacher, 0.5, features=fc_world.features)
+
+
+def test_hsg_state_width_mismatch_rejected():
+    world = _TinyWorld("fc", seed=4, hidden=4)
+    fc_world = _TinyWorld("fc", seed=4)
+    tape, rollout = world_rollout(fc_world)
+    with no_grad():
+        ctx = fc_world.make_ctx()
+        greedy = greedy_decode(fc_world.decoder, ctx, fc_world.init(ctx),
+                               fc_world.t_max)
+    with pytest.raises(DimensionError):
         hsg_gradients(tape, rollout, greedy, fc_world.refs, fc_world.reward_fn,
                       world.teacher, 0.5, features=fc_world.features)
 
