@@ -425,14 +425,17 @@ def max_rows(m, scene=None):
     counts = np.bincount(scene)
     if not counts.all():
         raise ContractError("max_rows: a scene has no rows")
-    # each scene's rows as one block, in row order
-    order = np.argsort(scene, kind="stable")
+    # each scene's rows as one block, in row order; scene-major rows (every
+    # caller's layout) are their own blocks
+    order = None if np.all(scene[:-1] <= scene[1:]) else np.argsort(scene, kind="stable")
+    blocks = md if order is None else md[order]
     starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    blocks = md[order]
-    hit = blocks == np.maximum.reduceat(blocks, starts)[scene[order]]
+    hit = blocks == np.repeat(np.maximum.reduceat(blocks, starts), counts, axis=0)
     hit |= np.isnan(blocks)
     first = np.minimum.reduceat(np.where(hit, np.arange(n)[:, None], n), starts)
-    idx = (order[first], np.arange(md.shape[1])[None])
+    if order is not None:
+        first = order[first]
+    idx = (first, np.arange(md.shape[1])[None])
     out = Tensor(md[idx])
     if _tracing(m):
         def bwd():

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, Tape, backward, grad_check, no_grad
-from .layers import AttentionHead, Embedding, Linear, LstmCell
+from .layers import AttentionHead, Embedding, Linear, LstmCell, lstm_layer
 from .metrics import build_doc_freq, cider
 from .student import DECODERS, StateTransformNet, greedy_decode, teacher_forced
 from .teacher import build_teacher
@@ -136,6 +136,20 @@ def _composite_cases(seed):
         return ad.neg(ad.pick(ad.log_softmax(out(hcur)), np.array([0])))
 
     yield "embed_project_nll", tiny_decode_f, (emb.w, out.w, out.b)
+
+    # a generator of its own, so the cases above keep their inputs
+    rng = np.random.default_rng([seed, 1604])
+    layer_cell = LstmCell(3, 2, rng)
+    xs = _rand(rng, (6, 3))  # 3 sequences of lengths 3, 2 and 1, packed
+    h_weights = Tensor(rng.uniform(-1, 1, (6, 2)))
+
+    def lstm_layer_f(*_):
+        h_all, (h_fin, c_fin) = lstm_layer(layer_cell, xs, [3, 2, 1])
+        return (ad.tensor_sum(ad.mul(h_all, h_weights)) + ad.tensor_sum(ad.mul(h_fin, h_fin))
+                + ad.tensor_sum(ad.mul(c_fin, c_fin)))
+
+    yield ("lstm_layer", lstm_layer_f,
+           (xs, layer_cell.w_ih, layer_cell.w_hh, layer_cell.b))
 
 
 def _hsg_pathway_case(seed):

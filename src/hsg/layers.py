@@ -5,6 +5,8 @@ drawn uniform(-a, a) with a = 1/sqrt(fan_in) from a seeded generator, so
 identical seeds give bit-identical models.
 """
 
+import itertools
+
 import numpy as np
 
 from . import autodiff as ad
@@ -13,7 +15,7 @@ from .autodiff import (
 )
 
 __all__ = [
-    "uniform_init", "LstmCell", "lstm_step",
+    "uniform_init", "LstmCell", "lstm_step", "lstm_layer",
     "Embedding", "Linear", "AttentionHead",
 ]
 
@@ -59,6 +61,39 @@ class LstmCell:
                 prefix + ".b": self.b}
 
 
+def _gates_forward(z, c_prev):
+    """The gate math of one LSTM step over (B, 4H) pre-activations z: z's
+    column blocks become the [i, f, g, o] activations in place, and the new
+    c, tanh(c) and h rows are returned.  c_prev is the (B, H) previous cell
+    state, or 0.0 for a zero state."""
+    hd = z.shape[1] // 4
+    for gate in (z[:, :2 * hd], z[:, 3 * hd:]):
+        np.negative(gate, out=gate)
+        np.exp(gate, out=gate)
+        gate += 1.0
+        np.divide(1.0, gate, out=gate)
+    np.tanh(z[:, 2 * hd:3 * hd], out=z[:, 2 * hd:3 * hd])
+    i, f, g, o = z[:, :hd], z[:, hd:2 * hd], z[:, 2 * hd:3 * hd], z[:, 3 * hd:]
+    c_new = f * c_prev
+    c_new += i * g
+    tc = np.tanh(c_new)
+    return c_new, tc, o * tc
+
+
+def _gates_backward(z, c_prev, tc, gh, gc, dz):
+    """The backward of _gates_forward: fills dz with the gradient of the
+    pre-activations and returns dc, the full gradient of the new c, given the
+    gradients gh and gc of the new h and c (0.0 where none arrived)."""
+    hd = tc.shape[1]
+    i, f, g, o = z[:, :hd], z[:, hd:2 * hd], z[:, 2 * hd:3 * hd], z[:, 3 * hd:]
+    dc = gc + gh * o * (1.0 - tc * tc)
+    dz[:, :hd] = dc * g * i * (1.0 - i)
+    dz[:, hd:2 * hd] = dc * c_prev * f * (1.0 - f)
+    dz[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
+    dz[:, 3 * hd:] = gh * tc * o * (1.0 - o)
+    return dc
+
+
 def lstm_step(cell, x, h, c):
     """One LSTM step over (B, d) rows, one independent step per row; returns
     (h', c').  Fused into a single tape node."""
@@ -78,34 +113,18 @@ def lstm_step(cell, x, h, c):
     z += w_hh.data @ np.ascontiguousarray(h.data.T)
     z = z.T
     z += b.data
-    # the gate activations overwrite z's column blocks: z holds [i, f, g, o]
-    for gate in (z[:, :2 * hd], z[:, 3 * hd:]):
-        np.negative(gate, out=gate)
-        np.exp(gate, out=gate)
-        gate += 1.0
-        np.divide(1.0, gate, out=gate)
-    np.tanh(z[:, 2 * hd:3 * hd], out=z[:, 2 * hd:3 * hd])
-    i, f, g, o = z[:, :hd], z[:, hd:2 * hd], z[:, 2 * hd:3 * hd], z[:, 3 * hd:]
-    c_new = f * c.data
-    c_new += i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
+    c_new, tc, h_new = _gates_forward(z, c.data)
 
     h_out = Tensor(h_new)
     c_out = Tensor(c_new)
-    if ad.active_tape() is not None and any(
-            t.requires_grad for t in (x, h, c, w_ih, w_hh, b)):
+    if ad._tracing(x, h, c, w_ih, w_hh, b):
         xd, hd_in, cd = x.data, h.data, c.data
 
         def bwd():
             gh = h_out.grad if h_out.grad is not None else 0.0
             gc = c_out.grad if c_out.grad is not None else 0.0
-            dc = gc + gh * o * (1.0 - tc * tc)
             dz = np.empty(z.shape)
-            dz[:, :hd] = dc * g * i * (1.0 - i)
-            dz[:, hd:2 * hd] = dc * cd * f * (1.0 - f)
-            dz[:, 2 * hd:3 * hd] = dc * i * (1.0 - g * g)
-            dz[:, 3 * hd:] = gh * tc * o * (1.0 - o)
+            dc = _gates_backward(z, cd, tc, gh, gc, dz)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
                 ad.defer(cell, cell._flush_weight_grads, (dz, xd, hd_in))
             if x.requires_grad:
@@ -113,10 +132,95 @@ def lstm_step(cell, x, h, c):
             if h.requires_grad:
                 accumulate(h, dz @ w_hh.data)
             if c.requires_grad:
-                accumulate(c, dc * f)
+                accumulate(c, dc * z[:, hd:2 * hd])
 
         record(bwd, h_out, c_out)
     return h_out, c_out
+
+
+def lstm_layer(cell, x, batch_sizes):
+    """One LSTM over packed sequences from a zero state, as one tape node.
+
+    x holds the (N, d) input rows step-major: step t has batch_sizes[t] rows,
+    the sizes are non-increasing and at least 1, and step t's rows are the
+    first rows of step t-1 (PyTorch's PackedSequence layout).  Since every
+    input is known in advance, the input projection of all steps is one
+    GEMM, and a step adds only h @ w_hhᵀ; the backward is one BPTT loop,
+    one dZ @ w_ih for the input gradient and one deferred weight block.
+
+    Returns the (N, H) h rows of every step in x's order, and each
+    sequence's final (h, c) as (B, H) rows in step-0 row order.
+    """
+    sizes = [int(n) for n in batch_sizes]
+    if (not sizes or sizes[-1] < 1
+            or any(a < b for a, b in zip(sizes, sizes[1:]))):
+        raise DimensionError(
+            f"lstm_layer: batch sizes {sizes} are not non-increasing and >= 1")
+    xd = x.data
+    if xd.ndim != 2 or xd.shape != (sum(sizes), cell.input_dim):
+        raise DimensionError(
+            f"lstm_layer: input shape {xd.shape} does not match "
+            f"({sum(sizes)}, {cell.input_dim})")
+
+    w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
+    hd = cell.hidden_dim
+    recording = ad._tracing(x, w_ih, w_hh, b)
+    starts = list(itertools.accumulate(sizes, initial=0))
+    # the input projections as (4H, N) columns: a step's (4H, n) block then
+    # transposes to (n, 4H) rows with contiguous gate blocks, lstm_step's
+    # layout, on which the gate math runs fastest
+    zx = w_ih.data @ xd.T
+    zx += b.data[:, None]
+    h_all, c_all = np.empty((len(xd), hd)), np.empty((len(xd), hd))
+    zs, tcs = [], []  # gate activations and tanh(c) of every step, for the backward
+    c_prev = 0.0
+    for t, n in enumerate(sizes):
+        rows = slice(starts[t], starts[t + 1])
+        if t:
+            prev = slice(starts[t - 1], starts[t - 1] + n)
+            z = w_hh.data @ h_all[prev].T
+            z += zx[:, rows]
+            c_prev = c_all[prev]
+        else:
+            z = np.ascontiguousarray(zx[:, rows])
+        z = z.T
+        c_all[rows], tc, h_all[rows] = _gates_forward(z, c_prev)
+        if recording:
+            zs.append(z)
+            tcs.append(tc)
+    # a sequence's final state is its row in the last step that has it
+    lengths = (np.array(sizes)[:, None] > np.arange(sizes[0])).sum(axis=0)
+    final_rows = np.array(starts)[lengths - 1] + np.arange(sizes[0])
+    h_out = Tensor(h_all)
+    h_fin, c_fin = Tensor(h_all[final_rows]), Tensor(c_all[final_rows])
+    if recording:
+
+        def bwd():
+            gh_all = h_out.grad
+            # a row's carried gradient starts as its final's and is only
+            # touched again at its own last step
+            dh = np.zeros((sizes[0], hd)) if h_fin.grad is None else h_fin.grad.copy()
+            dc = np.zeros((sizes[0], hd)) if c_fin.grad is None else c_fin.grad.copy()
+            dz_all = np.empty((len(xd), 4 * hd))
+            for t in range(len(sizes) - 1, -1, -1):
+                n, rows = sizes[t], slice(starts[t], starts[t + 1])
+                gh = dh[:n] if gh_all is None else dh[:n] + gh_all[rows]
+                c_prev = c_all[starts[t - 1]:starts[t - 1] + n] if t else 0.0
+                dc_t = _gates_backward(zs[t], c_prev, tcs[t], gh, dc[:n], dz_all[rows])
+                if t:
+                    dh[:n] = dz_all[rows] @ w_hh.data
+                    dc[:n] = dc_t * zs[t][:, hd:2 * hd]
+            if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
+                # row j of step t continues row j of step t-1; step 0
+                # starts from a zero h
+                h_prev = np.concatenate([np.zeros((sizes[0], hd))] + [
+                    h_all[starts[t - 1]:starts[t - 1] + n] for t, n in enumerate(sizes) if t])
+                ad.defer(cell, cell._flush_weight_grads, (dz_all, xd, h_prev))
+            if x.requires_grad:
+                accumulate(x, dz_all @ w_ih.data)
+
+        record(bwd, h_out, h_fin, c_fin)
+    return h_out, (h_fin, c_fin)
 
 
 class Embedding:

@@ -3,22 +3,24 @@
 The encoder is a two-layer LSTM: a Word LSTM reads the caption, an attention
 head grounds each word against the K object features, the resulting scalar
 gate (the max attention weight) scales the word embedding, and a Caption
-LSTM consumes the gated embeddings.  The encoder's finals have the layout of
-a decoder state, [(h1, c1), (h2, c2)] with the Word LSTM first.  The decoder
-is the same class as the student decoder; only its initial state differs: a
-decoder with n layers starts from the max over the C references of the
-encoder's top n layers, pooled into one row.  Both run a scene's C captions
-as one (C, d) row batch; a single caption is a batch of one row.
+LSTM consumes the gated embeddings.  The Word LSTM never reads the Caption
+LSTM, so a pass runs layer by layer: each LSTM is one lstm_layer over all
+token positions, and one attention pass between them gates every position.
+The encoder's finals have the layout of a decoder state, [(h1, c1),
+(h2, c2)] with the Word LSTM first.  The decoder is the same class as the
+student decoder; only its initial state differs: a decoder with n layers
+starts from the max over the C references of the encoder's top n layers,
+pooled into one row.  Both run a scene's C captions as one row batch; a
+single caption is a batch of one row.
 """
 
 import math
 
 import numpy as np
 
-from .autodiff import (Tensor, ContractError, DimensionError, Tape, backward,
-                       max_rows, neg, no_grad, scale_rows, scene_attention,
-                       stack_rows, vec_max)
-from .layers import AttentionHead, Embedding, LstmCell
+from .autodiff import (ContractError, DimensionError, Tape, backward, max_rows,
+                       neg, no_grad, scale_rows, scene_attention, vec_max)
+from .layers import AttentionHead, Embedding, LstmCell, lstm_layer
 from .student import DECODERS, state_rows, teacher_forced
 from .training import TrainingDiverged, sgd_step
 
@@ -43,10 +45,12 @@ class CaptionEncoder:
         (S, K, d) feature stack of S scenes; caption i belongs to scene
         scene[i] (None: every caption to the only scene).
 
-        Step t runs the captions with more than t ids as rows, in caption
-        order; a caption's final state is taken when its row leaves.
-        Returns the finals as a decoder state [(h1, c1), (h2, c2)] of (C, H)
-        rows in caption order, the Word LSTM first.
+        The pass runs layer by layer over the captions packed longest first
+        (lstm_layer's layout): the Word LSTM over every position, then one
+        attention pass that gates every position's embedding, then the
+        Caption LSTM over the gated embeddings.  Returns the finals as a
+        decoder state [(h1, c1), (h2, c2)] of (C, H) rows in caption order,
+        the Word LSTM first.
         """
         if not captions or any(len(ids) == 0 for ids in captions):
             raise ContractError("caption encoder: caption is empty")
@@ -62,40 +66,25 @@ class CaptionEncoder:
         elif np.shape(scene) != (len(captions),):
             raise DimensionError(
                 f"caption encoder: {np.size(scene)} scene ids for {len(captions)} captions")
-        scene = np.asarray(scene)
         keys = self.attention.keys(feats)
         lengths = np.array([len(ids) for ids in captions])
-        ids = np.zeros((lengths.max(), len(captions)), dtype=np.intp)  # step x caption
-        for i, caption in enumerate(captions):
-            ids[:len(caption), i] = caption
-        zeros = Tensor(np.zeros((len(captions), self.hidden_dim)))
-        state = [(zeros, zeros), (zeros, zeros)]
-        live = np.arange(len(captions))
-        leave_steps = set(lengths.tolist())
-        leaving, left = [], []
-        for t in range(ids.shape[0]):
-            (h1, c1), (h2, c2) = state
-            e = self.embedding.lookup(ids[t][live])
-            h1, c1 = self.word_lstm.step(e, h1, c1)
-            gate = vec_max(scene_attention(h1, keys, feats, scene[live])[0])
-            h2, c2 = self.caption_lstm.step(scale_rows(gate, e), h2, c2)
-            state = [(h1, c1), (h2, c2)]
-            if t + 1 in leave_steps:
-                stay = lengths[live] > t + 1
-                gone = np.flatnonzero(~stay)
-                left.append(live[gone])
-                leaving.append(state if gone.size == live.size else
-                               state_rows(state, gone))
-                keep = np.flatnonzero(stay)
-                if keep.size:
-                    state = state_rows(state, keep)
-                live = live[keep]
-        # captions leave shortest first: put the finals in caption order
-        final = [tuple(stack_rows(parts) for parts in zip(*layer))
-                 for layer in zip(*leaving)]
-        perm = np.argsort(np.concatenate(left))
-        if np.any(perm != np.arange(perm.size)):
-            final = state_rows(final, perm)
+        order = np.argsort(-lengths, kind="stable")
+        ids = np.zeros((lengths.max(), len(captions)), dtype=np.intp)  # step x sorted caption
+        for col, i in enumerate(order.tolist()):
+            ids[:lengths[i], col] = captions[i]
+        # step t's rows are the captions with more than t ids, longest first
+        live = np.arange(ids.shape[0])[:, None] < lengths[order]
+        batch_sizes = live.sum(axis=1)
+        row_scene = np.broadcast_to(np.asarray(scene)[order], ids.shape)[live]
+        e = self.embedding.lookup(ids[live])
+        h1_all, word_final = lstm_layer(self.word_lstm, e, batch_sizes)
+        gate = vec_max(scene_attention(h1_all, keys, feats, row_scene)[0])
+        del h1_all  # an untaped pass frees the word LSTM's rows here
+        _h2_all, caption_final = lstm_layer(self.caption_lstm, scale_rows(gate, e),
+                                            batch_sizes)
+        final = [word_final, caption_final]
+        if np.any(order != np.arange(order.size)):
+            final = state_rows(final, np.argsort(order))
         return final
 
     def named_parameters(self, prefix="encoder"):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, Tape, ContractError, backward, mul, neg, no_grad, squared_l2,
-    sum_terms, tensor_sum,
+    stack_rows, sum_terms, tensor_sum,
 )
 from .metrics import CiderRefs, bleu4, cider, rouge_l
 from .student import (
@@ -31,10 +31,10 @@ __all__ = [
     "zero_gradients", "sgd_step", "collect_gradients", "TrainingDiverged",
 ]
 
-# The most decode or encode rows one cross-scene pass runs at once: a split
-# is cut into chunks of whole scenes under it, so a step's temporaries stay
-# bounded however many scenes the split holds.  512 beam-decodes 100 scenes
-# at width 5 in one pass.
+# The most decode rows, or packed encoder rows (caption positions), one
+# cross-scene pass runs at once: a split is cut into chunks of whole scenes
+# under it, so a pass's temporaries stay bounded however many scenes the
+# split holds.  512 beam-decodes 100 scenes at width 5 in one pass.
 MAX_PASS_ROWS = 512
 
 
@@ -196,12 +196,15 @@ def collect_gradients(named_params):
 
 def _state_net_targets(records, teacher, vocab):
     """Per record, the teacher's pooled initial h rows from its gold
-    captions; each chunk of scenes (_scene_chunks, one row per caption)
-    runs as one encoder pass."""
+    captions; each chunk of scenes runs as one encoder pass, which holds
+    every position of its captions at once (_scene_chunks, one row per
+    framed caption position)."""
     contents = [[vocab.encode(cap) for cap in rec.captions] for rec in records]
+    packed = [sum(len(ids) + 2 for ids in content)  # framed: bos ... eos
+              for content in contents]
     targets = [None] * len(records)
     with no_grad():
-        for idx in _scene_chunks(records, lambda rec: len(rec.captions)):
+        for idx in _scene_chunks(records, lambda i: packed[i]):
             scene = np.repeat(np.arange(len(idx)), [len(contents[i]) for i in idx])
             init = teacher.encode_pooled(
                 [ids for i in idx for ids in contents[i]],
@@ -281,7 +284,7 @@ def build_student(teacher, statenet):
 def _scene_chunks(records, rows_per_scene):
     """Lists of record indices that one cross-scene pass each can take: the
     scenes of a list share their feature shape (K objects), and their rows,
-    rows_per_scene(record) each, add up to at most MAX_PASS_ROWS unless one
+    rows_per_scene(i) for record i, add up to at most MAX_PASS_ROWS unless one
     scene alone has more.  Indices ascend within a list."""
     groups = {}
     for i, rec in enumerate(records):
@@ -289,7 +292,7 @@ def _scene_chunks(records, rows_per_scene):
     for idx in groups.values():
         chunk, rows = [], 0
         for i in idx:
-            n = rows_per_scene(records[i])
+            n = rows_per_scene(i)
             if chunk and rows + n > MAX_PASS_ROWS:
                 yield chunk
                 chunk, rows = [], 0
@@ -312,7 +315,7 @@ def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
         raise ContractError("evaluate_split: no records to evaluate")
     best = [None] * len(records)
     with no_grad():
-        for idx in _scene_chunks(records, lambda _rec: beam_width):
+        for idx in _scene_chunks(records, lambda _i: beam_width):
             ctx = student.decoder.begin(np.stack([records[i].features for i in idx]))
             found = beam_search(student.decoder, ctx, student.initial_state(ctx),
                                 t_max, width=beam_width)
@@ -343,21 +346,33 @@ def _greedy_state_losses(student, teacher, records, t_max):
     that caption.
 
     Each chunk of scenes with the same K (_scene_chunks, one row per scene)
-    runs as one greedy rollout whose rows retire at eos and one teacher pass
-    in which each scene's greedy caption is its sole encoder input.
+    runs as one greedy rollout whose rows retire at eos and one teacher-forced
+    pass over the greedy captions.  Each scene's greedy caption is its sole
+    encoder input; the encoder takes the chunk's scenes in runs of at most
+    MAX_PASS_ROWS packed rows (_scene_chunks, one row per framed caption
+    position).
     """
     out = [None] * len(records)
     with no_grad():
-        for idx in _scene_chunks(records, lambda _rec: 1):
+        for idx in _scene_chunks(records, lambda _i: 1):
             features = np.stack([records[i].features for i in idx])
             scene = np.arange(len(idx))
             ctx = student.decoder.begin(features)
             greedy = greedy_decode(student.decoder, ctx, student.initial_state(ctx),
                                    t_max, scene=scene)
             captions = greedy.captions
-            teacher_trace = teacher.traces(captions, features, scene)
-            # both traces keep, at step t, the captions with >= t content ids
             content = np.array([len(tokens) for tokens in captions])
+            pooled = [teacher.encode_pooled(captions[run[0]:run[-1] + 1],
+                                            Tensor(features[run[0]:run[-1] + 1]),
+                                            np.arange(len(run)))
+                      for run in _scene_chunks([records[i] for i in idx],
+                                               lambda s: content[s] + 2)]  # bos ... eos
+            init = [tuple(stack_rows([p[layer][j] for p in pooled]) for j in (0, 1))
+                    for layer in range(len(pooled[0]))]
+            t_ctx = teacher.decoder.begin(features)
+            teacher_trace = teacher_forced(teacher.decoder, t_ctx, init, captions,
+                                           False, scene).states
+            # both traces keep, at step t, the captions with >= t content ids
             sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
             for t, (s_state, t_state) in enumerate(zip(greedy.states, teacher_trace)):
                 rows = np.flatnonzero(content >= t)

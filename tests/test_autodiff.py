@@ -42,6 +42,40 @@ def test_max_rows_per_scene_values_and_tie_gradient():
         ad.max_rows(m, np.array([0, 0, 2, 2]))
 
 
+def test_max_rows_sorted_and_shuffled_scenes_agree():
+    # scene-major rows skip the sort; any row order must give the same
+    # maxima, and ties must still route to each scene's earliest row
+    rng = np.random.default_rng(3)
+    data = rng.integers(0, 3, size=(9, 4)).astype(float)  # many ties
+    scene = np.array([0, 0, 1, 1, 1, 2, 3, 3, 3])
+    # interleave the scenes, keeping each scene's rows in order
+    shuffled = np.empty(9, dtype=np.intp)
+    shuffled_scene = rng.permutation(scene)
+    for s in range(4):
+        shuffled[shuffled_scene == s] = np.flatnonzero(scene == s)
+    assert not np.all(shuffled_scene[:-1] <= shuffled_scene[1:])
+    results = []
+    for rows in (np.arange(9), shuffled):
+        (m,) = tensors(data[rows])
+        with Tape() as tape:
+            out = ad.max_rows(m, scene[rows])
+            backward(tape, ad.tensor_sum(ad.mul(out, Tensor(np.arange(16.0).reshape(4, 4)))))
+        grad = np.empty_like(m.grad)
+        grad[rows] = m.grad
+        results.append((out.data, grad))
+    (sorted_out, sorted_grad), (shuffled_out, shuffled_grad) = results
+    assert np.array_equal(sorted_out, shuffled_out)
+    assert np.array_equal(sorted_grad, shuffled_grad)
+    # each column of each scene sends its gradient to one row: the earliest max
+    for s in range(4):
+        rows = np.flatnonzero(scene == s)
+        for j in range(4):
+            col = data[rows, j]
+            hit = rows[np.flatnonzero(col == col.max())[0]]
+            assert sorted_grad[hit, j] == 4 * s + j
+            assert np.count_nonzero(sorted_grad[rows, j]) <= 1
+
+
 def test_pointwise_values():
     assert ad.tanh(Tensor([0.0])).data.tolist() == [0.0]
     assert ad.exp(Tensor([0.0])).data.tolist() == [1.0]
@@ -218,5 +252,5 @@ def test_every_op_has_a_grad_check_case():
     ops = set(ad.__all__) - NON_OPS
     assert NON_OPS <= set(ad.__all__)
     assert sorted(ops - cases) == []
-    # the LSTM step is a layer op
-    assert "lstm_step" in cases
+    # the LSTM step and layer are layer ops
+    assert {"lstm_step", "lstm_layer"} <= cases

@@ -164,8 +164,10 @@ def test_row_cap_leaves_every_scene_unchanged(tmp_path, monkeypatch, family):
     end_some_at_step_zero(student, records, vocab)
     df = build_doc_freq([rec.captions for rec in records])
     width = 2
-    passes, passes_found = [], []
+    passes, passes_found, rollouts, encodes = [], [], [], []
     real_beam = hsg.training.beam_search
+    real_greedy = hsg.training.greedy_decode
+    real_encode = teacher.encoder.encode
 
     def beam_spy(decoder, ctx, init_state, t_max, width):
         passes.append(ctx.n_scenes * width)
@@ -173,22 +175,38 @@ def test_row_cap_leaves_every_scene_unchanged(tmp_path, monkeypatch, family):
         passes_found.extend((pool[0].tokens, pool[0].score) for pool in found)
         return found
 
+    def greedy_spy(decoder, ctx, init_state, t_max, scene=None):
+        rollouts.append(ctx.n_scenes)
+        return real_greedy(decoder, ctx, init_state, t_max, scene=scene)
+
+    def encode_spy(captions, feats, scene=None):
+        # packed encoder rows, and whether the pass holds one scene only
+        encodes.append((sum(len(c) for c in captions), feats.data.shape[0] == 1))
+        return real_encode(captions, feats, scene)
+
     monkeypatch.setattr(hsg.training, "beam_search", beam_spy)
+    monkeypatch.setattr(hsg.training, "greedy_decode", greedy_spy)
+    monkeypatch.setattr(teacher.encoder, "encode", encode_spy)
 
     def run():
-        passes.clear()
-        passes_found.clear()
+        for spied in (passes, passes_found, rollouts, encodes):
+            spied.clear()
         out = (_state_net_targets(records, teacher, vocab),
                _greedy_state_losses(student, teacher, records, T_MAX),
                evaluate_split(student, records, vocab, df, width, T_MAX),
                list(passes_found))
-        return out, list(passes)
+        return out, (list(passes), list(rollouts), list(encodes))
 
-    (targets, losses, metrics, found), wide = run()
+    (targets, losses, metrics, found), (wide, wide_rollouts, wide_encodes) = run()
     monkeypatch.setattr(hsg.training, "MAX_PASS_ROWS", 5)
-    (c_targets, c_losses, c_metrics, c_found), narrow = run()
-    # uncapped: one pass per K group; capped: at most 5 beam rows per pass
+    (c_targets, c_losses, c_metrics, c_found), (narrow, narrow_rollouts, narrow_encodes) = run()
+    # uncapped: one pass per K group; capped: at most 5 beam rows per pass,
+    # one greedy row per scene, and 5 packed encoder rows per pass unless
+    # one scene alone has more
     assert len(wide) == 2 and max(narrow) <= 5 < max(wide)
+    assert len(wide_rollouts) == 2 and max(narrow_rollouts) == 5
+    assert max(n for n, _one in wide_encodes) > 5
+    assert all(n <= 5 or one for n, one in narrow_encodes)
     # a chunk's matrix products have fewer rows, which may move the last bit
     for got, want in zip(c_targets, targets):
         for g, w in zip(got, want):

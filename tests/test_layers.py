@@ -3,7 +3,8 @@ import pytest
 
 from hsg import autodiff as ad
 from hsg.autodiff import Tape, Tensor, backward, grad_check
-from hsg.layers import AttentionHead, Embedding, Linear, LstmCell, uniform_init
+from hsg.layers import (AttentionHead, Embedding, Linear, LstmCell, lstm_layer,
+                        uniform_init)
 
 
 def make_cell(input_dim=4, hidden_dim=3, seed=0):
@@ -89,6 +90,58 @@ def test_lstm_cell_state_bounded_growth():
         _, c_new = cell.step(x, h, c)
         assert np.all(np.abs(c_new.data) <= np.abs(c.data) + 1.0 + 1e-12)
         c = c_new
+
+
+def lstm_step_chain(cell, x, batch_sizes):
+    """lstm_layer's oracle: one lstm_step per step from a zero state, the
+    rows of the sequences that end dropped before the next step; returns the
+    step outputs stacked and the finals in step-0 row order."""
+    starts = np.cumsum([0] + list(batch_sizes))
+    h = c = Tensor(np.zeros((batch_sizes[0], cell.hidden_dim)))
+    hs, h_fin, c_fin = [], [None] * batch_sizes[0], [None] * batch_sizes[0]
+    for t, n in enumerate(batch_sizes):
+        if n < h.data.shape[0]:
+            h, c = ad.row(h, np.arange(n)), ad.row(c, np.arange(n))
+        h, c = cell.step(ad.row(x, np.arange(starts[t], starts[t + 1])), h, c)
+        hs.append(h)
+        for j in range(batch_sizes[t + 1] if t + 1 < len(batch_sizes) else 0, n):
+            h_fin[j], c_fin[j] = ad.row(h, np.array([j])), ad.row(c, np.array([j]))
+    return ad.stack_rows(hs), (ad.stack_rows(h_fin), ad.stack_rows(c_fin))
+
+
+@pytest.mark.parametrize("batch_sizes", [[3, 2, 2, 1], [3, 3, 3], [1]],
+                         ids=["unequal", "equal", "single_length_1"])
+def test_lstm_layer_matches_step_chain(batch_sizes):
+    rng = np.random.default_rng(16)
+    cell = make_cell(seed=17)
+    x = ad.parameter(rng.normal(size=(sum(batch_sizes), 4)))
+    h_weights = Tensor(rng.normal(size=(sum(batch_sizes), 3)))
+    params = (x, cell.w_ih, cell.w_hh, cell.b)
+    runs = []
+    for layer in (lstm_layer, lstm_step_chain):
+        with Tape() as tape:
+            h_all, (h_fin, c_fin) = layer(cell, x, batch_sizes)
+            loss = (ad.tensor_sum(ad.mul(h_all, h_weights)) + ad.tensor_sum(ad.mul(h_fin, h_fin))
+                    + ad.tensor_sum(ad.tanh(c_fin)))
+            backward(tape, loss)
+        runs.append([h_all.data, h_fin.data, c_fin.data] + [p.grad for p in params])
+        for p in params:
+            p.zero_grad()
+    for got, want in zip(*runs):
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("batch_sizes, shape", [
+    ([1, 2], (3, 4)),     # increasing
+    ([2, 0], (2, 4)),     # an empty step
+    ([], (0, 4)),         # no steps
+    ([2, 1], (4, 4)),     # sizes do not add up to the rows
+    ([2, 1], (3, 5)),     # wrong input width
+], ids=["increasing", "zero", "empty", "wrong_total", "wrong_width"])
+def test_lstm_layer_rejects_bad_layout(batch_sizes, shape):
+    with pytest.raises(ad.DimensionError):
+        lstm_layer(make_cell(), Tensor(np.zeros(shape)), batch_sizes)
 
 
 def attention_weights(head, h, feats):

@@ -22,7 +22,8 @@ def feats(k=3, d=4, seed=1):
 
 
 def record_gates(monkeypatch):
-    """Collect the encoder's gates: the outputs of its one vec_max per step."""
+    """Collect the encoder's gates: the outputs of its one vec_max per pass,
+    which gates every token position at once."""
     gates = []
     real_vec_max = hsg.teacher.vec_max
 
