@@ -142,14 +142,15 @@ def _composite_cases(seed):
     layer_cell = LstmCell(3, 2, rng)
     xs = _rand(rng, (6, 3))  # 3 sequences of lengths 3, 2 and 1, packed
     h_weights = Tensor(rng.uniform(-1, 1, (6, 2)))
+    h0, c0 = _rand(rng, (3, 2)), _rand(rng, (3, 2))
 
     def lstm_layer_f(*_):
-        h_all, (h_fin, c_fin) = lstm_layer(layer_cell, xs, [3, 2, 1])
+        h_all, (h_fin, c_fin) = lstm_layer(layer_cell, xs, [3, 2, 1], (h0, c0))
         return (ad.tensor_sum(ad.mul(h_all, h_weights)) + ad.tensor_sum(ad.mul(h_fin, h_fin))
                 + ad.tensor_sum(ad.mul(c_fin, c_fin)))
 
     yield ("lstm_layer", lstm_layer_f,
-           (xs, layer_cell.w_ih, layer_cell.w_hh, layer_cell.b))
+           (xs, h0, c0, layer_cell.w_ih, layer_cell.w_hh, layer_cell.b))
 
 
 def _hsg_pathway_case(seed):

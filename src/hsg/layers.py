@@ -5,8 +5,6 @@ drawn uniform(-a, a) with a = 1/sqrt(fan_in) from a seeded generator, so
 identical seeds give bit-identical models.
 """
 
-import itertools
-
 import numpy as np
 
 from . import autodiff as ad
@@ -65,7 +63,7 @@ def _gates_forward(z, c_prev):
     """The gate math of one LSTM step over (B, 4H) pre-activations z: z's
     column blocks become the [i, f, g, o] activations in place, and the new
     c, tanh(c) and h rows are returned.  c_prev is the (B, H) previous cell
-    state, or 0.0 for a zero state."""
+    state."""
     hd = z.shape[1] // 4
     for gate in (z[:, :2 * hd], z[:, 3 * hd:]):
         np.negative(gate, out=gate)
@@ -81,9 +79,9 @@ def _gates_forward(z, c_prev):
 
 
 def _gates_backward(z, c_prev, tc, gh, gc, dz):
-    """The backward of _gates_forward: fills dz with the gradient of the
-    pre-activations and returns dc, the full gradient of the new c, given the
-    gradients gh and gc of the new h and c (0.0 where none arrived)."""
+    """The backward of _gates_forward from the (B, H) rows c_prev: fills dz
+    with the gradient of the pre-activations and returns dc, the full
+    gradient of the new c, given the gradients gh and gc of the new h and c."""
     hd = tc.shape[1]
     i, f, g, o = z[:, :hd], z[:, hd:2 * hd], z[:, 2 * hd:3 * hd], z[:, 3 * hd:]
     dc = gc + gh * o * (1.0 - tc * tc)
@@ -95,127 +93,100 @@ def _gates_backward(z, c_prev, tc, gh, gc, dz):
 
 
 def lstm_step(cell, x, h, c):
-    """One LSTM step over (B, d) rows, one independent step per row; returns
-    (h', c').  Fused into a single tape node."""
-    hd = cell.hidden_dim
-    if x.data.ndim != 2 or x.data.shape[1] != cell.input_dim:
-        raise DimensionError(
-            f"lstm_step: input shape {x.data.shape} does not match (B, {cell.input_dim})")
-    want = (x.data.shape[0], hd)
-    if h.data.shape != want or c.data.shape != want:
-        raise DimensionError(
-            f"lstm_step: state shapes {h.data.shape}, {c.data.shape} do not match {want}")
-
-    w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
-    # w @ xᵀ with xᵀ contiguous is the fastest BLAS layout for a few rows;
-    # the sums run in place, which keeps a wide row batch's peak memory low
-    z = w_ih.data @ np.ascontiguousarray(x.data.T)
-    z += w_hh.data @ np.ascontiguousarray(h.data.T)
-    z = z.T
-    z += b.data
-    c_new, tc, h_new = _gates_forward(z, c.data)
-
-    h_out = Tensor(h_new)
-    c_out = Tensor(c_new)
-    if ad._tracing(x, h, c, w_ih, w_hh, b):
-        xd, hd_in, cd = x.data, h.data, c.data
-
-        def bwd():
-            gh = h_out.grad if h_out.grad is not None else 0.0
-            gc = c_out.grad if c_out.grad is not None else 0.0
-            dz = np.empty(z.shape)
-            dc = _gates_backward(z, cd, tc, gh, gc, dz)
-            if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
-                ad.defer(cell, cell._flush_weight_grads, (dz, xd, hd_in))
-            if x.requires_grad:
-                accumulate(x, dz @ w_ih.data)
-            if h.requires_grad:
-                accumulate(h, dz @ w_hh.data)
-            if c.requires_grad:
-                accumulate(c, dc * z[:, hd:2 * hd])
-
-        record(bwd, h_out, c_out)
-    return h_out, c_out
+    """One LSTM step over (B, d) rows from the state (h, c), one independent
+    step per row: a one-step lstm_layer.  Returns (h', c')."""
+    return lstm_layer(cell, x, x.data.shape[:1], (h, c))[1]
 
 
-def lstm_layer(cell, x, batch_sizes):
-    """One LSTM over packed sequences from a zero state, as one tape node.
+def lstm_layer(cell, x, batch_sizes, state):
+    """One LSTM over packed sequences from the initial state (h0, c0), as one
+    tape node.
 
     x holds the (N, d) input rows step-major: step t has batch_sizes[t] rows,
     the sizes are non-increasing and at least 1, and step t's rows are the
-    first rows of step t-1 (PyTorch's PackedSequence layout).  Since every
-    input is known in advance, the input projection of all steps is one
-    GEMM, and a step adds only h @ w_hhᵀ; the backward is one BPTT loop,
+    first rows of step t-1 (PyTorch's PackedSequence layout); h0 and c0 are
+    the (batch_sizes[0], H) rows that step 0 continues.  Since every input
+    is known in advance, the input projection of all steps is one GEMM, and
+    a step adds only h @ w_hhᵀ and the bias; the backward is one BPTT loop,
     one dZ @ w_ih for the input gradient and one deferred weight block.
 
     Returns the (N, H) h rows of every step in x's order, and each
-    sequence's final (h, c) as (B, H) rows in step-0 row order.
+    sequence's final (h, c) as (B, H) rows in step-0 row order.  A single
+    step's h rows are its finals, and it copies no rows.
     """
     sizes = [int(n) for n in batch_sizes]
-    if (not sizes or sizes[-1] < 1
-            or any(a < b for a, b in zip(sizes, sizes[1:]))):
+    if not sizes or sizes[-1] < 1 or sizes != sorted(sizes, reverse=True):
         raise DimensionError(
             f"lstm_layer: batch sizes {sizes} are not non-increasing and >= 1")
     xd = x.data
-    if xd.ndim != 2 or xd.shape != (sum(sizes), cell.input_dim):
+    if xd.shape != (sum(sizes), cell.input_dim):
         raise DimensionError(
             f"lstm_layer: input shape {xd.shape} does not match "
             f"({sum(sizes)}, {cell.input_dim})")
+    h0, c0 = state
+    hd = cell.hidden_dim
+    want = (sizes[0], hd)
+    if h0.data.shape != want or c0.data.shape != want:
+        raise DimensionError(
+            f"lstm_layer: state shapes {h0.data.shape}, {c0.data.shape} do not match {want}")
 
     w_ih, w_hh, b = cell.w_ih, cell.w_hh, cell.b
-    hd = cell.hidden_dim
-    recording = ad._tracing(x, w_ih, w_hh, b)
-    starts = list(itertools.accumulate(sizes, initial=0))
+    recording = ad._tracing(x, h0, c0, w_ih, w_hh, b)
     # the input projections as (4H, N) columns: a step's (4H, n) block then
-    # transposes to (n, 4H) rows with contiguous gate blocks, lstm_step's
-    # layout, on which the gate math runs fastest
-    zx = w_ih.data @ xd.T
-    zx += b.data[:, None]
-    h_all, c_all = np.empty((len(xd), hd)), np.empty((len(xd), hd))
-    zs, tcs = [], []  # gate activations and tanh(c) of every step, for the backward
-    c_prev = 0.0
-    for t, n in enumerate(sizes):
-        rows = slice(starts[t], starts[t + 1])
-        if t:
-            prev = slice(starts[t - 1], starts[t - 1] + n)
-            z = w_hh.data @ h_all[prev].T
-            z += zx[:, rows]
-            c_prev = c_all[prev]
-        else:
-            z = np.ascontiguousarray(zx[:, rows])
+    # transposes to (n, 4H) rows with contiguous gate blocks, on which the
+    # gate math runs fastest.  w @ xᵀ with xᵀ contiguous is the fastest BLAS
+    # layout for a few rows
+    zx = w_ih.data @ np.ascontiguousarray(xd.T)
+    single = len(sizes) == 1
+    if not single:
+        h_all, h_fin, c_fin = np.empty((len(xd), hd)), np.empty(want), np.empty(want)
+    saved = []  # each step's rows, gates, tanh(c) and input state, for the backward
+    h, c = h0.data, c0.data
+    start = 0
+    for n, n_next in zip(sizes, sizes[1:] + [0]):
+        rows = slice(start, start + n)
+        start += n
+        h_in, c_in = h[:n], c[:n]
+        # a single step's block is all of zx: nothing is copied, and the
+        # sum runs in zx's memory
+        z = np.ascontiguousarray(zx[:, rows])
+        z += w_hh.data @ np.ascontiguousarray(h_in.T)
         z = z.T
-        c_all[rows], tc, h_all[rows] = _gates_forward(z, c_prev)
+        z += b.data
+        c, tc, h = _gates_forward(z, c_in)
         if recording:
-            zs.append(z)
-            tcs.append(tc)
-    # a sequence's final state is its row in the last step that has it
-    lengths = (np.array(sizes)[:, None] > np.arange(sizes[0])).sum(axis=0)
-    final_rows = np.array(starts)[lengths - 1] + np.arange(sizes[0])
+            saved.append((rows, z, tc, h_in, c_in))
+        if not single:
+            # the sequences that the next step drops end here
+            h_fin[n_next:n], c_fin[n_next:n] = h[n_next:], c[n_next:]
+            h_all[rows] = h
+            h = h_all[rows]
+    if single:
+        h_all, h_fin, c_fin = h, h, c
     h_out = Tensor(h_all)
-    h_fin, c_fin = Tensor(h_all[final_rows]), Tensor(c_all[final_rows])
+    h_fin, c_fin = Tensor(h_fin), Tensor(c_fin)
     if recording:
 
         def bwd():
             gh_all = h_out.grad
-            # a row's carried gradient starts as its final's and is only
-            # touched again at its own last step
-            dh = np.zeros((sizes[0], hd)) if h_fin.grad is None else h_fin.grad.copy()
-            dc = np.zeros((sizes[0], hd)) if c_fin.grad is None else c_fin.grad.copy()
+            # the finals' gradients carry each row back from its last step;
+            # at step 0 they become the gradients of h0 and c0.  The buffers
+            # are this node's own: the sweep releases them after this rule
+            dh = np.zeros(want) if h_fin.grad is None else h_fin.grad
+            dc = np.zeros(want) if c_fin.grad is None else c_fin.grad
             dz_all = np.empty((len(xd), 4 * hd))
-            for t in range(len(sizes) - 1, -1, -1):
-                n, rows = sizes[t], slice(starts[t], starts[t + 1])
+            for rows, z, tc, _h_in, c_in in reversed(saved):
+                n, dz = len(z), dz_all[rows]
                 gh = dh[:n] if gh_all is None else dh[:n] + gh_all[rows]
-                c_prev = c_all[starts[t - 1]:starts[t - 1] + n] if t else 0.0
-                dc_t = _gates_backward(zs[t], c_prev, tcs[t], gh, dc[:n], dz_all[rows])
-                if t:
-                    dh[:n] = dz_all[rows] @ w_hh.data
-                    dc[:n] = dc_t * zs[t][:, hd:2 * hd]
+                dc_t = _gates_backward(z, c_in, tc, gh, dc[:n], dz)
+                np.matmul(dz, w_hh.data, out=dh[:n])
+                np.multiply(dc_t, z[:, hd:2 * hd], out=dc[:n])
+            accumulate(h0, dh)
+            accumulate(c0, dc)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
-                # row j of step t continues row j of step t-1; step 0
-                # starts from a zero h
-                h_prev = np.concatenate([np.zeros((sizes[0], hd))] + [
-                    h_all[starts[t - 1]:starts[t - 1] + n] for t, n in enumerate(sizes) if t])
-                ad.defer(cell, cell._flush_weight_grads, (dz_all, xd, h_prev))
+                h_prev = [s[3] for s in saved]
+                ad.defer(cell, cell._flush_weight_grads,
+                         (dz_all, xd, h_prev[0] if single else np.concatenate(h_prev)))
             if x.requires_grad:
                 accumulate(x, dz_all @ w_ih.data)
 

@@ -4,8 +4,10 @@ The encoder is a two-layer LSTM: a Word LSTM reads the caption, an attention
 head grounds each word against the K object features, the resulting scalar
 gate (the max attention weight) scales the word embedding, and a Caption
 LSTM consumes the gated embeddings.  The Word LSTM never reads the Caption
-LSTM, so a pass runs layer by layer: each LSTM is one lstm_layer over all
-token positions, and one attention pass between them gates every position.
+LSTM, so a pass runs layer by layer: each LSTM is one lstm_layer from a zero
+state over all token positions, and one attention pass between them gates
+every position.  lstm_layer is the one LSTM kernel: a decoder's lstm_step is
+the same call over one step from the decoder's state.
 The encoder's finals have the layout of a decoder state, [(h1, c1),
 (h2, c2)] with the Word LSTM first.  The decoder is the same class as the
 student decoder; only its initial state differs: a decoder with n layers
@@ -18,8 +20,8 @@ import math
 
 import numpy as np
 
-from .autodiff import (ContractError, DimensionError, Tape, backward, max_rows,
-                       neg, no_grad, scale_rows, scene_attention, vec_max)
+from .autodiff import (ContractError, DimensionError, Tape, Tensor, backward,
+                       max_rows, neg, no_grad, scale_rows, scene_attention, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell, lstm_layer
 from .student import DECODERS, state_rows, teacher_forced
 from .training import TrainingDiverged, sgd_step
@@ -77,11 +79,12 @@ class CaptionEncoder:
         batch_sizes = live.sum(axis=1)
         row_scene = np.broadcast_to(np.asarray(scene)[order], ids.shape)[live]
         e = self.embedding.lookup(ids[live])
-        h1_all, word_final = lstm_layer(self.word_lstm, e, batch_sizes)
+        zero = Tensor(np.zeros((len(captions), self.hidden_dim)))
+        h1_all, word_final = lstm_layer(self.word_lstm, e, batch_sizes, (zero, zero))
         gate = vec_max(scene_attention(h1_all, keys, feats, row_scene)[0])
         del h1_all  # an untaped pass frees the word LSTM's rows here
         _h2_all, caption_final = lstm_layer(self.caption_lstm, scale_rows(gate, e),
-                                            batch_sizes)
+                                            batch_sizes, (zero, zero))
         final = [word_final, caption_final]
         if np.any(order != np.arange(order.size)):
             final = state_rows(final, np.argsort(order))

@@ -2,6 +2,8 @@
 
 The metric oracles are written from the definitions with different machinery
 (Counter, dict vectors, recursive LCS) than the package implementations.
+The LSTM oracle writes out the gate equations for one row of one step at a
+time, against which the packed, row-batched LSTM kernel is checked.
 The beam-search oracle is the one-beam-at-a-time loop that sorts every
 candidate tuple, against which the row-batched search is checked.  The
 teacher-forcing oracles run a scene's captions one at a time, each as a
@@ -146,6 +148,31 @@ def handcrafted_pairs(n_pairs=50):
                          for i in range(rlen)])
         pairs.append((cand, refs))
     return pairs[:n_pairs]
+
+
+def lstm_layer_oracle(cell, x, batch_sizes, h0, c0):
+    """lstm_layer's forward from the gate equations, one sequence's row of
+    one step at a time, on plain arrays: x the packed (N, d) inputs, h0 and
+    c0 the (batch_sizes[0], H) initial rows.  Returns the (N, H) h rows and
+    the final h and c of every sequence."""
+    w_ih, w_hh, b = cell.w_ih.data, cell.w_hh.data, cell.b.data
+    hd = cell.hidden_dim
+
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    h, c = [np.array(r) for r in h0], [np.array(r) for r in c0]
+    hs, start = [], 0
+    for n in batch_sizes:
+        for j in range(n):
+            z = w_ih @ x[start + j] + w_hh @ h[j] + b
+            i, f = sigmoid(z[:hd]), sigmoid(z[hd:2 * hd])
+            g, o = np.tanh(z[2 * hd:3 * hd]), sigmoid(z[3 * hd:])
+            c[j] = f * c[j] + i * g
+            h[j] = o * np.tanh(c[j])
+            hs.append(h[j])
+        start += n
+    return np.array(hs), np.array(h), np.array(c)
 
 
 def beam_search_oracle(decoder, ctx, init_state, t_max, width, bos_id):

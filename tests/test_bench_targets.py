@@ -43,3 +43,36 @@ def test_benchmark_configs_build():
     arm.pre_cfg.validate()
     arm.student_cfg.validate()
     RunConfig(**EvalUpdownBeam().config).validate()
+
+
+def test_lstm_step_counts_decoder_steps_only(monkeypatch):
+    # the tracer's layers.lstm_step.calls counts decoder LSTM steps: each
+    # LstmCell.step looks lstm_step up in hsg.layers, and the caption
+    # encoder runs its LSTMs as lstm_layer passes without it
+    import numpy as np
+    import hsg.layers
+    from hsg.autodiff import Tensor
+    from hsg.student import decode_step
+    from hsg.teacher import build_teacher
+
+    calls = []
+    real_step = hsg.layers.lstm_step
+
+    def counting_step(*args):
+        calls.append(1)
+        return real_step(*args)
+
+    monkeypatch.setattr(hsg.layers, "lstm_step", counting_step)
+    feats = np.random.default_rng(0).normal(size=(3, 4))
+    for family, per_step in (("fc", 1), ("updown", 2)):
+        teacher = build_teacher(7, family, 4, 3, 4, 0, bos_id=1, eos_id=2)
+        decoder = teacher.decoder
+        ctx = decoder.begin(feats)
+        state = [(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
+                 for _ in decoder.layer_dims]
+        del calls[:]
+        decode_step(decoder, ctx, state, np.array([1, 3]))
+        assert len(calls) == per_step, family
+        del calls[:]
+        teacher.encoder.encode([[1, 3, 4, 2], [1, 5, 2]], ctx.feats)
+        assert not calls, family

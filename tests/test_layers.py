@@ -6,6 +6,8 @@ from hsg.autodiff import Tape, Tensor, backward, grad_check
 from hsg.layers import (AttentionHead, Embedding, Linear, LstmCell, lstm_layer,
                         uniform_init)
 
+from oracles import lstm_layer_oracle
+
 
 def make_cell(input_dim=4, hidden_dim=3, seed=0):
     return LstmCell(input_dim, hidden_dim, np.random.default_rng(seed))
@@ -92,12 +94,13 @@ def test_lstm_cell_state_bounded_growth():
         c = c_new
 
 
-def lstm_step_chain(cell, x, batch_sizes):
-    """lstm_layer's oracle: one lstm_step per step from a zero state, the
-    rows of the sequences that end dropped before the next step; returns the
-    step outputs stacked and the finals in step-0 row order."""
+def lstm_step_chain(cell, x, batch_sizes, state):
+    """lstm_layer as a chain of tape ops: one lstm_step per step from the
+    given state, the rows of the sequences that end dropped before the next
+    step; returns the step outputs stacked and the finals in step-0 row
+    order."""
     starts = np.cumsum([0] + list(batch_sizes))
-    h = c = Tensor(np.zeros((batch_sizes[0], cell.hidden_dim)))
+    h, c = state
     hs, h_fin, c_fin = [], [None] * batch_sizes[0], [None] * batch_sizes[0]
     for t, n in enumerate(batch_sizes):
         if n < h.data.shape[0]:
@@ -109,18 +112,37 @@ def lstm_step_chain(cell, x, batch_sizes):
     return ad.stack_rows(hs), (ad.stack_rows(h_fin), ad.stack_rows(c_fin))
 
 
-@pytest.mark.parametrize("batch_sizes", [[3, 2, 2, 1], [3, 3, 3], [1]],
-                         ids=["unequal", "equal", "single_length_1"])
+LAYOUTS = pytest.mark.parametrize("batch_sizes", [[3, 2, 2, 1], [3, 3, 3], [1]],
+                                  ids=["unequal", "equal", "single_length_1"])
+
+
+@LAYOUTS
+def test_lstm_layer_matches_gate_equations(batch_sizes):
+    rng = np.random.default_rng(18)
+    cell = make_cell(seed=19)
+    x = rng.normal(size=(sum(batch_sizes), 4))
+    h0, c0 = rng.normal(size=(2, batch_sizes[0], 3))
+    h_all, (h_fin, c_fin) = lstm_layer(cell, Tensor(x), batch_sizes,
+                                       (Tensor(h0), Tensor(c0)))
+    for got, want in zip((h_all, h_fin, c_fin),
+                         lstm_layer_oracle(cell, x, batch_sizes, h0, c0)):
+        assert got.data.shape == want.shape
+        assert np.allclose(got.data, want, rtol=0, atol=1e-12)
+
+
+@LAYOUTS
 def test_lstm_layer_matches_step_chain(batch_sizes):
     rng = np.random.default_rng(16)
     cell = make_cell(seed=17)
     x = ad.parameter(rng.normal(size=(sum(batch_sizes), 4)))
+    h0 = ad.parameter(rng.normal(size=(batch_sizes[0], 3)))
+    c0 = ad.parameter(rng.normal(size=(batch_sizes[0], 3)))
     h_weights = Tensor(rng.normal(size=(sum(batch_sizes), 3)))
-    params = (x, cell.w_ih, cell.w_hh, cell.b)
+    params = (x, h0, c0, cell.w_ih, cell.w_hh, cell.b)
     runs = []
     for layer in (lstm_layer, lstm_step_chain):
         with Tape() as tape:
-            h_all, (h_fin, c_fin) = layer(cell, x, batch_sizes)
+            h_all, (h_fin, c_fin) = layer(cell, x, batch_sizes, (h0, c0))
             loss = (ad.tensor_sum(ad.mul(h_all, h_weights)) + ad.tensor_sum(ad.mul(h_fin, h_fin))
                     + ad.tensor_sum(ad.tanh(c_fin)))
             backward(tape, loss)
@@ -132,16 +154,20 @@ def test_lstm_layer_matches_step_chain(batch_sizes):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("batch_sizes, shape", [
-    ([1, 2], (3, 4)),     # increasing
-    ([2, 0], (2, 4)),     # an empty step
-    ([], (0, 4)),         # no steps
-    ([2, 1], (4, 4)),     # sizes do not add up to the rows
-    ([2, 1], (3, 5)),     # wrong input width
-], ids=["increasing", "zero", "empty", "wrong_total", "wrong_width"])
-def test_lstm_layer_rejects_bad_layout(batch_sizes, shape):
+@pytest.mark.parametrize("batch_sizes, shape, state_rows", [
+    ([1, 2], (3, 4), (1, 1)),     # increasing
+    ([2, 0], (2, 4), (2, 2)),     # an empty step
+    ([], (0, 4), (0, 0)),         # no steps
+    ([2, 1], (4, 4), (2, 2)),     # sizes do not add up to the rows
+    ([2, 1], (3, 5), (2, 2)),     # wrong input width
+    ([2, 1], (3, 4), (1, 1)),     # a state row per step-1 row, not per sequence
+    ([2, 1], (3, 4), (2, 1)),     # one c0 row, which would broadcast
+], ids=["increasing", "zero", "empty", "wrong_total", "wrong_width", "wrong_state",
+        "wrong_cell_state"])
+def test_lstm_layer_rejects_bad_layout(batch_sizes, shape, state_rows):
+    state = tuple(Tensor(np.zeros((n, 3))) for n in state_rows)
     with pytest.raises(ad.DimensionError):
-        lstm_layer(make_cell(), Tensor(np.zeros(shape)), batch_sizes)
+        lstm_layer(make_cell(), Tensor(np.zeros(shape)), batch_sizes, state)
 
 
 def attention_weights(head, h, feats):
