@@ -146,13 +146,13 @@ def lstm_layer(cell, x, batch_sizes, state):
     for n, n_next in zip(sizes, sizes[1:] + [0]):
         rows = slice(start, start + n)
         start += n
-        h_in, c_in = h[:n], c[:n]
         # a single step's block is all of zx: nothing is copied, and the
         # sum runs in zx's memory
         z = np.ascontiguousarray(zx[:, rows])
-        z += w_hh.data @ np.ascontiguousarray(h_in.T)
+        z += w_hh.data @ np.ascontiguousarray(h.T)
         z = z.T
         z += b.data
+        h_in, c_in = h, c
         c, tc, h = _gates_forward(z, c_in)
         if recording:
             saved.append((rows, z, tc, h_in, c_in))
@@ -160,7 +160,7 @@ def lstm_layer(cell, x, batch_sizes, state):
             # the sequences that the next step drops end here
             h_fin[n_next:n], c_fin[n_next:n] = h[n_next:], c[n_next:]
             h_all[rows] = h
-            h = h_all[rows]
+            h, c = h_all[rows][:n_next], c[:n_next]
     if single:
         h_all, h_fin, c_fin = h, h, c
     h_out = Tensor(h_all)
@@ -177,10 +177,11 @@ def lstm_layer(cell, x, batch_sizes, state):
             dz_all = np.empty((len(xd), 4 * hd))
             for rows, z, tc, _h_in, c_in in reversed(saved):
                 n, dz = len(z), dz_all[rows]
-                gh = dh[:n] if gh_all is None else dh[:n] + gh_all[rows]
-                dc_t = _gates_backward(z, c_in, tc, gh, dc[:n], dz)
-                np.matmul(dz, w_hh.data, out=dh[:n])
-                np.multiply(dc_t, z[:, hd:2 * hd], out=dc[:n])
+                dh_n, dc_n = dh[:n], dc[:n]
+                gh = dh_n if gh_all is None else dh_n + gh_all[rows]
+                dc_t = _gates_backward(z, c_in, tc, gh, dc_n, dz)
+                np.matmul(dz, w_hh.data, out=dh_n)
+                np.multiply(dc_t, z[:, hd:2 * hd], out=dc_n)
             accumulate(h0, dh)
             accumulate(c0, dc)
             if w_ih.requires_grad or w_hh.requires_grad or b.requires_grad:
