@@ -16,7 +16,6 @@ from .student import (DecodedRows, FcDecoder, StateTransformNet,
 from .teacher import (TeacherAutoencoder, build_teacher, pool_captions,
                       pretrain_teacher)
 from .training import (RewardTrace, hsg_gradients, joint_mle_loss,
-                       pretrain_state_net, scst_gradients, state_loss_trace,
-                       train_student)
+                       pretrain_state_net, state_loss_trace, train_student)
 
 __version__ = "0.1.0"

@@ -109,15 +109,14 @@ def _composite_cases(seed):
     yield ("softmax_cross_entropy",
            lambda lg: ad.neg(ad.pick(ad.log_softmax(lg), np.array([2]))), (logits,))
 
-    s_trace = [[(_rand(rng, (2, 3)), _rand(rng, (2, 3)))] for _ in range(3)]
-    t_trace = [[(Tensor(rng.uniform(-1, 1, (2, 3))), Tensor(rng.uniform(-1, 1, (2, 3))))]
-               for _ in range(3)]
+    s_trace = [[_rand(rng, (2, 3))] for _ in range(3)]
+    t_trace = [[Tensor(rng.uniform(-1, 1, (2, 3)))] for _ in range(3)]
 
     def state_f(*_):
         losses = state_loss_trace(s_trace, t_trace)
-        return joint_mle_loss(ad.tensor_sum(s_trace[0][0][0]), losses, 0.7)
+        return joint_mle_loss(ad.tensor_sum(s_trace[0][0]), losses, 0.7)
 
-    yield "state_loss_and_joint", state_f, tuple(h for st in s_trace for h, _ in st)
+    yield "state_loss_and_joint", state_f, tuple(h for rows in s_trace for h in rows)
 
     net = StateTransformNet(4, [3], rng)
     vbar = _rand(rng, (1, 4))
@@ -170,7 +169,7 @@ def _hsg_pathway_case(seed):
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
             ctx = world.decoder.begin(world.features)
             replay = teacher_forced(world.decoder, ctx, world.init(ctx), [tokens], True)
-            losses = state_loss_trace(replay.states, t_trace)
+            losses = state_loss_trace(replay.trace, t_trace)
             terms += [term * (1.0 + 0.37 * t) for t, term in enumerate(losses)]
         return ad.sum_terms(terms) * 0.5
 
@@ -299,7 +298,7 @@ def _enumerated_objective_grads(world, leaves, greedy, lam):
                 obj = Tensor(-adv)
             else:
                 t_trace = world.teacher.trace_for_tokens(tokens, world.features)
-                losses = state_loss_trace(replay.states, t_trace)
+                losses = state_loss_trace(replay.trace, t_trace)
                 obj = ad.sum_terms(losses) * lam + (-adv)
             terms.append(ad.mul(prob, obj))
         backward(tape, ad.sum_terms(terms))

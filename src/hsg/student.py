@@ -215,16 +215,16 @@ class DecodedRows:
     teacher-forced pass.
 
     The rows of step t are the captions with more than t emissions, in
-    caption order; logits[t] is their (n_t, V) logits.  states is the trace:
-    states[t] holds the captions with at least t content ids, in caption
-    order, after t emissions (states[0]: all C rows).  emissions holds each
-    caption's emitted ids, ending in eos where ended[i]; targets lists them
-    in the order of stack_rows(logits).
+    caption order; logits[t] is their (n_t, V) logits.  trace[t] holds the
+    h rows of the captions with at least t content ids, in caption order,
+    after t emissions (trace[0]: all C initial rows): one (n_t, H) row batch
+    per layer.  emissions holds each caption's emitted ids, ending in eos
+    where ended[i]; targets lists them in the order of stack_rows(logits).
     """
     emissions: list
     ended: np.ndarray
     logits: list
-    states: list
+    trace: list
     targets: np.ndarray
 
     @property
@@ -269,9 +269,9 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
     stops after eos or at its limit and its row is dropped; the loop ends
     when none is left.  Caption i decodes scene scene[i] of the context
     (None: every caption the one scene).  Each step records its logits, and
-    its state on the rows that did not emit eos (DecodedRows.states), on the
-    active tape; log-probabilities are taken afterwards, from all steps at
-    once (DecodedRows.log_prob_rows).
+    the h rows of its state on the rows that did not emit eos
+    (DecodedRows.trace), on the active tape; log-probabilities are taken
+    afterwards, from all steps at once (DecodedRows.log_prob_rows).
     """
     eos_id = decoder.eos_id
     n = init_state[0][0].data.shape[0]
@@ -283,7 +283,7 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
     live = np.flatnonzero(limit > 0)
     state = init_state if live.size in (0, n) else state_rows(init_state, live)
     prev = np.full(live.size, decoder.bos_id)
-    states, logits, steps = [init_state], [], []
+    trace, logits, steps = [[h for h, _c in init_state]], [], []
     t = 0
     while live.size:
         step_logits, state = decode_step(
@@ -299,7 +299,7 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
                 state = state_rows(state, keep)
             live, tokens = live[keep], tokens[keep]
         if live.size:
-            states.append(state)
+            trace.append([h for h, _c in state])
         if t in limit_steps:
             keep = np.flatnonzero(limit[live] > t)
             if 0 < keep.size < live.size:
@@ -313,7 +313,7 @@ def rollout(decoder, ctx, init_state, t_max, choose, scene=None):
     ended = np.array([bool(e) and e[-1] == eos_id for e in emissions])
     targets = np.concatenate([tokens for _live, tokens in steps]
                              or [np.zeros(0, dtype=np.intp)])
-    return DecodedRows(emissions, ended, logits, states, targets)
+    return DecodedRows(emissions, ended, logits, trace, targets)
 
 
 def greedy_decode(decoder, ctx, init_state, t_max, scene=None):
@@ -353,8 +353,8 @@ def teacher_forced(decoder, ctx, init_state, captions, ended, scene=None):
 
     This is a rollout whose chooser returns the given words, so each
     caption's rows compute the same values as decoding it alone, and
-    replaying a sampled caption reproduces its log-probabilities and states.
-    The pass records logits and states only; DecodedRows.log_likelihood adds
+    replaying a sampled caption reproduces its log-probabilities and trace.
+    The pass records logits and the trace only; DecodedRows.log_likelihood adds
     the log-softmax for the callers that need it.
     """
     if not captions:

@@ -129,8 +129,8 @@ class TeacherAutoencoder:
         return pool_captions(final, len(self.decoder.layer_dims), scene)
 
     def traces(self, caption_id_lists, features, scene=None):
-        """Constant teacher state traces [s_0 .. s_T] of all captions, as the
-        row batches of DecodedRows.states.
+        """Constant teacher traces [h_0 .. h_T] of all captions: the per-layer
+        h row batches of DecodedRows.trace.
 
         features holds one scene's (K, d) block or an (S, K, d) stack, and
         caption i belongs to scene scene[i] (None: the one scene).  The
@@ -142,11 +142,11 @@ class TeacherAutoencoder:
             ctx = self.decoder.begin(features)
             init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False, scene).states
+                                  False, scene).trace
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as
-        one-row states."""
+        one-row h batches."""
         return self.traces([list(tokens)], features)
 
     def named_parameters(self):

@@ -26,7 +26,7 @@ from .student import (
 
 __all__ = [
     "RewardTrace", "state_loss_trace", "joint_mle_loss",
-    "scst_gradients", "hsg_gradients", "pretrain_state_net", "train_student",
+    "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
     "zero_gradients", "sgd_step", "collect_gradients", "TrainingDiverged",
 ]
@@ -45,23 +45,23 @@ class TrainingDiverged(RuntimeError):
 def state_loss_trace(student_trace, teacher_trace):
     """Per-step squared L2 between student and teacher hidden states h.
 
-    Both traces are lists (over t) of per-layer (h, c) row batches
-    (DecodedRows.states), one row per caption; a step's loss sums over the
+    Both traces are lists (over t) of per-layer h row batches
+    (DecodedRows.trace), one row per caption; a step's loss sums over the
     rows.  The teacher side must be constant tensors; gradients flow only
-    into the student states.  Layer losses are summed.
+    into the student rows.  Layer losses are summed.
     """
     if len(student_trace) != len(teacher_trace):
         raise ContractError(
             f"state_loss_trace: trace lengths {len(student_trace)} and "
             f"{len(teacher_trace)} differ")
     losses = []
-    for s_state, t_state in zip(student_trace, teacher_trace):
-        if len(s_state) != len(t_state):
+    for s_rows, t_rows in zip(student_trace, teacher_trace):
+        if len(s_rows) != len(t_rows):
             raise ContractError(
-                f"state_loss_trace: layer counts {len(s_state)} and "
-                f"{len(t_state)} differ")
+                f"state_loss_trace: layer counts {len(s_rows)} and "
+                f"{len(t_rows)} differ")
         losses.append(sum_terms([squared_l2(sh, Tensor(th.data))
-                                 for (sh, _sc), (th, _tc) in zip(s_state, t_state)]))
+                                 for sh, th in zip(s_rows, t_rows)]))
     return losses
 
 
@@ -84,51 +84,35 @@ class RewardTrace:
     coefficients: list = field(default_factory=list)
 
 
-def _policy_backward(tape, rollout, coefficients, extra=None):
-    """Backpropagate sum_m coeff_m * log p_m over the rollout's emissions
-    (+ extra differentiable term)."""
-    terms = [tensor_sum(mul(rollout.log_prob_rows(), Tensor(coefficients)))]
-    if extra is not None:
-        terms.append(extra)
-    backward(tape, sum_terms(terms))
+def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features):
+    """Policy gradients with hidden-state guidance, the one policy-gradient
+    estimator; lam = 0 is self-critical sequence training.
 
-
-def scst_gradients(tape, rollout, greedy, refs, reward_fn):
-    """Self-critical policy gradients: every emission weighted by -advantage."""
+    Every emission is weighted by -advantage, the sampled caption's reward
+    less the greedy caption's.  With lam != 0 the sampled caption is fed to
+    the frozen teacher autoencoder (as the sole encoder input) and
+    teacher-forced through the teacher decoder to produce the target trace;
+    emission m's weight then gains lam * suffix_sum(state losses from m-1),
+    with the losses held constant inside the score term, and the
+    differentiable pathway lam * sum_t L_t is added separately.  With
+    lam = 0 no teacher trace is taken.
+    """
     r = reward_fn(rollout.tokens, refs)
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
     coeffs = [-adv] * rollout.targets.size
-    _policy_backward(tape, rollout, coeffs)
-    return RewardTrace(r, b, adv, [], coeffs)
-
-
-def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features):
-    """Policy gradients with hidden-state guidance.
-
-    The sampled caption is fed to the frozen teacher autoencoder (as the sole
-    encoder input) and teacher-forced through the teacher decoder to produce
-    the target trace.  Emission m is weighted by
-    lam * suffix_sum(state losses from m-1) - advantage, with the losses held
-    constant inside the score term; the differentiable pathway
-    lam * sum_t L_t is added separately.  With lam = 0 this reduces exactly
-    to scst_gradients.
-    """
-    if lam == 0:
-        return scst_gradients(tape, rollout, greedy, refs, reward_fn)
-    r = reward_fn(rollout.tokens, refs)
-    b = reward_fn(greedy.tokens, refs)
-    adv = r - b
-    teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
-    losses = state_loss_trace(rollout.states, teacher_trace)
-    vals = [loss.item() for loss in losses]
-    suffix = [0.0] * (len(vals) + 1)
-    for t in range(len(vals) - 1, -1, -1):
-        suffix[t] = vals[t] + suffix[t + 1]
-    coeffs = [lam * suffix[m] - adv for m in range(rollout.targets.size)]
-
-    _policy_backward(tape, rollout, coeffs,
-                     extra=sum_terms(losses) * lam)
+    vals, terms = [], []
+    if lam != 0:
+        teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
+        losses = state_loss_trace(rollout.trace, teacher_trace)
+        vals = [loss.item() for loss in losses]
+        suffix = [0.0] * (len(vals) + 1)
+        for t in range(len(vals) - 1, -1, -1):
+            suffix[t] = vals[t] + suffix[t + 1]
+        coeffs = [c + lam * s for c, s in zip(coeffs, suffix)]
+        terms.append(sum_terms(losses) * lam)
+    backward(tape, sum_terms(
+        [tensor_sum(mul(rollout.log_prob_rows(), Tensor(coeffs)))] + terms))
     return RewardTrace(r, b, adv, vals, coeffs)
 
 
@@ -331,10 +315,10 @@ def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
     return {k: v / len(records) for k, v in sums.items()}
 
 
-def _row_state_losses(student_state, teacher_state):
-    """state_loss_trace's per-step loss for each row of one step's states."""
+def _row_state_losses(student_rows, teacher_rows):
+    """state_loss_trace's per-step loss for each row of one step's h rows."""
     total = 0.0
-    for (sh, _sc), (th, _tc) in zip(student_state, teacher_state):
+    for sh, th in zip(student_rows, teacher_rows):
         d = sh.data - th.data
         total = total + np.einsum("ij,ij->i", d, d)
     return total
@@ -371,12 +355,12 @@ def _greedy_state_losses(student, teacher, records, t_max):
                     for layer in range(len(pooled[0]))]
             t_ctx = teacher.decoder.begin(features)
             teacher_trace = teacher_forced(teacher.decoder, t_ctx, init, captions,
-                                           False, scene).states
+                                           False, scene).trace
             # both traces keep, at step t, the captions with >= t content ids
             sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
-            for t, (s_state, t_state) in enumerate(zip(greedy.states, teacher_trace)):
+            for t, (s_rows, t_rows) in enumerate(zip(greedy.trace, teacher_trace)):
                 rows = np.flatnonzero(content >= t)
-                sums[rows] += _row_state_losses(s_state, t_state)
+                sums[rows] += _row_state_losses(s_rows, t_rows)
                 steps[rows] += 1
             for s, i in enumerate(idx):
                 out[i] = (captions[s], float(sums[s] / steps[s]))
@@ -473,7 +457,7 @@ def _mle_step(student, rec, content_lists, teacher_traces, lam, params, cfg):
         loss = neg(forced.log_likelihood())
         if lam > 0:
             loss = joint_mle_loss(
-                loss, state_loss_trace(forced.states, teacher_traces), lam)
+                loss, state_loss_trace(forced.trace, teacher_traces), lam)
         loss = loss * (1.0 / len(content_lists))
         if not math.isfinite(loss.item()):
             raise TrainingDiverged(f"student loss became {loss.item()}")

@@ -11,8 +11,11 @@ batch of one row (encoder, pooling chain, decoder replay and the
 per-caption losses), against which the row-batched passes are checked.
 The one-scene oracles run each scene of a split alone (its state-net
 target, and its greedy rollout with the teacher trace of that caption),
-against which the cross-scene passes are checked.  param_hash digests a
-named parameter set, so a test can show that a frozen model did not change.
+against which the cross-scene passes are checked.  The self-critical
+oracle backpropagates the advantage-weighted log-likelihood directly,
+against which the policy-gradient estimator at lam = 0 is checked.
+param_hash digests a named parameter set, so a test can show that a frozen
+model did not change.
 """
 
 import hashlib
@@ -21,8 +24,8 @@ from collections import Counter
 
 import numpy as np
 
-from hsg.autodiff import (Tensor, accumulate, log_softmax, mul, neg, no_grad,
-                          record, scene_attention, sum_terms, vec_max,
+from hsg.autodiff import (Tensor, accumulate, backward, log_softmax, mul, neg,
+                          no_grad, record, scene_attention, sum_terms, vec_max,
                           _binary_prep, _tracing, _unbroadcast)
 from hsg.student import BeamHypothesis, DecodedRows, decode_step
 from hsg.training import joint_mle_loss, state_loss_trace
@@ -252,14 +255,15 @@ def encode_pooled_oracle(teacher, caption_id_lists, feats):
 
 def forced_oracle(decoder, ctx, init_state, tokens, ended, bos_id):
     """One caption replayed with one one-row decode_step per emission, into
-    DecodedRows built by hand."""
+    DecodedRows built by hand: its trace holds the h rows after each step,
+    init first."""
     emissions = list(tokens) + ([decoder.eos_id] if ended else [])
-    state, states, logits = init_state, [init_state], []
+    state, trace, logits = init_state, [[h for h, _c in init_state]], []
     for prev in ([bos_id] + emissions)[:len(emissions)]:
         step_logits, state = decode_step(decoder, ctx, state, np.array([prev]))
         logits.append(step_logits)
-        states.append(state)
-    return DecodedRows([emissions], np.array([bool(ended)]), logits, states,
+        trace.append([h for h, _c in state])
+    return DecodedRows([emissions], np.array([bool(ended)]), logits, trace,
                        np.array(emissions, dtype=np.intp))
 
 
@@ -274,7 +278,7 @@ def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=N
         replays.append(forced)
         ll = neg(forced.log_likelihood())
         if lam > 0:
-            losses = state_loss_trace(forced.states[:len(ids) + 1], teacher_traces[i])
+            losses = state_loss_trace(forced.trace[:len(ids) + 1], teacher_traces[i])
             ll = joint_mle_loss(ll, losses, lam)
         terms.append(ll)
     return sum_terms(terms) * (1.0 / len(captions)), replays
@@ -282,17 +286,25 @@ def mle_loss_oracle(decoder, ctx, init_state, captions, bos_id, teacher_traces=N
 
 def greedy_oracle(decoder, ctx, init_state, t_max, bos_id):
     """One-row argmax decoding, one decode_step per emission and ties to the
-    lowest id: (content ids, ended, states after each step, init first)."""
-    state, states, emitted, prev = init_state, [init_state], [], bos_id
+    lowest id: (content ids, ended, the h rows after each step, init first)."""
+    state, emitted, prev = init_state, [], bos_id
+    trace = [[h for h, _c in init_state]]
     with no_grad():
         for _ in range(t_max):
             logits, state = decode_step(decoder, ctx, state, np.array([prev]))
             prev = int(np.argmax(log_softmax(logits).data[0]))
-            states.append(state)
+            trace.append([h for h, _c in state])
             emitted.append(prev)
             if prev == decoder.eos_id:
-                return emitted[:-1], True, states
-    return emitted, False, states
+                return emitted[:-1], True, trace
+    return emitted, False, trace
+
+
+def scst_oracle(tape, rollout, greedy, refs, reward_fn):
+    """Self-critical policy gradients written out directly: backpropagate
+    -advantage * log-likelihood of the rollout."""
+    adv = reward_fn(rollout.tokens, refs) - reward_fn(greedy.tokens, refs)
+    backward(tape, neg(rollout.log_likelihood()) * adv)
 
 
 def state_net_target_oracle(teacher, vocab, rec):
@@ -308,12 +320,12 @@ def greedy_state_loss_oracle(student, teacher, rec, t_max, bos_id):
     against the teacher's trace of that caption, its sole encoder input."""
     with no_grad():
         ctx = student.decoder.begin(rec.features)
-        tokens, _ended, states = greedy_oracle(
+        tokens, _ended, trace = greedy_oracle(
             student.decoder, ctx, student.initial_state(ctx), t_max, bos_id)
         tctx = teacher.decoder.begin(rec.features)
         init = encode_pooled_oracle(teacher, [tokens], tctx.feats)
         target = forced_oracle(teacher.decoder, tctx, init, tokens, False, bos_id)
-        losses = state_loss_trace(states[:len(tokens) + 1], target.states)
+        losses = state_loss_trace(trace[:len(tokens) + 1], target.trace)
     return tokens, sum(loss.item() for loss in losses) / len(losses)
 
 

@@ -20,10 +20,11 @@ from hsg.student import (beam_search, greedy_decode, sample_decode,
                          teacher_forced)
 from hsg.teacher import pretrain_teacher
 from hsg.training import (collect_gradients, evaluate_split, hsg_gradients,
-                          joint_mle_loss, pretrain_state_net,
-                          scst_gradients, train_student, zero_gradients)
+                          joint_mle_loss, pretrain_state_net, train_student,
+                          zero_gradients)
 
-from oracles import bleu4_oracle, cider_oracle, handcrafted_pairs, rouge_l_oracle
+from oracles import (bleu4_oracle, cider_oracle, handcrafted_pairs,
+                     rouge_l_oracle, scst_oracle)
 
 
 def report(criterion, ok, detail):
@@ -57,7 +58,9 @@ def test_criterion_2_estimator_unbiasedness():
 
 
 def test_criterion_3_reduction_identities():
-    # (a) guided gradients at lambda 0 equal self-critical gradients exactly
+    # (a) guided gradients at lambda 0 equal self-critical gradients exactly:
+    # the estimator against -advantage * log-likelihood, backpropagated
+    # directly
     grads_equal = True
     for family in ("fc", "updown"):
         world = _TinyWorld(family, seed=11)
@@ -78,8 +81,8 @@ def test_criterion_3_reduction_identities():
                                   world.reward_fn, world.teacher, 0.0,
                                   features=world.features)
                 else:
-                    scst_gradients(tape, rollout, greedy, world.refs,
-                                   world.reward_fn)
+                    scst_oracle(tape, rollout, greedy, world.refs,
+                                world.reward_fn)
             out = collect_gradients(world.student_params)
             zero_gradients(params)
             return out

@@ -76,3 +76,40 @@ def test_lstm_step_counts_decoder_steps_only(monkeypatch):
         del calls[:]
         teacher.encoder.encode([[1, 3, 4, 2], [1, 5, 2]], ctx.feats)
         assert not calls, family
+
+
+def test_trace_for_tokens_counts_guided_rl_steps(monkeypatch):
+    # the tracer's teacher.trace_for_tokens.calls counts guided RL steps:
+    # one hsg_gradients call takes one teacher trace at lam > 0 and none at
+    # lam = 0 (scst)
+    import numpy as np
+    from hsg.autodiff import Tape, no_grad
+    from hsg.checks import _TinyWorld
+    from hsg.student import greedy_decode, sample_decode
+    from hsg.teacher import TeacherAutoencoder
+    from hsg.training import hsg_gradients, zero_gradients
+
+    calls = []
+    real_trace = TeacherAutoencoder.trace_for_tokens
+
+    def counting_trace(self, *args, **kwargs):
+        calls.append(1)
+        return real_trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(TeacherAutoencoder, "trace_for_tokens", counting_trace)
+    world = _TinyWorld("fc", seed=6)
+    params = list(world.student_params.values())
+    with no_grad():
+        ctx = world.make_ctx()
+        greedy = greedy_decode(world.decoder, ctx, world.init(ctx), world.t_max)
+    for lam, want in ((0.8, 1), (0.0, 0)):
+        del calls[:]
+        zero_gradients(params)
+        with Tape() as tape:
+            ctx = world.make_ctx()
+            rollout = sample_decode(world.decoder, ctx, world.init(ctx),
+                                    world.t_max, np.random.default_rng(0))
+            hsg_gradients(tape, rollout, greedy, world.refs, world.reward_fn,
+                          world.teacher, lam, features=world.features)
+        assert len(calls) == want, lam
+    zero_gradients(params)

@@ -136,14 +136,13 @@ def test_greedy_rows_lay_out_as_a_forced_pass(tmp_path, family):
     for s, rec in enumerate(group):
         with no_grad():
             one = student.decoder.begin(rec.features)
-            tokens, ended, _states = greedy_oracle(
+            tokens, ended, _trace = greedy_oracle(
                 student.decoder, one, student.initial_state(one), 4, vocab.BOS)
         assert rows.captions[s] == tokens and rows.ended[s] == ended
     # both keep, at step t, the captions with at least t content tokens
-    for got, want in zip(rows.states, forced.states):
-        for (h, c), (wh, wc) in zip(got, want):
+    for got, want in zip(rows.trace, forced.trace):
+        for h, wh in zip(got, want):
             assert_rows_close(h.data, wh.data, "h")
-            assert_rows_close(c.data, wc.data, "c")
     lp = rows.log_prob_rows().data
     offsets = np.cumsum([0] + [lg.data.shape[0] for lg in rows.logits])
     lengths = np.array([len(e) for e in rows.emissions])

@@ -69,10 +69,10 @@ def assert_same_grads(got, want):
 
 
 def assert_same_replay(forced, replays):
-    """Every caption's row of logits, log-probabilities and states matches
+    """Every caption's row of logits, log-probabilities and trace matches
     its one-caption replay.  Step t runs the captions with more than t
     emissions in caption order, so caption i's row at step t is the count of
-    earlier captions still running; states[t] holds the captions with at
+    earlier captions still running; trace[t] holds the captions with at
     least t content ids, so there caption i's row counts the earlier ones."""
     counts = [lg.data.shape[0] for lg in forced.logits]
     offsets = np.cumsum([0] + counts)
@@ -80,7 +80,7 @@ def assert_same_replay(forced, replays):
     lengths = np.array([len(e) for e in forced.emissions])
     content = lengths - forced.ended
     assert counts == [int(np.count_nonzero(lengths > t)) for t in range(len(counts))]
-    assert len(forced.states) == content.max() + 1
+    assert len(forced.trace) == content.max() + 1
     for i, want in enumerate(replays):
         n = len(want.logits)
         assert forced.emissions[i] == want.emissions[0]
@@ -91,12 +91,11 @@ def assert_same_replay(forced, replays):
             assert_close(forced.logits[t].data[p[t]], want.logits[t].data[0],
                          f"logits of caption {i}")
         assert abs(lp[offsets[:n] + p].sum() - want.total_log_prob()) <= TOL
-        assert len(want.states) == n + 1
+        assert len(want.trace) == n + 1
         rows = [np.count_nonzero(content[:i] >= t) for t in range(content[i] + 1)]
-        for q, s_got, s_want in zip(rows, forced.states, want.states):
-            for (h, c), (wh, wc) in zip(s_got, s_want):
+        for q, h_got, h_want in zip(rows, forced.trace, want.trace):
+            for h, wh in zip(h_got, h_want):
                 assert_close(h.data[q], wh.data[0], f"h of caption {i}")
-                assert_close(c.data[q], wc.data[0], f"c of caption {i}")
 
 
 @pytest.mark.parametrize("family", ["fc", "updown"])
@@ -143,7 +142,7 @@ def test_mle_rows_match_per_caption_oracle(family, n_captions, lam):
     with no_grad():
         ctx = teacher.decoder.begin(feats)
         init_t = encode_pooled_oracle(teacher, caps, ctx.feats)
-        traces_o = [forced_oracle(teacher.decoder, ctx, init_t, ids, False, BOS).states
+        traces_o = [forced_oracle(teacher.decoder, ctx, init_t, ids, False, BOS).trace
                     for ids in caps]
     traces = teacher.traces(caps, feats)
 
@@ -153,7 +152,7 @@ def test_mle_rows_match_per_caption_oracle(family, n_captions, lam):
                                 caps, True)
         loss = neg(forced.log_likelihood())
         if lam > 0:
-            loss = joint_mle_loss(loss, state_loss_trace(forced.states, traces),
+            loss = joint_mle_loss(loss, state_loss_trace(forced.trace, traces),
                                   lam)
         loss = loss * (1.0 / len(caps))
         backward(tape, loss)
@@ -179,27 +178,24 @@ def test_teacher_traces_match_per_caption_oracle(family):
         ctx = teacher.decoder.begin(feats)
         init_o = encode_pooled_oracle(teacher, caps, ctx.feats)
         want = [forced_oracle(teacher.decoder, ctx, init_o, ids, False,
-                              BOS).states for ids in caps]
+                              BOS).trace for ids in caps]
         single = forced_oracle(teacher.decoder, ctx,
                                encode_pooled_oracle(teacher, [caps[2]], ctx.feats),
-                               caps[2], False, BOS).states
+                               caps[2], False, BOS).trace
     rows = teacher.traces(caps, feats)
     assert len(rows) == 1 + max(len(c) for c in caps)
-    for t, state in enumerate(rows):
+    for t, h_rows in enumerate(rows):
         # the captions with at least t content words, in caption order
         alive = [i for i in range(5) if len(caps[i]) >= t]
-        for layer, (h, c) in enumerate(state):
-            want_h = np.concatenate([want[i][t][layer][0].data for i in alive])
-            want_c = np.concatenate([want[i][t][layer][1].data for i in alive])
+        for layer, h in enumerate(h_rows):
+            want_h = np.concatenate([want[i][t][layer].data for i in alive])
             assert_close(h.data, want_h, "h")
-            assert_close(c.data, want_c, "c")
     trace = teacher.trace_for_tokens(caps[2], feats)
     assert len(trace) == len(single)
-    for s_got, s_want in zip(trace, single):
-        for (h, c), (wh, wc) in zip(s_got, s_want):
+    for h_got, h_want in zip(trace, single):
+        for h, wh in zip(h_got, h_want):
             assert h.data.shape == wh.data.shape
             assert_close(h.data, wh.data, "trace h")
-            assert_close(c.data, wc.data, "trace c")
 
 
 def test_encoder_finals_come_back_in_caption_order():
@@ -235,7 +231,8 @@ def test_teacher_traces_compute_no_log_softmax(monkeypatch):
     # the spy sees the one log-softmax a likelihood needs
     with no_grad():
         ctx = teacher.decoder.begin(feats)
-        teacher_forced(teacher.decoder, ctx, trace[0], [[4, 5, 6], [7]],
+        init = teacher.encode_pooled([[4, 5, 6]], ctx.feats)
+        teacher_forced(teacher.decoder, ctx, init, [[4, 5, 6], [7]],
                        True).log_likelihood()
     assert calls == [(6, VOCAB)]
 

@@ -107,7 +107,7 @@ def test_greedy_eos_bias_gives_empty_caption():
     rollout = greedy_decode(decoder, ctx, state, t_max=6)
     assert rollout.tokens == []
     assert rollout.ended
-    assert len(rollout.states) == 1
+    assert len(rollout.trace) == 1
 
 
 def test_greedy_deterministic_and_locally_optimal():
@@ -177,7 +177,7 @@ def test_sampled_log_probs_match_replay():
             replay = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
                                     [rollout.tokens], rollout.ended)
         assert abs(rollout.total_log_prob() - replay.total_log_prob()) <= 1e-12
-        assert len(rollout.states) == len(rollout.tokens) + 1
+        assert len(rollout.trace) == len(rollout.tokens) + 1
 
 
 def test_rollout_trace_matches_teacher_forced_states():
@@ -189,12 +189,12 @@ def test_rollout_trace_matches_teacher_forced_states():
                                 t_max=5, rng=rng)
     with no_grad():
         ctx2 = decoder.begin(features)
-        states = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
-                                [rollout.tokens], False).states
-    for s_roll, s_tf in zip(rollout.states, states):
-        for (h1, c1), (h2, c2) in zip(s_roll, s_tf):
+        trace = teacher_forced(decoder, ctx2, net.initial_state(ctx2.vbar),
+                               [rollout.tokens], False).trace
+    assert len(rollout.trace) == len(trace)
+    for h_roll, h_tf in zip(rollout.trace, trace):
+        for h1, h2 in zip(h_roll, h_tf):
             assert np.array_equal(h1.data, h2.data)
-            assert np.array_equal(c1.data, c2.data)
 
 
 def test_teacher_forced_rejects_eos_in_content():

@@ -152,10 +152,10 @@ def test_teacher_forward_empty_caption_trace_is_init():
         init = teacher.encode_pooled([[4, 5]], Tensor(v[None]))
         forced = teacher_forced(teacher.decoder, teacher.decoder.begin(v), init,
                                 [[]], True)
-    assert len(forced.states) == 1
-    # the pass spreads the scene's row to its caption: a copy of init
-    for (h, c), (ih, ic) in zip(forced.states[0], init):
-        assert np.array_equal(h.data, ih.data) and np.array_equal(c.data, ic.data)
+    assert len(forced.trace) == 1
+    # the pass spreads the scene's row to its caption: a copy of init's h
+    for h, (ih, _ic) in zip(forced.trace[0], init):
+        assert np.array_equal(h.data, ih.data)
     assert len(forced.logits) == 1  # the eos emission
 
 
@@ -170,7 +170,7 @@ def test_teacher_forward_deterministic_and_loglik_consistent():
                 for _ in range(2))
     for la, lb in zip(a.logits, b.logits):
         assert np.array_equal(la.data, lb.data)
-    assert len(a.states) == len(caption) + 1
+    assert len(a.trace) == len(caption) + 1
     # log-likelihood equals the sum of per-step log softmax at the gold ids
     targets = caption + [teacher.decoder.eos_id]
     total = 0.0
@@ -222,7 +222,7 @@ def test_architecture_identity_with_student_decoder():
                                init, [caption], True)
     # the student decodes with the teacher's reserved ids
     assert (student.decoder.bos_id, student.decoder.eos_id) == (1, 2)
-    for ts, ss in zip(t_run.states, s_run.states):
-        for (th, tc), (sh, sc) in zip(ts, ss):
+    assert len(t_run.trace) == len(s_run.trace)
+    for ts, ss in zip(t_run.trace, s_run.trace):
+        for th, sh in zip(ts, ss):
             assert np.array_equal(th.data, sh.data)
-            assert np.array_equal(tc.data, sc.data)

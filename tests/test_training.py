@@ -11,13 +11,12 @@ from hsg.config import RunConfig
 from hsg.corpus import generate_corpus
 from hsg.student import (FcDecoder, StateTransformNet, greedy_decode,
                          sample_decode, teacher_forced)
-from hsg.teacher import TrainingDiverged, pretrain_teacher
+from hsg.teacher import TeacherAutoencoder, TrainingDiverged, pretrain_teacher
 from hsg.training import (build_student, clip_gradients, collect_gradients,
-                          hsg_gradients, joint_mle_loss,
-                          pretrain_state_net, scst_gradients,
+                          hsg_gradients, joint_mle_loss, pretrain_state_net,
                           state_loss_trace, train_student, zero_gradients)
 
-from oracles import param_hash
+from oracles import param_hash, scst_oracle
 
 
 def constant_logits_nll(bias, captions):
@@ -45,15 +44,14 @@ def test_log_likelihood_uniform_closed_form():
 
 def rand_trace(rng, steps, layers=1, h=3, param=False):
     make = ad.parameter if param else Tensor
-    return [[(make(rng.normal(size=h)), make(rng.normal(size=h)))
-             for _ in range(layers)] for _ in range(steps)]
+    return [[make(rng.normal(size=h)) for _ in range(layers)]
+            for _ in range(steps)]
 
 
 def test_state_loss_identical_traces_zero():
     rng = np.random.default_rng(0)
     trace = rand_trace(rng, 4)
-    copy = [[(Tensor(h.data.copy()), Tensor(c.data.copy())) for h, c in s]
-            for s in trace]
+    copy = [[Tensor(h.data.copy()) for h in rows] for rows in trace]
     losses = state_loss_trace(trace, copy)
     assert all(loss.item() == 0.0 for loss in losses)
 
@@ -66,8 +64,8 @@ def test_state_loss_matches_loop_oracle():
     for t in range(3):
         expected = 0.0
         for layer in range(2):
-            sh = student[t][layer][0].data
-            th = teacher[t][layer][0].data
+            sh = student[t][layer].data
+            th = teacher[t][layer].data
             expected += sum((a - b) ** 2 for a, b in zip(sh, th))
         assert losses[t].item() == pytest.approx(expected, rel=1e-12)
 
@@ -80,13 +78,13 @@ def test_state_loss_gradient_only_into_student():
         losses = state_loss_trace(student, teacher)
         total = losses[0] + losses[1]
         backward(tape, total)
-    grads_before = [student[t][0][0].grad.copy() for t in range(2)]
+    grads_before = [student[t][0].grad.copy() for t in range(2)]
     # perturbing the teacher-side values and recomputing leaves the student
     # gradients a function of the new difference only; the teacher tensors
     # themselves never receive gradients
-    for s in teacher:
-        for h, c in s:
-            assert h.grad is None and c.grad is None
+    for rows in teacher:
+        for h in rows:
+            assert h.grad is None
 
 
 def test_state_loss_length_mismatch():
@@ -135,7 +133,8 @@ def test_scst_zero_advantage_zero_gradients():
         ctx = world.make_ctx()
         replay = teacher_forced(world.decoder, ctx, world.init(ctx),
                                 [greedy.tokens], greedy.ended)
-        trace = scst_gradients(tape, replay, greedy, world.refs, world.reward_fn)
+        trace = hsg_gradients(tape, replay, greedy, world.refs, world.reward_fn,
+                              world.teacher, 0.0, features=world.features)
     assert trace.advantage == 0.0
     grads = collect_gradients(world.student_params)
     assert all(np.all(g == 0.0) for g in grads.values())
@@ -156,8 +155,9 @@ def test_scst_gradients_scale_linearly_with_reward():
             ctx = world.make_ctx()
             rollout = sample_decode(world.decoder, ctx, world.init(ctx),
                                     world.t_max, np.random.default_rng(7))
-            scst_gradients(tape, rollout, greedy, world.refs,
-                           lambda t, r: scale * world.reward_fn(t, r))
+            hsg_gradients(tape, rollout, greedy, world.refs,
+                          lambda t, r: scale * world.reward_fn(t, r),
+                          world.teacher, 0.0, features=world.features)
         out = collect_gradients(world.student_params)
         zero_gradients(params)
         return out
@@ -187,8 +187,8 @@ def test_hsg_lambda_zero_equals_scst_exactly():
                                   world.reward_fn, world.teacher, 0.0,
                                   features=world.features)
                 else:
-                    scst_gradients(tape, rollout, greedy, world.refs,
-                                   world.reward_fn)
+                    scst_oracle(tape, rollout, greedy, world.refs,
+                                world.reward_fn)
             out = collect_gradients(world.student_params)
             zero_gradients(params)
             return out
@@ -196,6 +196,34 @@ def test_hsg_lambda_zero_equals_scst_exactly():
         g_scst, g_hsg = run(False), run(True)
         for name in g_scst:
             assert np.array_equal(g_scst[name], g_hsg[name])
+
+
+def test_hsg_lambda_zero_takes_no_teacher_trace(monkeypatch):
+    # scst runs the one estimator at lam = 0; it must not pay for a teacher
+    # trace it does not read
+    def no_trace(*_args, **_kwargs):
+        raise AssertionError("teacher trace taken")
+
+    monkeypatch.setattr(TeacherAutoencoder, "trace_for_tokens", no_trace)
+    world = _TinyWorld("fc", seed=5)
+    params = list(world.student_params.values())
+    with no_grad():
+        ctx = world.make_ctx()
+        greedy = greedy_decode(world.decoder, ctx, world.init(ctx), world.t_max)
+
+    def run(lam):
+        zero_gradients(params)
+        with Tape() as tape:
+            ctx = world.make_ctx()
+            rollout = sample_decode(world.decoder, ctx, world.init(ctx),
+                                    world.t_max, np.random.default_rng(4))
+            hsg_gradients(tape, rollout, greedy, world.refs, world.reward_fn,
+                          world.teacher, lam, features=world.features)
+
+    run(0.0)
+    with pytest.raises(AssertionError, match="teacher trace taken"):
+        run(0.5)
+    zero_gradients(params)
 
 
 def test_hsg_matched_traces_reduce_to_scst():
@@ -215,23 +243,21 @@ def test_hsg_matched_traces_reduce_to_scst():
         greedy = greedy_decode(world.decoder, ctx0, t_init, world.t_max)
     params = list(world.decoder.named_parameters("decoder").values())
 
-    def run(lam, fn):
+    def run(lam):
         zero_gradients(params)
         with Tape() as tape:
             ctx = world.make_ctx()
             replay = teacher_forced(world.decoder, ctx, t_init, [tokens], True)
-            if fn is hsg_gradients:
-                trace = fn(tape, replay, greedy, world.refs, world.reward_fn,
-                           teacher, lam, features=world.features)
-            else:
-                trace = fn(tape, replay, greedy, world.refs, world.reward_fn)
+            trace = hsg_gradients(tape, replay, greedy, world.refs,
+                                  world.reward_fn, teacher, lam,
+                                  features=world.features)
         grads = {n: (np.zeros_like(p.data) if p.grad is None else p.grad.copy())
                  for n, p in world.decoder.named_parameters("decoder").items()}
         zero_gradients(params)
         return trace, grads
 
-    hsg_trace, hsg_grads = run(0.9, hsg_gradients)
-    scst_trace, scst_grads = run(0.0, scst_gradients)
+    hsg_trace, hsg_grads = run(0.9)
+    scst_trace, scst_grads = run(0.0)
     assert all(abs(v) < 1e-20 for v in hsg_trace.state_losses)
     assert hsg_trace.coefficients == pytest.approx(
         [-hsg_trace.advantage] * len(hsg_trace.coefficients), abs=1e-18)
