@@ -92,13 +92,12 @@ class no_grad:
 class Tensor:
     """A dense array of 64-bit floats with an optional gradient buffer."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id")
+    __slots__ = ("data", "grad", "requires_grad")
 
     def __init__(self, data, requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
-        self.node_id = -1
 
     @property
     def shape(self):
@@ -149,7 +148,6 @@ def record(fn, *outs):
         return False
     for o in outs:
         o.requires_grad = True
-        o.node_id = len(tape.nodes)
     tape.nodes.append((fn, outs))
     return True
 

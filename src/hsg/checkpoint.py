@@ -10,7 +10,6 @@ import contextlib
 import json
 import math
 import os
-import struct
 
 import numpy as np
 
@@ -57,8 +56,7 @@ def atomic_open(path):
 
 
 def _encode_array(arr):
-    flat = np.ascontiguousarray(arr, dtype=np.float64).reshape(-1)
-    return struct.pack(f"<{flat.size}d", *flat).hex()
+    return np.ascontiguousarray(arr, dtype="<f8").tobytes().hex()
 
 
 def _decode_array(name, entry):
@@ -75,7 +73,7 @@ def _decode_array(name, entry):
         raw = bytes.fromhex(text)
     except ValueError as err:
         raise CheckpointError(f"parameter {name}: payload is not hex ({err})") from err
-    arr = np.array(struct.unpack(f"<{n}d", raw)).reshape(shape)
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
     if not np.isfinite(arr).all():
         raise CheckpointError(f"parameter {name}: values must be finite")
     return arr

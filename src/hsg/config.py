@@ -7,11 +7,9 @@ import os
 from dataclasses import dataclass
 
 from .student import DECODERS
+from .training import MODES, REWARDS
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "parse_override"]
-
-MODES = ("mle", "mle_hsg", "scst", "scst_hsg")
-REWARD_METRICS = ("cider", "bleu4", "rouge_l")
 
 
 class ConfigError(ValueError):
@@ -64,10 +62,10 @@ class RunConfig:
             raise ConfigError(
                 f"family must be one of {tuple(DECODERS)}, got {self.family!r}")
         if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.reward_metric not in REWARD_METRICS:
+            raise ConfigError(f"mode must be one of {tuple(MODES)}, got {self.mode!r}")
+        if self.reward_metric not in REWARDS:
             raise ConfigError(
-                f"reward_metric must be one of {REWARD_METRICS}, got {self.reward_metric!r}")
+                f"reward_metric must be one of {tuple(REWARDS)}, got {self.reward_metric!r}")
         if self.state_loss_weight < 0:
             raise ConfigError("state_loss_weight must be >= 0")
         if self.beam_width < 1:

@@ -199,13 +199,11 @@ class Embedding:
     """Trainable token embedding table (vocab_size x embed_dim)."""
 
     def __init__(self, vocab_size, embed_dim, rng):
-        self.vocab_size = vocab_size
         self.embed_dim = embed_dim
         self.w = ad.parameter(uniform_init(rng, (vocab_size, embed_dim), embed_dim))
 
     def lookup(self, token_ids):
-        """(B, E) embedding rows of an array of B token ids."""
-        ad.check_index(token_ids, self.vocab_size, "embedding lookup: token id")
+        """(B, E) embedding rows of an array of B token ids (row checks them)."""
         return ad.row(self.w, token_ids)
 
     def named_parameters(self, prefix):
@@ -216,8 +214,6 @@ class Linear:
     """Affine layer y = W x + b, applied to each row of a (B, d) batch."""
 
     def __init__(self, in_dim, out_dim, rng):
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         self.w = ad.parameter(uniform_init(rng, (out_dim, in_dim), in_dim))
         self.b = ad.parameter(uniform_init(rng, (out_dim,), in_dim))
 
@@ -237,7 +233,6 @@ class AttentionHead:
     """
 
     def __init__(self, feature_dim, hidden_dim, rng):
-        self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.proj = Linear(feature_dim, hidden_dim, rng)
 

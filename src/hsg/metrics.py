@@ -73,25 +73,23 @@ def bleu4(candidate, refs, smooth=False):
 class DocFreq:
     """Document frequencies of n-grams over a corpus of reference sets.
 
-    M is the number of reference sets; df maps an n-gram to the number of
-    sets containing it (in any single reference).  idf values are
-    memoized, so neither changes after construction.
+    M is the number of reference sets, at least one; df maps an n-gram to
+    the number of sets containing it (in any single reference).  The idf
+    values, log(M / max(1, df)), are built at construction, so neither
+    changes after it; every n-gram outside the table shares one idf.
     """
 
     def __init__(self, m, df):
         self.m = int(m)
+        if self.m <= 0:
+            raise ContractError("cider: document frequencies built from an empty corpus")
         self.df = dict(df)
-        self._idf = {}
+        self._idf = {gram: math.log(self.m / max(1.0, float(cnt)))
+                     for gram, cnt in self.df.items()}
+        self._unseen = math.log(self.m / 1.0)
 
     def idf(self, gram):
-        # one memo entry per n-gram of the table and one (None) for all the
-        # others, which share an idf: scoring new candidates adds no entries
-        key = gram if gram in self.df else None
-        value = self._idf.get(key)
-        if value is None:
-            value = math.log(self.m / max(1.0, float(self.df.get(gram, 0))))
-            self._idf[key] = value
-        return value
+        return self._idf.get(gram, self._unseen)
 
     def to_json(self):
         return json.dumps(
@@ -141,8 +139,6 @@ class CiderRefs:
     def __init__(self, refs, df):
         if not refs:
             raise ContractError("cider: reference list is empty")
-        if df.m <= 0:
-            raise ContractError("cider: document frequencies built from an empty corpus")
         self.df = df
         self.orders = []
         for n in range(1, MAX_NGRAM + 1):

@@ -61,7 +61,6 @@ class FcDecoder:
                  rng, embedding=None):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
-        self.feature_dim = feature_dim
         self.bos_id = bos_id
         self.eos_id = eos_id
         self.embedding = embedding or Embedding(vocab_size, embed_dim, rng)
@@ -101,7 +100,6 @@ class UpDownDecoder:
                  rng, embedding=None):
         self.vocab_size = vocab_size
         self.hidden_dim = hidden_dim
-        self.feature_dim = feature_dim
         self.bos_id = bos_id
         self.eos_id = eos_id
         self.embedding = embedding or Embedding(vocab_size, embed_dim, rng)

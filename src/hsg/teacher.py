@@ -128,21 +128,19 @@ class TeacherAutoencoder:
                                     feats, scene)
         return pool_captions(final, len(self.decoder.layer_dims), scene)
 
-    def traces(self, caption_id_lists, features, scene=None):
-        """Constant teacher traces [h_0 .. h_T] of all captions: the per-layer
-        h row batches of DecodedRows.trace.
+    def traces(self, caption_id_lists, features):
+        """Constant teacher traces [h_0 .. h_T] of all captions of one scene:
+        the per-layer h row batches of DecodedRows.trace.
 
-        features holds one scene's (K, d) block or an (S, K, d) stack, and
-        caption i belongs to scene scene[i] (None: the one scene).  The
-        encoder pools over each scene's captions into one row per scene,
-        and the teacher decoder is teacher-forced over every caption from
-        its scene's row.  Runs untaped: the teacher is frozen.
+        features is the scene's (K, d) block.  The encoder pools over the
+        captions into one row, and the teacher decoder is teacher-forced
+        over every caption from it.  Runs untaped: the teacher is frozen.
         """
         with no_grad():
             ctx = self.decoder.begin(features)
-            init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
+            init = self.encode_pooled(caption_id_lists, ctx.feats)
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False, scene).trace
+                                  False).trace
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as

@@ -29,7 +29,21 @@ __all__ = [
     "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
     "zero_gradients", "sgd_step", "collect_gradients", "TrainingDiverged",
+    "MODES", "REWARDS",
 ]
+
+# run mode -> (rl, guided): rl modes run REINFORCE epochs after an MLE
+# warm-up; guided modes weight the state loss by cfg.state_loss_weight
+MODES = {"mle": (False, False), "mle_hsg": (False, True),
+         "scst": (True, False), "scst_hsg": (True, True)}
+
+# reward metric -> scorer(words, refs, doc_freq); each looks its metric up
+# here when called, so a function patched into this module sees every reward
+REWARDS = {
+    "cider": lambda words, refs, doc_freq: cider(words, refs, doc_freq),
+    "bleu4": lambda words, refs, _doc_freq: bleu4(words, refs, smooth=True),
+    "rouge_l": lambda words, refs, _doc_freq: rouge_l(words, refs),
+}
 
 # The most decode rows, or packed encoder rows (caption positions), one
 # cross-scene pass runs at once: a split is cut into chunks of whole scenes
@@ -117,19 +131,12 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features
 
 
 def make_reward_fn(metric, vocab, doc_freq):
-    """Sentence reward over word sequences; candidate ids are decoded first."""
-    if metric == "cider":
-        def fn(tokens, refs):
-            return cider(vocab.decode(tokens), refs, doc_freq)
-    elif metric == "bleu4":
-        def fn(tokens, refs):
-            return bleu4(vocab.decode(tokens), refs, smooth=True)
-    elif metric == "rouge_l":
-        def fn(tokens, refs):
-            return rouge_l(vocab.decode(tokens), refs)
-    else:
+    """Sentence reward over word sequences, scored by REWARDS[metric];
+    candidate ids are decoded first (BLEU-4 is smoothed)."""
+    if metric not in REWARDS:
         raise ContractError(f"unknown reward metric {metric!r}")
-    return fn
+    score = REWARDS[metric]
+    return lambda tokens, refs: score(vocab.decode(tokens), refs, doc_freq)
 
 
 def clip_gradients(params, max_norm):
@@ -376,29 +383,30 @@ def _mean_state_loss(student, teacher, records, t_max):
 
 def train_student(train_records, val_records, teacher, statenet, vocab,
                   doc_freq, cfg, log=print):
-    """Train the student under one of the four modes.
+    """Train the student under one of the four MODES.
 
-    scst modes run cfg.mle_warmup_epochs of plain maximum likelihood before
+    rl modes run cfg.mle_warmup_epochs of plain maximum likelihood before
     the REINFORCE epochs.  Every epoch beam-decodes the validation split and
     appends a history line; the parameters with the best validation CIDEr
     are restored at the end.
     """
     if teacher is None:
         raise ContractError("train_student: a pretrained teacher is required")
-    if cfg.mode not in ("mle", "mle_hsg", "scst", "scst_hsg"):
+    if cfg.mode not in MODES:
         raise ContractError(f"train_student: unknown mode {cfg.mode!r}")
+    rl, guided = MODES[cfg.mode]
 
     student = build_student(teacher, statenet)
     params_named = student.named_parameters()
     params = list(params_named.values())
     rng = np.random.default_rng([cfg.seed, 101])
     reward_fn = make_reward_fn(cfg.reward_metric, vocab, doc_freq)
-    lam = cfg.state_loss_weight if cfg.mode.endswith("hsg") else 0.0
+    lam = cfg.state_loss_weight if guided else 0.0
 
-    if cfg.mode.startswith("mle"):
-        phases = [("mle", cfg.epochs, lam)]
-    else:
+    if rl:
         phases = [("mle", cfg.mle_warmup_epochs, 0.0), ("rl", cfg.epochs, lam)]
+    else:
+        phases = [("mle", cfg.epochs, lam)]
 
     content_cache = {
         rec.scene_id: [vocab.encode(cap) for cap in rec.captions]
@@ -406,11 +414,11 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     # every CIDEr score of the run reads reference sets prepared here, once
     val_refs = [CiderRefs(rec.captions, doc_freq) for rec in val_records]
     reward_refs = {rec.scene_id: rec.captions for rec in train_records}
-    if cfg.reward_metric == "cider" and cfg.mode.startswith("scst"):
+    if cfg.reward_metric == "cider" and rl:
         reward_refs = {scene_id: CiderRefs(refs, doc_freq)
                        for scene_id, refs in reward_refs.items()}
     trace_cache = {}
-    if cfg.mode == "mle_hsg" and lam > 0:
+    if not rl and lam > 0:
         for rec in train_records:
             trace_cache[rec.scene_id] = teacher.traces(
                 content_cache[rec.scene_id], rec.features)

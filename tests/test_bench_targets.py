@@ -78,6 +78,30 @@ def test_lstm_step_counts_decoder_steps_only(monkeypatch):
         assert not calls, family
 
 
+def test_cider_reward_calls_training_cider_at_call_time(monkeypatch):
+    # the tracer's metrics.cider.calls counts RL rewards: it patches
+    # hsg.training.cider after make_reward_fn has built the reward
+    import hsg.training
+    from hsg.corpus import Vocabulary
+    from hsg.metrics import build_doc_freq
+
+    vocab = Vocabulary.from_captions([["a", "b", "c"]])
+    doc_freq = build_doc_freq([[["a", "b"]], [["b", "c"]]])
+    reward = hsg.training.make_reward_fn("cider", vocab, doc_freq)
+    calls = []
+    real_cider = hsg.training.cider
+
+    def counting_cider(*args):
+        calls.append(1)
+        return real_cider(*args)
+
+    monkeypatch.setattr(hsg.training, "cider", counting_cider)
+    tokens = vocab.encode(["a", "b"])
+    assert reward(tokens, [["a", "b"]]) == real_cider(["a", "b"], [["a", "b"]],
+                                                      doc_freq)
+    assert len(calls) == 1
+
+
 def test_trace_for_tokens_counts_guided_rl_steps(monkeypatch):
     # the tracer's teacher.trace_for_tokens.calls counts guided RL steps:
     # one hsg_gradients call takes one teacher trace at lam > 0 and none at

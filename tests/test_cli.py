@@ -9,9 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hsg import cli
-from hsg.checkpoint import (CheckpointError, atomic_open, load_checkpoint,
-                            restore_params, save_checkpoint)
+from hsg import cli, training
+from hsg.checkpoint import (CheckpointError, _decode_array, _encode_array,
+                            atomic_open, load_checkpoint, restore_params,
+                            save_checkpoint)
 from hsg.config import ConfigError, RunConfig, load_config
 from hsg.corpus import Vocabulary, generate_corpus, save_records
 from hsg.layers import Linear
@@ -78,6 +79,33 @@ def test_checkpoint_round_trip_is_bit_exact(tmp_path):
     lin2 = Linear(3, 4, np.random.default_rng(1))
     restore_params(lin2.named_parameters("m"), loaded["params"])
     assert lin2.w.data.tobytes() == lin.w.data.tobytes()
+
+
+def test_config_modes_and_reward_metrics_come_from_training():
+    for mode in training.MODES:
+        RunConfig(mode=mode).validate()
+    for metric in training.REWARDS:
+        RunConfig(reward_metric=metric).validate()
+    with pytest.raises(ConfigError) as err:
+        RunConfig(mode="bogus").validate()
+    assert str(err.value) == (
+        f"mode must be one of {tuple(training.MODES)}, got 'bogus'")
+    with pytest.raises(ConfigError) as err:
+        RunConfig(reward_metric="bogus").validate()
+    assert str(err.value) == (
+        f"reward_metric must be one of {tuple(training.REWARDS)}, got 'bogus'")
+
+
+def test_checkpoint_floats_are_little_endian_f8_bytes():
+    # pins the on-disk format itself: an encode and a decode that changed
+    # together (say to big-endian) would still round-trip
+    arr = np.array([[1.0, -0.0], [5e-324, 1 / 3]])
+    text = ("000000000000f03f" "0000000000000080"
+            "0100000000000000" "555555555555d53f")
+    assert _encode_array(arr) == text
+    back = _decode_array("m", {"shape": [2, 2], "data": text})
+    assert back.dtype == np.float64 and back.flags.writeable
+    assert back.shape == (2, 2) and back.tobytes() == arr.tobytes()
 
 
 def test_checkpoint_version_and_vocab_mismatch(tmp_path):

@@ -240,6 +240,15 @@ def test_embedding_lookup_equals_one_hot_matmul():
         assert np.allclose(emb.lookup(np.array([tid])).data, via_matmul, atol=1e-15)
 
 
+@pytest.mark.parametrize("ids", [
+    np.array([6]), np.array([0, 7]), np.array([-1]), np.array([1.0]),
+    np.array([[1, 2]]), np.array([], dtype=np.intp)])
+def test_embedding_lookup_rejects_bad_ids(ids):
+    emb = Embedding(6, 4, np.random.default_rng(12))
+    with pytest.raises(ad.ContractError):
+        emb.lookup(ids)
+
+
 def test_linear_is_exact_affine():
     rng = np.random.default_rng(13)
     lin = Linear(3, 2, rng)

@@ -170,6 +170,25 @@ def test_prepared_cider_matches_oracle_on_handcrafted_suite():
         assert cider(other, prepared, df) == cider(other, refs, df)
 
 
+def test_docfreq_idf_is_log_m_over_df():
+    df = build_doc_freq([[["a", "b"], ["b", "c"]], [["a", "b", "c"]], [["d"]]])
+    for gram in [("a",), ("b", "c"), ("a", "b", "c"), ("z",), ("a", "z")]:
+        want = math.log(df.m / max(1.0, float(df.df.get(gram, 0))))
+        assert df.idf(gram) == want, gram
+    assert df.idf(("a",)) == math.log(3 / 2)
+    assert df.idf(("z",)) == math.log(3)
+
+
+def test_docfreq_rejects_an_empty_corpus():
+    with pytest.raises(ContractError):
+        DocFreq(0, {})
+    with pytest.raises(ContractError):
+        build_doc_freq([])
+    from hsg.corpus import CorpusFormatError
+    with pytest.raises(CorpusFormatError):
+        DocFreq.from_json('{"M": 0, "df": {}}')
+
+
 def test_docfreq_json_round_trip():
     sets = [[["a", "b"], ["b", "c"]], [["a", "b", "c"]]]
     df = build_doc_freq(sets)
