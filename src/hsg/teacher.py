@@ -21,10 +21,11 @@ import math
 import numpy as np
 
 from .autodiff import (ContractError, DimensionError, Tape, Tensor, backward,
-                       max_rows, neg, no_grad, scale_rows, scene_attention, vec_max)
+                       check_index, max_rows, neg, no_grad, scale_rows,
+                       scene_attention, stack_rows, vec_max)
 from .layers import AttentionHead, Embedding, LstmCell, lstm_layer
 from .student import DECODERS, state_rows, teacher_forced
-from .training import TrainingDiverged, sgd_step
+from .training import TrainingDiverged, capped_runs, sgd_step
 
 __all__ = [
     "CaptionEncoder", "TeacherAutoencoder", "build_teacher", "pool_captions",
@@ -123,24 +124,42 @@ class TeacherAutoencoder:
     def encode_pooled(self, caption_id_lists, feats, scene=None):
         """Encode every caption (content ids) and pool each scene's captions
         into decoder init states: one row per scene of the (S, K, d) feats,
-        with caption i in scene scene[i] (None: one scene)."""
-        final = self.encoder.encode([self.frame(ids) for ids in caption_id_lists],
-                                    feats, scene)
-        return pool_captions(final, len(self.decoder.layer_dims), scene)
+        with caption i in scene scene[i] (None: one scene).  An encoder pass
+        holds every framed position of its captions, so with a scene index
+        the scenes run in passes of at most MAX_PASS_ROWS positions, or one
+        scene (capped_runs), and feats is data: no gradient reaches it."""
+        framed = [self.frame(ids) for ids in caption_id_lists]
+        n_layers = len(self.decoder.layer_dims)
+        if scene is None:
+            return pool_captions(self.encoder.encode(framed, feats), n_layers)
+        if np.shape(scene) != (len(framed),):
+            raise DimensionError(f"encode_pooled: {np.size(scene)} scene ids for {len(framed)} captions")
+        check_index(scene, feats.data.shape[0], "encode_pooled: scene")
+        rows = np.bincount(scene, [len(ids) for ids in framed],
+                           minlength=feats.data.shape[0])
+        if not rows.all():
+            raise ContractError(f"encode_pooled: scene {np.argmin(rows)} has no captions")
+        pooled = []
+        for run in capped_runs(rows):
+            mine = np.flatnonzero((scene >= run.start) & (scene < run.stop))
+            ids = scene[mine] - run.start
+            final = self.encoder.encode([framed[i] for i in mine],
+                                        Tensor(feats.data[run]), ids)
+            pooled.append(pool_captions(final, n_layers, ids))
+        return [tuple(stack_rows([p[layer][j] for p in pooled]) for j in (0, 1))
+                for layer in range(n_layers)]
 
-    def traces(self, caption_id_lists, features):
-        """Constant teacher traces [h_0 .. h_T] of all captions of one scene:
-        the per-layer h row batches of DecodedRows.trace.
-
-        features is the scene's (K, d) block.  The encoder pools over the
-        captions into one row, and the teacher decoder is teacher-forced
-        over every caption from it.  Runs untaped: the teacher is frozen.
-        """
+    def traces(self, caption_id_lists, features, scene=None):
+        """Constant teacher traces [h_0 .. h_T], DecodedRows.trace's h rows,
+        of the captions of one scene's (K, d) features or of an (S, K, d)
+        stack, caption i in scene scene[i] (None: one scene).  Each scene's
+        captions pool into one row (encode_pooled), from which one untaped
+        teacher-forced pass runs them all: the teacher is frozen."""
         with no_grad():
             ctx = self.decoder.begin(features)
-            init = self.encode_pooled(caption_id_lists, ctx.feats)
+            init = self.encode_pooled(caption_id_lists, ctx.feats, scene)
             return teacher_forced(self.decoder, ctx, init, caption_id_lists,
-                                  False).trace
+                                  False, scene).trace
 
     def trace_for_tokens(self, tokens, features):
         """Teacher trace for a generated caption, the sole encoder input, as

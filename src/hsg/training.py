@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import (
     Tensor, Tape, ContractError, backward, mul, neg, no_grad, squared_l2,
-    stack_rows, sum_terms, tensor_sum,
+    sum_terms, tensor_sum,
 )
 from .metrics import CiderRefs, bleu4, cider, rouge_l
 from .student import (
@@ -29,7 +29,7 @@ __all__ = [
     "hsg_gradients", "pretrain_state_net", "train_student",
     "make_reward_fn", "evaluate_split", "clip_gradients", "sgd_update",
     "zero_gradients", "sgd_step", "collect_gradients", "TrainingDiverged",
-    "MODES", "REWARDS",
+    "MODES", "REWARDS", "capped_runs",
 ]
 
 # run mode -> (rl, guided): rl modes run REINFORCE epochs after an MLE
@@ -45,11 +45,23 @@ REWARDS = {
     "rouge_l": lambda words, refs, _doc_freq: rouge_l(words, refs),
 }
 
-# The most decode rows, or packed encoder rows (caption positions), one
-# cross-scene pass runs at once: a split is cut into chunks of whole scenes
-# under it, so a pass's temporaries stay bounded however many scenes the
-# split holds.  512 beam-decodes 100 scenes at width 5 in one pass.
+# The most decode rows, or packed encoder rows (framed caption positions),
+# one cross-scene pass runs at once: every such pass takes whole scenes in
+# runs under it (capped_runs), so its temporaries stay bounded however many
+# scenes the split holds.  512 beam-decodes 100 scenes at width 5 at once.
 MAX_PASS_ROWS = 512
+
+
+def capped_runs(rows):
+    """Slices that cut positions 0..n-1 (rows[i] rows each) into runs whose
+    rows add up to at most MAX_PASS_ROWS, read at call time, or one."""
+    start, total = 0, 0
+    for i, n in enumerate(rows):
+        if i > start and total + n > MAX_PASS_ROWS:
+            yield slice(start, i)
+            start, total = i, 0
+        total += n
+    yield slice(start, len(rows))
 
 
 class TrainingDiverged(RuntimeError):
@@ -80,7 +92,8 @@ def state_loss_trace(student_trace, teacher_trace):
 
 
 def joint_mle_loss(ll, state_losses, lam):
-    """L_ll + lam * sum of state losses; lam = 0 returns L_ll unchanged."""
+    """ll + lam * sum of state losses, for ll the MLE loss L_ll or the
+    policy-gradient score term; lam = 0 returns ll unchanged."""
     if lam < 0:
         raise ContractError(f"joint_mle_loss: negative weight {lam}")
     if lam == 0 or not state_losses:
@@ -115,7 +128,7 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features
     b = reward_fn(greedy.tokens, refs)
     adv = r - b
     coeffs = [-adv] * rollout.targets.size
-    vals, terms = [], []
+    vals, losses = [], []
     if lam != 0:
         teacher_trace = teacher.trace_for_tokens(rollout.tokens, features)
         losses = state_loss_trace(rollout.trace, teacher_trace)
@@ -124,9 +137,8 @@ def hsg_gradients(tape, rollout, greedy, refs, reward_fn, teacher, lam, features
         for t in range(len(vals) - 1, -1, -1):
             suffix[t] = vals[t] + suffix[t + 1]
         coeffs = [c + lam * s for c, s in zip(coeffs, suffix)]
-        terms.append(sum_terms(losses) * lam)
-    backward(tape, sum_terms(
-        [tensor_sum(mul(rollout.log_prob_rows(), Tensor(coeffs)))] + terms))
+    score = tensor_sum(mul(rollout.log_prob_rows(), Tensor(coeffs)))
+    backward(tape, joint_mle_loss(score, losses, lam))
     return RewardTrace(r, b, adv, vals, coeffs)
 
 
@@ -187,15 +199,11 @@ def collect_gradients(named_params):
 
 def _state_net_targets(records, teacher, vocab):
     """Per record, the teacher's pooled initial h rows from its gold
-    captions; each chunk of scenes runs as one encoder pass, which holds
-    every position of its captions at once (_scene_chunks, one row per
-    framed caption position)."""
+    captions, one encode_pooled call per group of scenes with the same K."""
     contents = [[vocab.encode(cap) for cap in rec.captions] for rec in records]
-    packed = [sum(len(ids) + 2 for ids in content)  # framed: bos ... eos
-              for content in contents]
     targets = [None] * len(records)
     with no_grad():
-        for idx in _scene_chunks(records, lambda i: packed[i]):
+        for idx in _scene_groups(records):
             scene = np.repeat(np.arange(len(idx)), [len(contents[i]) for i in idx])
             init = teacher.encode_pooled(
                 [ids for i in idx for ids in contents[i]],
@@ -272,24 +280,20 @@ def build_student(teacher, statenet):
     return student
 
 
-def _scene_chunks(records, rows_per_scene):
-    """Lists of record indices that one cross-scene pass each can take: the
-    scenes of a list share their feature shape (K objects), and their rows,
-    rows_per_scene(i) for record i, add up to at most MAX_PASS_ROWS unless one
-    scene alone has more.  Indices ascend within a list."""
+def _scene_groups(records):
+    """Record indices grouped by feature shape (K objects), ascending."""
     groups = {}
     for i, rec in enumerate(records):
         groups.setdefault(rec.features.shape, []).append(i)
-    for idx in groups.values():
-        chunk, rows = [], 0
-        for i in idx:
-            n = rows_per_scene(i)
-            if chunk and rows + n > MAX_PASS_ROWS:
-                yield chunk
-                chunk, rows = [], 0
-            chunk.append(i)
-            rows += n
-        yield chunk
+    return groups.values()
+
+
+def _scene_chunks(records, rows_per_scene):
+    """The record indices of each cross-scene pass: _scene_groups cut by
+    capped_runs on rows_per_scene(i), the rows record i adds to a pass."""
+    for idx in _scene_groups(records):
+        for run in capped_runs([rows_per_scene(i) for i in idx]):
+            yield idx[run]
 
 
 def evaluate_split(student, records, vocab, doc_freq, beam_width, t_max,
@@ -334,15 +338,10 @@ def _row_state_losses(student_rows, teacher_rows):
 def _greedy_state_losses(student, teacher, records, t_max):
     """Per record, in record order: the content ids of the greedy caption
     and the mean per-step hidden-state loss against the teacher's trace of
-    that caption.
-
-    Each chunk of scenes with the same K (_scene_chunks, one row per scene)
-    runs as one greedy rollout whose rows retire at eos and one teacher-forced
-    pass over the greedy captions.  Each scene's greedy caption is its sole
-    encoder input; the encoder takes the chunk's scenes in runs of at most
-    MAX_PASS_ROWS packed rows (_scene_chunks, one row per framed caption
-    position).
-    """
+    that caption.  Each chunk of scenes with the same K (_scene_chunks, one
+    row per scene) runs one greedy rollout, whose rows retire at eos, and one
+    teacher.traces call over its greedy captions, each its scene's sole
+    encoder input."""
     out = [None] * len(records)
     with no_grad():
         for idx in _scene_chunks(records, lambda _i: 1):
@@ -352,31 +351,20 @@ def _greedy_state_losses(student, teacher, records, t_max):
             greedy = greedy_decode(student.decoder, ctx, student.initial_state(ctx),
                                    t_max, scene=scene)
             captions = greedy.captions
+            teacher_trace = teacher.traces(captions, features, scene)
+            # both traces keep, at step t, the captions with >= t content
+            # ids, so a scene's trace covers steps 0..content
             content = np.array([len(tokens) for tokens in captions])
-            pooled = [teacher.encode_pooled(captions[run[0]:run[-1] + 1],
-                                            Tensor(features[run[0]:run[-1] + 1]),
-                                            np.arange(len(run)))
-                      for run in _scene_chunks([records[i] for i in idx],
-                                               lambda s: content[s] + 2)]  # bos ... eos
-            init = [tuple(stack_rows([p[layer][j] for p in pooled]) for j in (0, 1))
-                    for layer in range(len(pooled[0]))]
-            t_ctx = teacher.decoder.begin(features)
-            teacher_trace = teacher_forced(teacher.decoder, t_ctx, init, captions,
-                                           False, scene).trace
-            # both traces keep, at step t, the captions with >= t content ids
-            sums, steps = np.zeros(len(idx)), np.zeros(len(idx))
+            sums = np.zeros(len(idx))
             for t, (s_rows, t_rows) in enumerate(zip(greedy.trace, teacher_trace)):
-                rows = np.flatnonzero(content >= t)
-                sums[rows] += _row_state_losses(s_rows, t_rows)
-                steps[rows] += 1
+                sums[content >= t] += _row_state_losses(s_rows, t_rows)
             for s, i in enumerate(idx):
-                out[i] = (captions[s], float(sums[s] / steps[s]))
+                out[i] = (captions[s], float(sums[s] / (content[s] + 1)))
     return out
 
 
 def _mean_state_loss(student, teacher, records, t_max):
-    """Mean over a split's scenes of _greedy_state_losses, added in record
-    order."""
+    """Mean of _greedy_state_losses over a split, added in record order."""
     losses = _greedy_state_losses(student, teacher, records, t_max)
     return sum(loss for _tokens, loss in losses) / len(records)
 
@@ -417,11 +405,9 @@ def train_student(train_records, val_records, teacher, statenet, vocab,
     if cfg.reward_metric == "cider" and rl:
         reward_refs = {scene_id: CiderRefs(refs, doc_freq)
                        for scene_id, refs in reward_refs.items()}
-    trace_cache = {}
-    if not rl and lam > 0:
-        for rec in train_records:
-            trace_cache[rec.scene_id] = teacher.traces(
-                content_cache[rec.scene_id], rec.features)
+    trace_cache = {} if rl or lam <= 0 else {
+        rec.scene_id: teacher.traces(content_cache[rec.scene_id], rec.features)
+        for rec in train_records}
 
     history = []
     best = (-1.0, None)

@@ -137,3 +137,34 @@ def test_trace_for_tokens_counts_guided_rl_steps(monkeypatch):
                           world.teacher, lam, features=world.features)
         assert len(calls) == want, lam
     zero_gradients(params)
+
+
+def test_val_state_loss_teacher_pass_calls_teacher_teacher_forced(monkeypatch):
+    # the tracer's student.teacher_forced.calls counts the validation state
+    # loss's teacher pass: TeacherAutoencoder.traces looks teacher_forced up
+    # in hsg.teacher, and one chunk of scenes takes one pass
+    import numpy as np
+    import hsg.teacher
+    from hsg.corpus import CorpusRecord, Vocabulary
+    from hsg.student import StateTransformNet
+    from hsg.teacher import build_teacher
+    from hsg.training import _mean_state_loss, build_student
+
+    rng = np.random.default_rng(0)
+    records = [CorpusRecord(s, rng.normal(size=(3, 4)), [["a", "b"]])
+               for s in range(4)]
+    vocab = Vocabulary.from_captions([["a", "b"]])
+    teacher = build_teacher(len(vocab), "fc", 4, 3, 4, 0,
+                            bos_id=vocab.BOS, eos_id=vocab.EOS)
+    teacher.freeze()
+    student = build_student(teacher, StateTransformNet(4, teacher.decoder.layer_dims, rng))
+    calls = []
+    real_forced = hsg.teacher.teacher_forced
+
+    def counting_forced(decoder, *args):
+        calls.append(decoder is teacher.decoder)
+        return real_forced(decoder, *args)
+
+    monkeypatch.setattr(hsg.teacher, "teacher_forced", counting_forced)
+    _mean_state_loss(student, teacher, records, 3)
+    assert calls == [True]

@@ -14,6 +14,7 @@ import pytest
 
 import hsg.autodiff
 import hsg.student
+import hsg.training
 from hsg import cli
 from hsg.autodiff import Tape, Tensor, backward, neg, no_grad
 from hsg.corpus import Vocabulary
@@ -196,6 +197,45 @@ def test_teacher_traces_match_per_caption_oracle(family):
         for h, wh in zip(h_got, h_want):
             assert h.data.shape == wh.data.shape
             assert_close(h.data, wh.data, "trace h")
+
+
+@pytest.mark.parametrize("family", ["fc", "updown"])
+@pytest.mark.parametrize("cap", [None, 12])
+def test_cross_scene_traces_match_each_scene_alone(monkeypatch, family, cap):
+    # one traces call over four scenes, captions interleaved across scenes
+    # and one of them empty, gives each scene's one-scene traces; a cap of
+    # 12 packed encoder rows splits the encoder into runs of whole scenes
+    teacher, _feats = world(family, seed=61)
+    stack = np.random.default_rng(61).normal(size=(4, 3, 3))
+    per_scene = [[[]], [[5], []], captions_for(2, seed=62), captions_for(5, seed=63)]
+    pairs = [(s, ids) for s, caps in enumerate(per_scene) for ids in caps]
+    pairs = [pairs[i] for i in np.random.default_rng(64).permutation(len(pairs))]
+    scene = np.array([s for s, _ids in pairs])
+    caps = [ids for _s, ids in pairs]
+    alone = [teacher.traces([ids for s2, ids in pairs if s2 == s], stack[s])
+             for s in range(4)]
+    encodes = []
+    real_encode = teacher.encoder.encode
+
+    def encode_spy(captions, feats, scene=None):
+        encodes.append(feats.data.shape[0])
+        return real_encode(captions, feats, scene)
+
+    monkeypatch.setattr(teacher.encoder, "encode", encode_spy)
+    if cap is not None:
+        monkeypatch.setattr(hsg.training, "MAX_PASS_ROWS", cap)
+    rows = teacher.traces(caps, stack, scene)
+    # capped: the first two scenes (7 rows) share a run, the others run alone
+    assert encodes == ([4] if cap is None else [2, 1, 1])
+    assert len(rows) == 1 + max(len(ids) for ids in caps)
+    for t, h_rows in enumerate(rows):
+        alive = [i for i, ids in enumerate(caps) if len(ids) >= t]
+        assert all(h.data.shape[0] == len(alive) for h in h_rows)
+        for r, i in enumerate(alive):
+            # caption i's row alone: its scene's earlier captions still alive
+            r_alone = sum(1 for j in alive[:r] if scene[j] == scene[i])
+            for h, h_alone in zip(h_rows, alone[scene[i]][t]):
+                assert_close(h.data[r], h_alone.data[r_alone], f"step {t} caption {i}")
 
 
 def test_encoder_finals_come_back_in_caption_order():

@@ -145,6 +145,25 @@ def test_pool_empty_rejected():
         pool_captions(_random_finals(np.random.default_rng(0), 0), 1)
 
 
+@pytest.mark.parametrize("scene, empty", [([0, 1, 1], 2), ([0, 2, 2], 1)])
+def test_encode_pooled_names_a_scene_without_captions(scene, empty):
+    # unchecked, a captionless last scene would come back one row short
+    # and a captionless middle one would fail inside max_rows
+    teacher = tiny_teacher()
+    stack = Tensor(np.stack([feats(seed=s) for s in range(3)]))
+    with no_grad(), pytest.raises(ContractError,
+                                  match=f"encode_pooled: scene {empty} has no captions"):
+        teacher.encode_pooled([[4], [5, 6], [3]], stack, np.array(scene))
+
+
+def test_encode_pooled_wants_one_scene_id_per_caption():
+    teacher = tiny_teacher()
+    stack = Tensor(np.stack([feats(seed=s) for s in range(2)]))
+    for scene in ([0, 1], [0, 1, 1, 0]):
+        with no_grad(), pytest.raises(DimensionError, match="scene ids for 3 captions"):
+            teacher.encode_pooled([[4], [5, 6], [3]], stack, np.array(scene))
+
+
 def test_teacher_forward_empty_caption_trace_is_init():
     teacher = tiny_teacher(seed=9)
     v = feats()
